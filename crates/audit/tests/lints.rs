@@ -426,7 +426,8 @@ fn allowlist_rejects_malformed_files() {
 /// longer exist.
 #[test]
 fn stale_allowlist_entries_for_new_lints_fail_the_audit() {
-    let root = std::env::temp_dir().join(format!("sapla-audit-stale-{}", std::process::id()));
+    let dir = sapla_core::temp::TempPath::new("sapla-audit-stale", "");
+    let root = dir.path();
     let src_dir = root.join("crates/core/src");
     std::fs::create_dir_all(&src_dir).unwrap();
     std::fs::write(src_dir.join("lib.rs"), "pub fn id(x: u64) -> u64 { x }\n").unwrap();
@@ -436,8 +437,7 @@ fn stale_allowlist_entries_for_new_lints_fail_the_audit() {
          contains = \"never matches anything\"\nreason = \"stale on purpose\"\n",
     )
     .unwrap();
-    let report = run_audit(&root).expect("audit runs");
-    std::fs::remove_dir_all(&root).ok();
+    let report = run_audit(root).expect("audit runs");
     assert!(report.violations.is_empty());
     assert_eq!(report.unused_allows.len(), 1);
     assert_eq!(report.unused_allows[0].lint, "lock-order");

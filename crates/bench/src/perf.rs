@@ -440,19 +440,20 @@ fn measure_cold_start(grid: &PerfGrid) -> Vec<ColdStartPoint> {
         let db = grid_series(n, db_size);
         let engine = Engine::build(cfg, Box::new(SaplaReducer::new()), db.clone(), grid.threads)
             .expect("cold start reference build");
-        let path = std::env::temp_dir()
-            .join(format!("sapla-cold-start-{}-{db_size}.snap", std::process::id()));
-        let file_bytes = engine.write_snapshot_file(&path, None).expect("cold start snapshot");
+        // Unique per call: the two quick-grid tests run this concurrently
+        // in one process with the same sizes.
+        let path = sapla_core::temp::TempPath::new("sapla-cold-start", ".snap");
+        let file_bytes =
+            engine.write_snapshot_file(path.path(), None).expect("cold start snapshot");
         let (_, build_ns) = measure(grid.min_time, || {
             let built = Engine::build(cfg, Box::new(SaplaReducer::new()), db.clone(), grid.threads)
                 .expect("cold start build");
             std::hint::black_box(&built);
         });
         let (_, load_ns) = measure(grid.min_time, || {
-            let loaded = Engine::from_snapshot_file(&path).expect("cold start load");
+            let loaded = Engine::from_snapshot_file(path.path()).expect("cold start load");
             std::hint::black_box(&loaded);
         });
-        let _ = std::fs::remove_file(&path);
         out.push(ColdStartPoint {
             n,
             db: db_size,

@@ -310,8 +310,7 @@ fn engine_via_index_file(
     } else {
         let (ds, engine) = engine_from_flags(name, args)?;
         let quantize = quantize_flag(args)?;
-        let bytes =
-            engine.write_snapshot_file(&path, quantize).map_err(|e| e.to_string())?;
+        let bytes = engine.write_snapshot_file(&path, quantize).map_err(|e| e.to_string())?;
         println!("wrote index snapshot {} ({bytes} bytes)", path.display());
         // A quantized snapshot serves from perturbed leaf reps; reload
         // from the file just written so this first (cold) invocation

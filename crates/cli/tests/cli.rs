@@ -191,9 +191,9 @@ fn assert_balanced_json(text: &str) {
 
 #[test]
 fn profile_json_writes_a_valid_snapshot() {
-    let dir = std::env::temp_dir().join(format!("sapla-profile-{}", std::process::id()));
+    let dir = sapla_core::temp::TempPath::new("sapla-profile", "");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("profile.json");
+    let path = dir.path().join("profile.json");
     let out = sapla()
         .args(["knn", "Burst_00", "--k", "3", "--profile-json"])
         .arg(&path)
@@ -201,7 +201,6 @@ fn profile_json_writes_a_valid_snapshot() {
         .expect("binary runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read_to_string(&path).expect("profile written");
-    std::fs::remove_dir_all(&dir).ok();
     assert_balanced_json(&text);
     for section in ["\"enabled\"", "\"counters\"", "\"gauges\"", "\"lanes\"", "\"histograms\""] {
         assert!(text.contains(section), "missing {section} in:\n{text}");

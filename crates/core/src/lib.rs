@@ -53,6 +53,7 @@ pub mod sapla;
 pub mod series;
 pub mod simd;
 pub mod stream;
+pub mod temp;
 
 mod endpoint_move;
 mod init;

@@ -5,7 +5,7 @@
 //! evaluations — and [`TimeSeries::euclidean`] itself — agree
 //! bit-for-bit on every survivor.
 
-use sapla_core::{Result, TimeSeries};
+use sapla_core::{Error, Result, TimeSeries};
 
 /// Squared Euclidean distance between two equal-length series.
 ///
@@ -38,7 +38,21 @@ pub fn euclidean_early_abandon(
     b: &TimeSeries,
     best_sq: f64,
 ) -> Result<Option<f64>> {
-    Ok(a.euclidean_sq_bounded(b, best_sq)?.map(f64::sqrt))
+    euclidean_early_abandon_slices(a.values(), b.values(), best_sq)
+}
+
+/// [`euclidean_early_abandon`] over bare sample slices — for series that
+/// live in a flat arena rather than in a [`TimeSeries`]. Same kernel,
+/// same bits.
+///
+/// # Errors
+///
+/// [`sapla_core::Error::LengthMismatch`] when the lengths differ.
+pub fn euclidean_early_abandon_slices(a: &[f64], b: &[f64], best_sq: f64) -> Result<Option<f64>> {
+    if a.len() != b.len() {
+        return Err(Error::LengthMismatch { left: a.len(), right: b.len() });
+    }
+    Ok(sapla_core::simd::euclidean_sq_bounded(a, b, best_sq).map(f64::sqrt))
 }
 
 #[cfg(test)]
@@ -63,6 +77,7 @@ mod tests {
         let b = ts(&[1.0, 2.0]);
         assert!(euclidean(&a, &b).is_err());
         assert!(euclidean_early_abandon(&a, &b, 1.0).is_err());
+        assert!(euclidean_early_abandon_slices(a.values(), b.values(), 1.0).is_err());
     }
 
     #[test]

@@ -51,7 +51,9 @@ pub use ae::dist_ae;
 pub use cheby::dist_cheby;
 pub use dist_s::dist_s_sq;
 pub use dtw::{dtw, keogh_envelope, lb_keogh};
-pub use euclidean::{euclidean, euclidean_early_abandon, euclidean_sq};
+pub use euclidean::{
+    euclidean, euclidean_early_abandon, euclidean_early_abandon_slices, euclidean_sq,
+};
 pub use lb::dist_lb;
 pub use paa::dist_paa;
 pub use par::{dist_par, dist_par_sq, dist_par_sq_with, AlignedWindow, ParScratch, SoaSegs};

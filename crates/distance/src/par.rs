@@ -96,7 +96,7 @@ impl ParScratch {
 
 /// Contiguous struct-of-arrays view of a linear segmentation: parallel
 /// `slopes`/`intercepts`/`endpoints` slices, one element per segment.
-/// This is the candidate-side layout of the SoA leaf blocks in
+/// This is the candidate-side layout of the trees' rep arenas in
 /// `sapla-index` — leaf refinement walks cache-linear coefficient arrays
 /// instead of pointer-hopping per-entry [`PiecewiseLinear`] structs.
 #[derive(Debug, Clone, Copy)]
@@ -113,8 +113,8 @@ impl<'a> SoaSegs<'a> {
     ///
     /// [`Error::MalformedRepresentation`] when the slices are empty or
     /// their lengths disagree. (Endpoint monotonicity is the producer's
-    /// contract, as it is for [`PiecewiseLinear::new`]'s inputs; the SoA
-    /// blocks in `sapla-index` are flattened from already-validated
+    /// contract, as it is for [`PiecewiseLinear::new`]'s inputs; the rep
+    /// arenas in `sapla-index` are flattened from already-validated
     /// representations.)
     pub fn new(slopes: &'a [f64], intercepts: &'a [f64], endpoints: &'a [usize]) -> Result<Self> {
         if slopes.is_empty() || slopes.len() != intercepts.len() || slopes.len() != endpoints.len()
@@ -145,7 +145,7 @@ impl<'a> SoaSegs<'a> {
 
 /// Accessor abstraction over a linear segmentation for the endpoint-union
 /// walk: implemented for `&[LinearSegment]` (the stored AoS layout), for
-/// [`SoaSegs`] (contiguous leaf blocks), and for the query side of a
+/// [`SoaSegs`] (rep-arena views), and for the query side of a
 /// [`crate::plan::QueryPlan`]. Every `Dist_PAR` entry point walks windows
 /// through [`walk_windows`] over this trait, so the window sequence —
 /// and therefore the summation order — cannot diverge between layouts.

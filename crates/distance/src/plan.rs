@@ -126,7 +126,7 @@ pub fn dist_par_sq_planned(
     Ok(planned_eval(plan, cand.segments(), scratch, abandon_sq))
 }
 
-/// [`dist_par_sq_planned`] over an SoA candidate view (leaf blocks).
+/// [`dist_par_sq_planned`] over an SoA candidate view (rep arenas).
 ///
 /// # Errors
 ///

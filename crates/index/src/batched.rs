@@ -1,16 +1,17 @@
-//! Query-major batched k-NN: evaluate a block of queries against each
-//! leaf while its SoA mirror is cache-hot.
+//! The one search driver both trees share: query-major batched k-NN and
+//! the ε-range walk, over the [`BatchTree`] trait.
 //!
-//! The classic driver is query-at-a-time: one query walks the whole
-//! tree, streaming every surviving leaf block through the planned
-//! kernel, before the next query starts — so with `Q` queries each leaf
-//! block is pulled through the cache up to `Q` times. This module flips
-//! the inner loop. A block of queries advances in *rounds*: in each
-//! round every still-active query walks its own best-first frontier
-//! (internal nodes expanded inline) until it yields its next leaf; the
-//! pending `(leaf, query)` pairs are then sorted by leaf and evaluated
-//! leaf-by-leaf, so all queries that reached the same leaf in the same
-//! round run over its slopes/intercepts/endpoints back-to-back.
+//! The classic k-NN driver is query-at-a-time: one query walks the whole
+//! tree before the next query starts — so with `Q` queries each leaf's
+//! coefficients are pulled through the cache up to `Q` times. This
+//! module flips the inner loop. A block of queries advances in *rounds*:
+//! in each round every still-active query walks its own best-first
+//! frontier (internal nodes expanded inline) until it yields its next
+//! leaf; the pending `(leaf, query)` pairs are then sorted by leaf and
+//! evaluated leaf-by-leaf, so all queries that reached the same leaf in
+//! the same round run over its entries back-to-back. A block of one *is*
+//! the sequential algorithm, which is how [`crate::DbchTree::knn`] and
+//! [`crate::RTree::knn`] run it.
 //!
 //! **Bit-identity.** Each query's result is a pure function of the tree
 //! and its own search state — candidate heap, node queue, thresholds —
@@ -21,24 +22,25 @@
 //! `knn_batch` / engine regression tests pin this bitwise over the
 //! DBCH-tree, the R-tree, and the linear scan at several thread counts.
 //!
-//! Implemented over the [`BatchTree`] trait so the DBCH-tree and the
-//! R-tree share one driver — and one copy of the leaf filter/refinement
-//! body ([`eval_leaf_entries`]), which their sequential searches use
-//! too.
+//! **One memory layout.** Representations are read from the tree's
+//! id-ordered [`RepArena`] and raw series through [`RawSource`] (see
+//! [`crate::arena`]); [`rep_within`] is the single place that chooses
+//! between the planned SoA kernel on an arena view and the stored
+//! [`Representation`] walk (plan-less queries, non-linear schemes).
 
 use std::cmp::Reverse;
 
-use sapla_core::{Error, OrdF64, Representation, Result, TimeSeries};
-use sapla_distance::{euclidean_early_abandon, safe_sq_bound, ParScratch};
+use sapla_core::{Error, OrdF64, Representation, Result};
+use sapla_distance::{euclidean_early_abandon_slices, safe_sq_bound, ParScratch};
 
-use crate::knn::{HullMemo, KnnHeap, KnnScratch, SearchStats, SearchTally};
+use crate::arena::{RawSource, RepArena};
+use crate::knn::{HullMemo, KnnHeap, KnnScratch, QueryScratch, SearchStats, SearchTally};
 use crate::scheme::{Query, Scheme};
-use crate::soa::LeafBlock;
 
 /// How many queries ride in one co-scheduled block by default. Large
-/// enough that shared leaves amortise a block fetch across many
-/// queries, small enough that a block's heaps and scratches stay
-/// resident next to the leaf data (the perf harness sweeps 1/4/16).
+/// enough that shared leaves amortise a fetch across many queries, small
+/// enough that a block's heaps and scratches stay resident next to the
+/// leaf data (the perf harness sweeps 1/4/16).
 pub const DEFAULT_QUERY_BLOCK: usize = 16;
 
 /// One node of a [`BatchTree`], as the driver sees it.
@@ -49,9 +51,9 @@ pub(crate) enum NodeView<'a> {
     Leaf(&'a [usize]),
 }
 
-/// The tree shape the query-major driver walks — implemented by
+/// The tree shape the driver walks — implemented by
 /// [`crate::dbch::DbchTree`] (hull bounds) and [`crate::rtree::RTree`]
-/// (MINDIST bounds), and by the engine's shard wrapper.
+/// (MINDIST bounds).
 pub(crate) trait BatchTree {
     /// Root node id (meaningless when [`BatchTree::is_empty`]).
     fn root(&self) -> usize;
@@ -59,64 +61,82 @@ pub(crate) trait BatchTree {
     fn is_empty(&self) -> bool;
     /// Stored representations, entry-id order.
     fn reps(&self) -> &[Representation];
+    /// The same representations' coefficients, flat, entry-id order.
+    fn arena(&self) -> &RepArena;
     /// Children of an internal node / entries of a leaf.
     fn node_view(&self, nid: usize) -> NodeView<'_>;
-    /// The leaf's SoA mirror, if coherent with `n_entries` entries.
-    fn leaf_block(&self, nid: usize, n_entries: usize) -> Option<&LeafBlock>;
-    /// Query-to-node bound (hull rule / MINDIST). The DBCH-tree records
-    /// the squared hull-representative distances it computes in `memo`
-    /// for bitwise replay at the leaf filter; the R-tree's MINDIST has
-    /// nothing to memoise and leaves it untouched.
+    /// Query-to-node bound (hull rule / MINDIST). `planned` says whether
+    /// the query may use the planned SoA kernel (see [`planned`]). The
+    /// DBCH-tree records the squared hull-representative distances it
+    /// computes in `memo` for bitwise replay at the leaf filter; the
+    /// R-tree's MINDIST has nothing to memoise and leaves it untouched.
     fn node_bound(
         &self,
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
+        planned: bool,
         dist: &mut ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64>;
     /// Per-level fanout accounting hook (the DBCH-tree's lane counter;
-    /// the R-tree reports nothing, matching its sequential search).
+    /// the R-tree reports nothing).
     fn count_fanout(&self, _depth: usize, _children: usize) {}
-    /// Additive `Dist_LB` slack the strict-invariants audit must allow
-    /// for this tree's stored representations (non-zero only for trees
-    /// loaded from quantized snapshot leaves, where the stored `Ĉ~` is
-    /// perturbed from the least-squares `Ĉ` by at most this much in the
-    /// windowed metric).
+    /// Additive slack every pruning comparison over this tree's stored
+    /// representations must allow (non-zero only for trees loaded from
+    /// quantized snapshot leaves, where the stored `Ĉ~` is perturbed
+    /// from the least-squares `Ĉ` by at most this much in the windowed
+    /// metric, so a bound over it can overshoot by as much).
     fn lb_slack(&self) -> f64 {
         0.0
     }
 }
 
-/// Per-worker state for [`knn_query_major`]: one warm [`KnnScratch`]
-/// per in-flight query plus the round's pending `(leaf, query)` pairs.
-/// Reuse never changes results — every buffer is reset per block.
-#[derive(Default)]
-pub(crate) struct BlockScratch {
-    scratches: Vec<KnnScratch>,
-    pending: Vec<(usize, usize)>,
+/// Whether `q` runs the planned SoA kernel under `scheme`: the scheme
+/// has one and the query carries a plan. Everything else — plan-stripped
+/// oracle queries, non-linear schemes — walks the stored representations.
+pub(crate) fn planned(scheme: &dyn Scheme, q: &Query) -> bool {
+    scheme.supports_par_plan() && q.plan.is_some()
 }
 
-impl BlockScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
+/// The leaf filter for one entry: does its representation distance stay
+/// within `prune_at`? A hull representative this query already evaluated
+/// fully during node bounding replays the memoised square (the identical
+/// decision, see [`HullMemo`]); otherwise a planned query runs the SoA
+/// kernel on the entry's arena view.
+#[allow(clippy::too_many_arguments)] // one entry's slice of the search state
+#[inline]
+fn rep_within(
+    q: &Query,
+    scheme: &dyn Scheme,
+    reps: &[Representation],
+    arena: Option<&RepArena>,
+    e: usize,
+    prune_at: f64,
+    dist: &mut ParScratch,
+    memo: &HullMemo,
+) -> Result<bool> {
+    if let Some(keep) = memo.within(e, prune_at) {
+        sapla_obs::counter!("index.hull_memo.hits");
+        return Ok(keep);
+    }
+    match arena.and_then(|a| a.view(e)) {
+        Some(view) => scheme.rep_within_soa(q, view, prune_at, dist),
+        None => scheme.rep_within(q, &reps[e], prune_at, dist),
     }
 }
 
-/// Evaluate one leaf's entries for one query: representation filter
-/// (SoA planned kernel when a coherent block is supplied, AoS
-/// otherwise) then early-abandoning exact refinement. This is the
-/// single copy of the body the DBCH-tree and R-tree sequential searches
-/// used to duplicate; the query-major driver calls it per `(leaf,
-/// query)` pair.
+/// Evaluate one leaf's entries for one k-NN query: representation filter
+/// ([`rep_within`]; `arena` is `Some` iff the query is [`planned`]) then
+/// early-abandoning exact refinement.
 #[allow(clippy::too_many_arguments)] // the flattened per-query search state
-pub(crate) fn eval_leaf_entries(
+fn eval_leaf_entries<R: RawSource + ?Sized>(
     q: &Query,
     scheme: &dyn Scheme,
-    raws: &[TimeSeries],
+    raws: &R,
     reps: &[Representation],
+    arena: Option<&RepArena>,
     entries: &[usize],
-    block: Option<&LeafBlock>,
     results: &mut KnnHeap,
     dist: &mut ParScratch,
     memo: &HullMemo,
@@ -124,7 +144,7 @@ pub(crate) fn eval_leaf_entries(
     lb_slack: f64,
 ) -> Result<()> {
     tally.consider(entries.len());
-    for (j, &e) in entries.iter().enumerate() {
+    for &e in entries {
         let threshold = results.threshold();
         // Quantized-lineage trees store reps perturbed by up to
         // `lb_slack` in the windowed metric, so their Dist_LB can
@@ -140,28 +160,15 @@ pub(crate) fn eval_leaf_entries(
         // Strict-invariants builds still evaluate it to keep the
         // lb ≤ exact audit on every candidate.
         let skip_filter = threshold.is_infinite() && !cfg!(feature = "strict-invariants");
-        let kept = if skip_filter {
-            Some(f64::INFINITY)
-        } else if let Some(kept) = memo.filter(e, prune_at) {
-            // A hull representative this query already evaluated fully
-            // during node bounding: replaying the memoised square is
-            // the identical decision and kept value (see `HullMemo`).
-            sapla_obs::counter!("index.hull_memo.hits");
-            kept
-        } else {
-            match block {
-                Some(b) => scheme.rep_dist_pruned_soa(q, b.entry(j)?, prune_at, dist)?,
-                None => scheme.rep_dist_pruned(q, &reps[e], prune_at, dist)?,
-            }
-        };
-        if kept.is_some() {
+        if skip_filter || rep_within(q, scheme, reps, arena, e, prune_at, dist, memo)? {
             tally.measure();
             // Early-abandoning refinement: an abandoned candidate has
             // exact > threshold *strictly* (the safe_sq_bound slack
             // absorbs the t² rounding), so pushing it would pop it
             // straight back out — skipping the push leaves the heap
             // bit-identical.
-            match euclidean_early_abandon(&q.raw, &raws[e], safe_sq_bound(results.threshold()))? {
+            let bound = safe_sq_bound(results.threshold());
+            match euclidean_early_abandon_slices(q.raw.values(), raws.raw(e), bound)? {
                 Some(exact) => {
                     #[cfg(feature = "strict-invariants")]
                     crate::scheme::assert_lb_le_exact(q, &reps[e], exact, lb_slack)?;
@@ -193,22 +200,27 @@ fn note_err(slot: &mut Option<(usize, Error)>, qi: usize, e: Error) {
 /// are bit-for-bit the sequential per-query searches', in query order;
 /// on failure the earliest (by query index) error is returned, as a
 /// sequential loop would.
-pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
+pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     tree: &T,
     queries: &[Query],
     k: usize,
     scheme: &dyn Scheme,
-    raws: &[TimeSeries],
-    scratch: &mut BlockScratch,
+    raws: &R,
+    scratch: &mut KnnScratch,
 ) -> Result<Vec<SearchStats>> {
-    let BlockScratch { scratches, pending } = scratch;
+    let KnnScratch { queries: scratches, pending, tallies, done } = scratch;
     // Node bounds over quantized-lineage reps can overshoot the true
-    // distance by up to this much; every node-pruning comparison below
-    // is widened by it (bitwise no-op for exact trees, slack 0.0).
+    // distance by up to this much; every pruning comparison below is
+    // widened by it (bitwise no-op for exact trees, slack 0.0).
     let slack = tree.lb_slack();
-    scratches.resize_with(scratches.len().max(queries.len()), KnnScratch::new);
-    let mut tallies = vec![SearchTally::default(); queries.len()];
-    let mut done = vec![false; queries.len()];
+    let scheme_planned = scheme.supports_par_plan();
+    if scratches.len() < queries.len() {
+        scratches.resize_with(queries.len(), QueryScratch::default);
+    }
+    tallies.clear();
+    tallies.resize(queries.len(), SearchTally::default());
+    done.clear();
+    done.resize(queries.len(), false);
     let mut first_err: Option<(usize, Error)> = None;
 
     // Seed every query's frontier with the root, in query order.
@@ -218,7 +230,8 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
             done[qi] = true;
             continue;
         }
-        match tree.node_bound(q, scheme, tree.root(), &mut s.dist, &mut s.hull) {
+        let planned = scheme_planned && q.plan.is_some();
+        match tree.node_bound(q, scheme, tree.root(), planned, &mut s.dist, &mut s.hull) {
             Ok(d) => s.nodes.push(Reverse((OrdF64::new(d), tree.root(), 0))),
             Err(e) => {
                 done[qi] = true;
@@ -237,6 +250,7 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
             }
             let s = &mut scratches[qi];
             let tally = &mut tallies[qi];
+            let planned = scheme_planned && q.plan.is_some();
             loop {
                 let Some(Reverse((d, nid, depth))) = s.nodes.pop() else {
                     done[qi] = true;
@@ -256,7 +270,7 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
                         tree.count_fanout(depth, children.len());
                         let mut failed = false;
                         for &c in children {
-                            match tree.node_bound(q, scheme, c, &mut s.dist, &mut s.hull) {
+                            match tree.node_bound(q, scheme, c, planned, &mut s.dist, &mut s.hull) {
                                 Ok(node_d) => {
                                     if node_d <= s.results.threshold() + slack {
                                         s.nodes.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
@@ -288,7 +302,7 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
             break;
         }
         // Evaluate phase: group this round's pending pairs by leaf, so
-        // a leaf's SoA block is fetched once and stays hot for every
+        // a leaf's entries are fetched once and stay hot for every
         // query that reached it; within a leaf, queries run in query
         // order ((nid, qi) sort — deterministic, pairs are distinct).
         pending.sort_unstable();
@@ -309,20 +323,19 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
             for &(_, qi) in &pending[i..end] {
                 let q = &queries[qi];
                 let s = &mut scratches[qi];
-                let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-                let block = if use_soa { tree.leaf_block(nid, entries.len()) } else { None };
+                let arena = (scheme_planned && q.plan.is_some()).then(|| tree.arena());
                 if let Err(e) = eval_leaf_entries(
                     q,
                     scheme,
                     raws,
                     tree.reps(),
+                    arena,
                     entries,
-                    block,
                     &mut s.results,
                     &mut s.dist,
                     &s.hull,
                     &mut tallies[qi],
-                    tree.lb_slack(),
+                    slack,
                 ) {
                     note_err(&mut first_err, qi, e);
                     done[qi] = true;
@@ -337,9 +350,10 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
         return Err(e);
     }
     let mut out = Vec::with_capacity(queries.len());
-    for (qi, tally) in tallies.into_iter().enumerate() {
+    for (s, tally) in scratches.iter_mut().zip(tallies.iter_mut()) {
         let (mut retrieved, mut distances) = (Vec::with_capacity(k), Vec::with_capacity(k));
-        scratches[qi].results.drain_into(&mut retrieved, &mut distances);
+        s.results.drain_into(&mut retrieved, &mut distances);
+        tally.hull_evals(s.hull.evals());
         out.push(SearchStats {
             retrieved,
             distances,
@@ -348,4 +362,90 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized>(
         });
     }
     Ok(out)
+}
+
+/// k-NN for one query: a block of one through [`knn_query_major`] — the
+/// sequential best-first search of both trees.
+pub(crate) fn knn_single<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
+    tree: &T,
+    q: &Query,
+    k: usize,
+    scheme: &dyn Scheme,
+    raws: &R,
+    scratch: &mut KnnScratch,
+) -> Result<SearchStats> {
+    let block = knn_query_major(tree, std::slice::from_ref(q), k, scheme, raws, scratch)?;
+    match block.into_iter().next() {
+        Some(stats) => Ok(stats),
+        // The driver answers every query of the block or fails.
+        None => unreachable!(),
+    }
+}
+
+/// ε-range search: every entry whose **exact** Euclidean distance to the
+/// query is at most `epsilon`, sorted by `(distance, id)` — a strict
+/// total order, so multi-shard engines merge per-shard hit lists
+/// deterministically. Nodes are filtered by [`BatchTree::node_bound`],
+/// entries by [`rep_within`], survivors refined exactly.
+pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
+    tree: &T,
+    q: &Query,
+    epsilon: f64,
+    scheme: &dyn Scheme,
+    raws: &R,
+) -> Result<SearchStats> {
+    let mut hits: Vec<(f64, usize)> = Vec::new();
+    let mut tally = SearchTally::default();
+    let mut dist = ParScratch::default();
+    let mut memo = HullMemo::default();
+    let planned = planned(scheme, q);
+    let arena = planned.then(|| tree.arena());
+    let reps = tree.reps();
+    let slack = tree.lb_slack();
+    // Quantized-lineage bounds can overshoot the true distance by up to
+    // `slack`; widening the pruning cutoff keeps the search sound (exact
+    // hits are still gated on `exact <= epsilon` below). Exact trees
+    // have slack 0.0 — bitwise no-op.
+    let prune_at = epsilon + slack;
+    let mut stack = if tree.is_empty() { Vec::new() } else { vec![tree.root()] };
+    while let Some(nid) = stack.pop() {
+        if tree.node_bound(q, scheme, nid, planned, &mut dist, &mut memo)? > prune_at {
+            tally.prune_node();
+            continue;
+        }
+        tally.visit_node();
+        match tree.node_view(nid) {
+            NodeView::Internal(children) => stack.extend_from_slice(children),
+            NodeView::Leaf(entries) => {
+                tally.consider(entries.len());
+                for &e in entries {
+                    if !rep_within(q, scheme, reps, arena, e, prune_at, &mut dist, &memo)? {
+                        tally.prune();
+                        continue;
+                    }
+                    tally.measure();
+                    // Abandoned ⇒ exact > epsilon strictly: not a hit,
+                    // same as the full comparison.
+                    let bound = safe_sq_bound(epsilon);
+                    if let Some(exact) =
+                        euclidean_early_abandon_slices(q.raw.values(), raws.raw(e), bound)?
+                    {
+                        #[cfg(feature = "strict-invariants")]
+                        crate::scheme::assert_lb_le_exact(q, &reps[e], exact, slack)?;
+                        if exact <= epsilon {
+                            hits.push((exact, e));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    tally.hull_evals(memo.evals());
+    Ok(SearchStats {
+        retrieved: hits.iter().map(|&(_, i)| i).collect(),
+        distances: hits.iter().map(|&(d, _)| d).collect(),
+        measured: tally.finish_range(),
+        total: reps.len(),
+    })
 }

@@ -10,14 +10,11 @@
 //! (`Dist_PAR` for adaptive methods), which is what fixes the APCA-MBR
 //! overlap problem.
 
-use std::cmp::Reverse;
+use sapla_core::{Representation, Result, TimeSeries};
 
-use sapla_core::{OrdF64, Representation, Result, TimeSeries};
-use sapla_distance::{euclidean_early_abandon, safe_sq_bound};
-
-use crate::knn::{HullMemo, KnnScratch, SearchStats, SearchTally};
+use crate::arena::RepArena;
+use crate::knn::{HullMemo, KnnScratch, SearchStats};
 use crate::scheme::{Query, Scheme};
-use crate::soa::LeafBlock;
 use crate::stats::TreeShape;
 
 /// How the query-to-node distance of Section 5.3 is computed.
@@ -81,11 +78,11 @@ pub struct DbchTree {
     root: usize,
     nodes: Vec<Node>,
     reps: Vec<Representation>,
+    /// `reps`' coefficients, flat, in entry-id order: what planned
+    /// queries read for hull bounds and the leaf filter. Append-only —
+    /// a removed entry stays behind as an unreferenced hole.
+    arena: RepArena,
     rule: NodeDistRule,
-    /// Per-node SoA leaf blocks (parallel to `nodes`), refreshed at every
-    /// leaf mutation; leaf refinement takes the cache-linear planned
-    /// kernel through them when the query carries a plan.
-    blocks: Vec<LeafBlock>,
     /// Additive `Dist_LB` slack for the strict-invariants audit: `0.0`
     /// for built trees, the maximum per-record quantization perturbation
     /// (in the windowed metric) for trees loaded from quantized
@@ -148,12 +145,11 @@ impl DbchTree {
                 hull: Hull { u: 0, l: 0, volume: 0.0 },
                 kind: NodeKind::Leaf(vec![]),
             }],
+            arena: RepArena::from_reps(&reps),
             reps,
             rule,
-            blocks: Vec::new(),
             lb_slack: 0.0,
         };
-        tree.refresh_block(0);
         for id in 0..tree.reps.len() {
             tree.insert_entry(id, scheme)?;
         }
@@ -183,6 +179,7 @@ impl DbchTree {
     /// Propagates representation-distance failures from the scheme.
     pub fn insert(&mut self, scheme: &dyn Scheme, rep: Representation) -> Result<usize> {
         let id = self.reps.len();
+        self.arena.push(&rep);
         self.reps.push(rep);
         self.insert_entry(id, scheme)?;
         Ok(id)
@@ -203,93 +200,7 @@ impl DbchTree {
         raws: &[TimeSeries],
     ) -> Result<SearchStats> {
         debug_assert_eq!(raws.len(), self.reps.len());
-        let mut hits: Vec<(f64, usize)> = Vec::new();
-        let mut tally = SearchTally::default();
-        let mut dist_scratch = sapla_distance::ParScratch::default();
-        let mut memo = HullMemo::default();
-        let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-        // Quantized-lineage bounds can overshoot the true distance by up
-        // to `lb_slack`; widening the pruning cutoff keeps the search
-        // sound (exact hits are still gated on `exact <= epsilon`
-        // below). Exact trees have slack 0.0 — bitwise no-op.
-        let prune_at = epsilon + self.lb_slack;
-        if !self.is_empty() {
-            let mut stack = vec![self.root];
-            while let Some(nid) = stack.pop() {
-                if self.node_dist(q, scheme, nid, &mut dist_scratch, &mut memo)? > prune_at {
-                    tally.prune_node();
-                    continue;
-                }
-                tally.visit_node();
-                match &self.nodes[nid].kind {
-                    NodeKind::Internal(children) => stack.extend(children.iter().copied()),
-                    NodeKind::Leaf(entries) => {
-                        tally.consider(entries.len());
-                        let block = self
-                            .blocks
-                            .get(nid)
-                            .filter(|b| use_soa && b.is_ok() && b.num_entries() == entries.len());
-                        for (j, &e) in entries.iter().enumerate() {
-                            // Hull representatives were already fully
-                            // evaluated by `node_dist`; replaying the
-                            // memoised square is the identical decision
-                            // and value (see `HullMemo`).
-                            let kept = if let Some(kept) = memo.filter(e, prune_at) {
-                                sapla_obs::counter!("index.hull_memo.hits");
-                                kept
-                            } else {
-                                match block {
-                                    Some(b) => scheme.rep_dist_pruned_soa(
-                                        q,
-                                        b.entry(j)?,
-                                        prune_at,
-                                        &mut dist_scratch,
-                                    )?,
-                                    None => scheme.rep_dist_pruned(
-                                        q,
-                                        &self.reps[e],
-                                        prune_at,
-                                        &mut dist_scratch,
-                                    )?,
-                                }
-                            };
-                            if kept.is_some() {
-                                tally.measure();
-                                // Abandoned ⇒ exact > epsilon strictly:
-                                // not a hit, same as the full comparison.
-                                if let Some(exact) = euclidean_early_abandon(
-                                    &q.raw,
-                                    &raws[e],
-                                    safe_sq_bound(epsilon),
-                                )? {
-                                    #[cfg(feature = "strict-invariants")]
-                                    crate::scheme::assert_lb_le_exact(
-                                        q,
-                                        &self.reps[e],
-                                        exact,
-                                        self.lb_slack,
-                                    )?;
-                                    if exact <= epsilon {
-                                        hits.push((exact, e));
-                                    }
-                                }
-                            } else {
-                                tally.prune();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // (distance, id) — a strict total order, so multi-shard engines
-        // can merge per-shard hit lists deterministically.
-        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(SearchStats {
-            retrieved: hits.iter().map(|&(_, i)| i).collect(),
-            distances: hits.iter().map(|&(d, _)| d).collect(),
-            measured: tally.finish_range(),
-            total: self.reps.len(),
-        })
+        crate::batched::range_search(self, q, epsilon, scheme, raws)
     }
 
     /// Remove entry `id` from the index (ids stay stable; underfull nodes
@@ -313,7 +224,6 @@ impl DbchTree {
         if root_empty {
             self.nodes[self.root].kind = NodeKind::Leaf(vec![]);
             self.nodes[self.root].hull = Hull { u: 0, l: 0, volume: 0.0 };
-            self.refresh_block(self.root);
         }
         loop {
             let next = match &self.nodes[self.root].kind {
@@ -330,8 +240,7 @@ impl DbchTree {
 
     /// Ids currently stored in leaves (sorted).
     pub fn entry_ids(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_entries(self.root, &mut out);
+        let mut out = self.leaf_walk();
         out.sort_unstable();
         out
     }
@@ -365,8 +274,8 @@ impl DbchTree {
 
     /// Reassemble a tree from persisted parts without re-running the
     /// O(n log n) insertion build: the node arena is adopted verbatim
-    /// after a structural walk, then the SoA leaf blocks are rebuilt in
-    /// one linear pass. Every malformed input is an `Err`, never a panic.
+    /// after a structural walk, then the rep arena is flattened in one
+    /// linear pass. Every malformed input is an `Err`, never a panic.
     ///
     /// Validated here: fill-factor sanity, root in range, the graph
     /// under `root` is a tree (no node visited twice) covering the whole
@@ -448,12 +357,8 @@ impl DbchTree {
                 kind: if n.is_leaf { NodeKind::Leaf(n.ids) } else { NodeKind::Internal(n.ids) },
             })
             .collect::<Vec<_>>();
-        let mut tree =
-            DbchTree { min_fill, max_fill, root, nodes, reps, rule, blocks: Vec::new(), lb_slack };
-        for nid in 0..tree.nodes.len() {
-            tree.refresh_block(nid);
-        }
-        Ok(tree)
+        let arena = RepArena::from_reps(&reps);
+        Ok(DbchTree { min_fill, max_fill, root, nodes, reps, arena, rule, lb_slack })
     }
 
     /// Full structural integrity check, for stress tests and post-reload
@@ -465,9 +370,10 @@ impl DbchTree {
     ///   and the stored volume equals `Dist_PAR(u, l)` **bitwise**,
     /// * each hull's volume equals a fresh recomputation over the node's
     ///   current membership (bitwise — hulls may not go stale),
-    /// * every all-linear leaf's SoA [`LeafBlock`] mirrors its entry list
-    ///   coefficient-for-coefficient; internal nodes' blocks are
-    ///   invalidated.
+    /// * the rep arena covers exactly the entry ids and its view of
+    ///   every live entry mirrors the stored representation
+    ///   coefficient-for-coefficient (removed entries are holes: still
+    ///   in the arena, referenced by no leaf).
     ///
     /// # Errors
     ///
@@ -476,6 +382,9 @@ impl DbchTree {
     pub fn validate(&self, scheme: &dyn Scheme) -> Result<()> {
         fn corrupt(reason: &'static str) -> sapla_core::Error {
             sapla_core::Error::CorruptIndex { reason }
+        }
+        if self.arena.len() != self.reps.len() {
+            return Err(corrupt("rep arena does not cover the entry ids"));
         }
         let mut seen = Vec::new();
         self.validate_rec(self.root, scheme, &mut seen)?;
@@ -520,7 +429,9 @@ impl DbchTree {
                 if self.leaf_hull(scheme, entries)?.volume.to_bits() != h.volume.to_bits() {
                     return Err(corrupt("stale leaf hull volume"));
                 }
-                self.validate_block(node, entries)?;
+                if !entries.iter().all(|&e| self.arena.mirrors(e, &self.reps[e])) {
+                    return Err(corrupt("rep arena out of sync with a live entry"));
+                }
                 seen.extend_from_slice(entries);
                 Ok(())
             }
@@ -543,9 +454,6 @@ impl DbchTree {
                 if self.internal_hull(scheme, children)?.volume.to_bits() != h.volume.to_bits() {
                     return Err(corrupt("stale internal hull volume"));
                 }
-                if self.blocks.get(node).is_some_and(LeafBlock::is_ok) {
-                    return Err(corrupt("internal node still carries a live leaf block"));
-                }
                 let before = seen.len();
                 for &c in children {
                     self.validate_rec(c, scheme, seen)?;
@@ -556,46 +464,6 @@ impl DbchTree {
                 Ok(())
             }
         }
-    }
-
-    /// Check one leaf's SoA block against its entry list (see
-    /// [`DbchTree::validate`]).
-    fn validate_block(&self, node: usize, entries: &[usize]) -> Result<()> {
-        fn corrupt(reason: &'static str) -> sapla_core::Error {
-            sapla_core::Error::CorruptIndex { reason }
-        }
-        let all_linear = entries.iter().all(|&e| self.reps[e].as_linear().is_some());
-        let Some(block) = self.blocks.get(node) else {
-            return Err(corrupt("leaf without a block slot"));
-        };
-        if !all_linear {
-            if block.is_ok() {
-                return Err(corrupt("leaf block live over non-linear entries"));
-            }
-            return Ok(());
-        }
-        if !block.is_ok() {
-            return Err(corrupt("leaf block invalidated for an all-linear leaf"));
-        }
-        if block.num_entries() != entries.len() {
-            return Err(corrupt("leaf block entry count out of sync"));
-        }
-        for (j, &e) in entries.iter().enumerate() {
-            let Some(lin) = self.reps[e].as_linear() else {
-                return Err(corrupt("leaf block entry lost its linear representation"));
-            };
-            let view = block.entry(j)?;
-            if view.num_segments() != lin.num_segments() {
-                return Err(corrupt("leaf block segment count out of sync"));
-            }
-            for (i, seg) in lin.segments().iter().enumerate() {
-                let (a, b, r) = view.seg(i);
-                if a.to_bits() != seg.a.to_bits() || b.to_bits() != seg.b.to_bits() || r != seg.r {
-                    return Err(corrupt("leaf block coefficients out of sync"));
-                }
-            }
-        }
-        Ok(())
     }
 
     fn collect_entries(&self, node: usize, out: &mut Vec<usize>) {
@@ -629,18 +497,15 @@ impl DbchTree {
                     };
                     entries.remove(pos);
                     if entries.is_empty() {
-                        self.blocks[node].invalidate();
                         return Ok((true, true));
                     }
                     if entries.len() < self.min_fill && !is_root {
                         orphans.append(entries);
-                        self.blocks[node].invalidate();
                         return Ok((true, true));
                     }
                     entries.clone()
                 };
                 self.nodes[node].hull = self.leaf_hull(scheme, &remaining)?;
-                self.refresh_block(node);
                 Ok((true, false))
             }
             NodeKind::Internal(children) => {
@@ -692,27 +557,12 @@ impl DbchTree {
         scheme.pair_dist(&self.reps[a], &self.reps[b])
     }
 
-    /// Mirror a node into its SoA leaf block (see [`LeafBlock`]): leaves
-    /// get their entry coefficients flattened, internal slots are marked
-    /// unusable. Called at every site that mutates a leaf's entry list,
-    /// keeping `blocks` parallel to `nodes`.
-    fn refresh_block(&mut self, node: usize) {
-        if self.blocks.len() < self.nodes.len() {
-            self.blocks.resize_with(self.nodes.len(), LeafBlock::default);
-        }
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(entries) => self.blocks[node].rebuild(entries, &self.reps),
-            NodeKind::Internal(_) => self.blocks[node].invalidate(),
-        }
-    }
-
     fn insert_entry(&mut self, id: usize, scheme: &dyn Scheme) -> Result<()> {
         if let Some(sibling) = self.insert_rec(self.root, id, scheme)? {
             let old_root = self.root;
             let hull = self.internal_hull(scheme, &[old_root, sibling])?;
             self.nodes.push(Node { hull, kind: NodeKind::Internal(vec![old_root, sibling]) });
             self.root = self.nodes.len() - 1;
-            self.refresh_block(self.root);
         }
         Ok(())
     }
@@ -731,7 +581,6 @@ impl DbchTree {
                     Ok(Some(self.split_leaf(node, scheme)?))
                 } else {
                     self.nodes[node].hull = self.leaf_hull(scheme, &entries)?;
-                    self.refresh_block(node);
                     Ok(None)
                 }
             }
@@ -840,10 +689,7 @@ impl DbchTree {
         let hb = self.leaf_hull(scheme, &gb)?;
         self.nodes[node] = Node { hull: ha, kind: NodeKind::Leaf(ga) };
         self.nodes.push(Node { hull: hb, kind: NodeKind::Leaf(gb) });
-        let sibling = self.nodes.len() - 1;
-        self.refresh_block(node);
-        self.refresh_block(sibling);
-        Ok(sibling)
+        Ok(self.nodes.len() - 1)
     }
 
     fn split_internal(&mut self, node: usize, scheme: &dyn Scheme) -> Result<usize> {
@@ -890,10 +736,7 @@ impl DbchTree {
         let hb = self.internal_hull(scheme, &gb)?;
         self.nodes[node] = Node { hull: ha, kind: NodeKind::Internal(ga) };
         self.nodes.push(Node { hull: hb, kind: NodeKind::Internal(gb) });
-        let sibling = self.nodes.len() - 1;
-        self.refresh_block(node);
-        self.refresh_block(sibling);
-        Ok(sibling)
+        Ok(self.nodes.len() - 1)
     }
 
     /// Distance from the query to one hull representative, memoised per
@@ -901,17 +744,28 @@ impl DbchTree {
     /// hull's are drawn from its children's) and reappear as ordinary
     /// leaf entries, so the squared distance is cached on first
     /// evaluation and every re-use is `sq.sqrt()` — bitwise the fresh
-    /// evaluation (see [`HullMemo`]).
+    /// evaluation (see [`HullMemo`]). A miss of a `planned` query runs
+    /// the planned SoA kernel on the entry's arena view; the stored
+    /// representation is walked only for plan-less queries and
+    /// non-linear schemes (same bits either way).
     fn hull_rep_dist(
         &self,
         q: &Query,
         scheme: &dyn Scheme,
         entry: usize,
+        planned: bool,
         dist: &mut sapla_distance::ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64> {
         if let Some(sq) = memo.get(entry) {
             sapla_obs::counter!("index.hull_memo.hits");
+            return Ok(sq.sqrt());
+        }
+        memo.count_eval();
+        let view = if planned { self.arena.view(entry) } else { None };
+        if let Some(view) = view {
+            let sq = scheme.rep_dist_sq_soa(q, view, dist)?;
+            memo.insert(entry, sq);
             return Ok(sq.sqrt());
         }
         let (d, sq) = scheme.rep_dist_sq_with(q, &self.reps[entry], dist)?;
@@ -927,12 +781,13 @@ impl DbchTree {
         q: &Query,
         scheme: &dyn Scheme,
         node: usize,
+        planned: bool,
         dist: &mut sapla_distance::ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64> {
         let h = self.nodes[node].hull;
-        let du = self.hull_rep_dist(q, scheme, h.u, dist, memo)?;
-        let dl = self.hull_rep_dist(q, scheme, h.l, dist, memo)?;
+        let du = self.hull_rep_dist(q, scheme, h.u, planned, dist, memo)?;
+        let dl = self.hull_rep_dist(q, scheme, h.l, planned, dist, memo)?;
         Ok(match self.rule {
             NodeDistRule::Paper => {
                 if du < h.volume && dl < h.volume {
@@ -967,11 +822,12 @@ impl DbchTree {
         self.knn_with_scratch(q, k, scheme, raws, &mut KnnScratch::default())
     }
 
-    /// [`DbchTree::knn`] reusing caller-owned buffers — same algorithm,
-    /// same results, no steady-state allocation. The parallel multi-query
-    /// engine ([`crate::parallel::knn_batch`]) holds one scratch per
-    /// worker; single-threaded callers looping over many queries benefit
-    /// the same way.
+    /// [`DbchTree::knn`] reusing caller-owned buffers — same algorithm
+    /// (a block of one through the shared driver in [`crate::batched`]),
+    /// same results, the search state's allocations kept warm.
+    /// Single-threaded callers looping over many queries benefit the way
+    /// the parallel multi-query engine ([`crate::parallel::knn_batch`])
+    /// does with its one scratch per worker.
     ///
     /// # Errors
     ///
@@ -985,67 +841,16 @@ impl DbchTree {
         scratch: &mut KnnScratch,
     ) -> Result<SearchStats> {
         debug_assert_eq!(raws.len(), self.reps.len());
-        scratch.reset(k);
-        let KnnScratch { results, nodes: heap, dist, hull } = scratch;
-        let mut tally = SearchTally::default();
-        if !self.is_empty() {
-            let d = self.node_dist(q, scheme, self.root, dist, hull)?;
-            heap.push(Reverse((OrdF64::new(d), self.root, 0)));
-        }
-        let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-        // Quantized-lineage node bounds can overshoot by up to
-        // `lb_slack`; widen every node-pruning comparison by it (slack
-        // is 0.0 on exact trees, so `t + 0.0` is bitwise `t`).
-        let slack = self.lb_slack;
-        while let Some(Reverse((d, nid, depth))) = heap.pop() {
-            if d.get() > results.threshold() + slack {
-                // Best-first order: the popped node *and* everything
-                // still queued behind it are beyond the threshold.
-                tally.prune_nodes(1 + heap.len());
-                break;
-            }
-            tally.visit_node();
-            match &self.nodes[nid].kind {
-                NodeKind::Internal(children) => {
-                    sapla_obs::lane_counter!("index.knn.fanout", depth, children.len() as u64);
-                    for &c in children {
-                        let node_d = self.node_dist(q, scheme, c, dist, hull)?;
-                        if node_d <= results.threshold() + slack {
-                            heap.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
-                        } else {
-                            tally.prune_node();
-                        }
-                    }
-                }
-                NodeKind::Leaf(entries) => {
-                    let block = self
-                        .blocks
-                        .get(nid)
-                        .filter(|b| use_soa && b.is_ok() && b.num_entries() == entries.len());
-                    crate::batched::eval_leaf_entries(
-                        q,
-                        scheme,
-                        raws,
-                        &self.reps,
-                        entries,
-                        block,
-                        results,
-                        dist,
-                        hull,
-                        &mut tally,
-                        self.lb_slack,
-                    )?;
-                }
-            }
-        }
-        let (mut retrieved, mut distances) = (Vec::with_capacity(k), Vec::with_capacity(k));
-        results.drain_into(&mut retrieved, &mut distances);
-        Ok(SearchStats {
-            retrieved,
-            distances,
-            measured: tally.finish_knn(),
-            total: self.reps.len(),
-        })
+        crate::batched::knn_single(self, q, k, scheme, raws, scratch)
+    }
+
+    /// Entry ids in leaf-walk order (depth-first, children and entries
+    /// in stored order) — the order an engine shard lays its raw series
+    /// out in.
+    pub(crate) fn leaf_walk(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.reps.len());
+        self.collect_entries(self.root, &mut out);
+        out
     }
 
     /// Structural statistics (Figs. 15–16).
@@ -1066,24 +871,25 @@ impl crate::batched::BatchTree for DbchTree {
     fn reps(&self) -> &[Representation] {
         &self.reps
     }
+    fn arena(&self) -> &RepArena {
+        &self.arena
+    }
     fn node_view(&self, nid: usize) -> crate::batched::NodeView<'_> {
         match &self.nodes[nid].kind {
             NodeKind::Internal(c) => crate::batched::NodeView::Internal(c),
             NodeKind::Leaf(e) => crate::batched::NodeView::Leaf(e),
         }
     }
-    fn leaf_block(&self, nid: usize, n_entries: usize) -> Option<&LeafBlock> {
-        self.blocks.get(nid).filter(|b| b.is_ok() && b.num_entries() == n_entries)
-    }
     fn node_bound(
         &self,
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
+        planned: bool,
         dist: &mut sapla_distance::ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64> {
-        self.node_dist(q, scheme, nid, dist, memo)
+        self.node_dist(q, scheme, nid, planned, dist, memo)
     }
     fn count_fanout(&self, depth: usize, children: usize) {
         let (_depth, _children) = (depth, children);
@@ -1177,14 +983,14 @@ mod tests {
             other => panic!("unexpected error: {other:?}"),
         }
 
-        // Plant a desynchronised leaf block (stale coefficients).
+        // Plant a desynchronised rep arena (another entry's coefficients
+        // under every id).
         let (mut bad, scheme) = build_sapla(&raws, 12);
-        let leaf = (0..bad.nodes.len())
-            .find(|&n| matches!(&bad.nodes[n].kind, NodeKind::Leaf(e) if !e.is_empty()))
-            .unwrap();
-        bad.blocks[leaf].rebuild(&[0], &bad.reps);
+        let mut rotated = bad.reps.clone();
+        rotated.rotate_left(1);
+        bad.arena = RepArena::from_reps(&rotated);
         match bad.validate(scheme.as_ref()).unwrap_err() {
-            Error::CorruptIndex { reason } => assert!(reason.contains("block"), "{reason}"),
+            Error::CorruptIndex { reason } => assert!(reason.contains("arena"), "{reason}"),
             other => panic!("unexpected error: {other:?}"),
         }
 
@@ -1206,7 +1012,6 @@ mod tests {
             NodeKind::Internal(_) => unreachable!(),
         };
         bad.nodes[leaves[1]].hull = bad.leaf_hull(scheme.as_ref(), &entries).unwrap();
-        bad.refresh_block(leaves[1]);
         // Which invariant fires first depends on tree layout (the theft
         // can surface as a duplicate id, an overfull leaf, or a stale
         // ancestor hull) — any CorruptIndex is a successful detection.

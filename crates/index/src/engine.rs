@@ -4,9 +4,10 @@
 //!
 //! The engine owns everything a query needs: the indexing [`Scheme`],
 //! the [`Reducer`] that turns raw series into queries, the raw series
-//! (for exact refinement), and one or more index shards. Callers hand
+//! (for exact refinement; one flat leaf-ordered [`RawArena`] per shard),
+//! and one or more index shards. Callers hand
 //! it raw query series (or pre-built [`Query`]s) and get back the same
-//! `(Vec<SearchStats>, BatchStats)` that [`knn_batch`] produces.
+//! `(Vec<SearchStats>, BatchStats)` that [`crate::knn_batch`] produces.
 //!
 //! # Sharding and determinism
 //!
@@ -20,7 +21,7 @@
 //! deterministic at every thread count.
 //!
 //! With `shards == 1` the engine is **bit-identical** to the
-//! single-tree [`knn_batch`] path (pinned by proptest). With more
+//! single-tree [`crate::knn_batch`] path (pinned by proptest). With more
 //! shards the answer can differ from a single tree — the paper's
 //! node-distance rule is conditional, not a sound lower bound, so
 //! *which* candidates a tree refines depends on tree structure. The
@@ -35,10 +36,11 @@ use sapla_core::codec::{decode_collection, encode_collection};
 use sapla_core::{Bytes, Error, Representation, Result, TimeSeries};
 use sapla_parallel::par_try_map_init;
 
-use crate::batched::{knn_query_major, BlockScratch};
+use crate::arena::{RawArena, RawSource};
+use crate::batched::{knn_query_major, range_search};
 use crate::dbch::{DbchTree, NodeDistRule};
-use crate::knn::SearchStats;
-use crate::parallel::{knn_batch, prepare_queries, BatchStats};
+use crate::knn::{KnnScratch, SearchStats};
+use crate::parallel::{prepare_queries, BatchStats};
 use crate::rtree::RTree;
 use crate::scheme::{scheme_for, Query, Scheme};
 
@@ -114,39 +116,58 @@ pub(crate) enum ShardIndex {
 }
 
 impl ShardIndex {
-    /// The shard's tree as the query-major driver's trait object.
-    fn as_batch_tree(&self) -> &dyn crate::batched::BatchTree {
-        match self {
-            ShardIndex::Dbch(t) => t,
-            ShardIndex::Rtree(t) => t,
-        }
-    }
-
-    fn range(
-        &self,
-        q: &Query,
-        epsilon: f64,
-        scheme: &dyn Scheme,
-        raws: &[TimeSeries],
-    ) -> Result<SearchStats> {
-        match self {
-            ShardIndex::Dbch(t) => t.range(q, epsilon, scheme, raws),
-            ShardIndex::Rtree(t) => t.range(q, epsilon, scheme, raws),
-        }
-    }
-
     pub(crate) fn reps(&self) -> &[Representation] {
         match self {
             ShardIndex::Dbch(t) => t.reps(),
             ShardIndex::Rtree(t) => t.reps(),
         }
     }
+
+    fn leaf_walk(&self) -> Vec<usize> {
+        match self {
+            ShardIndex::Dbch(t) => t.leaf_walk(),
+            ShardIndex::Rtree(t) => t.leaf_walk(),
+        }
+    }
 }
 
 pub(crate) struct Shard {
     pub(crate) index: ShardIndex,
-    /// Raw series in local-id order (exact refinement reads these).
-    pub(crate) raws: Vec<TimeSeries>,
+    /// Raw series by local id, stored in the tree's leaf-walk order
+    /// (exact refinement reads these).
+    pub(crate) raws: RawArena,
+}
+
+impl Shard {
+    /// Pair a built tree with its raw series: `raw_of(local id)` is
+    /// copied once, into leaf-walk order.
+    pub(crate) fn new<'a>(
+        index: ShardIndex,
+        raw_of: impl Fn(usize) -> Result<&'a [f64]>,
+    ) -> Result<Shard> {
+        let raws = RawArena::gather(&index.leaf_walk(), raw_of)?;
+        Ok(Shard { index, raws })
+    }
+
+    fn knn(
+        &self,
+        queries: &[Query],
+        k: usize,
+        scheme: &dyn Scheme,
+        scratch: &mut KnnScratch,
+    ) -> Result<Vec<SearchStats>> {
+        match &self.index {
+            ShardIndex::Dbch(t) => knn_query_major(t, queries, k, scheme, &self.raws, scratch),
+            ShardIndex::Rtree(t) => knn_query_major(t, queries, k, scheme, &self.raws, scratch),
+        }
+    }
+
+    fn range(&self, q: &Query, epsilon: f64, scheme: &dyn Scheme) -> Result<SearchStats> {
+        match &self.index {
+            ShardIndex::Dbch(t) => range_search(t, q, epsilon, scheme, &self.raws),
+            ShardIndex::Rtree(t) => range_search(t, q, epsilon, scheme, &self.raws),
+        }
+    }
 }
 
 /// A self-contained, shareable similarity-search engine (see module
@@ -195,7 +216,7 @@ impl Engine {
         let _span = sapla_obs::span!("engine.build");
         let scheme: Arc<dyn Scheme> = Arc::from(scheme_for(reducer.name())?);
         let reps = reduce_batch_parallel(reducer.as_ref(), &raws, cfg.m, threads)?;
-        Self::assemble(cfg, scheme, Arc::from(reducer), reps, raws, 0.0)
+        Self::assemble(cfg, scheme, Arc::from(reducer), reps, |g| raws[g].values(), 0.0)
     }
 
     /// Build from already-reduced representations (the snapshot-reload
@@ -215,32 +236,30 @@ impl Engine {
             return Err(Error::LengthMismatch { left: reps.len(), right: raws.len() });
         }
         let scheme: Arc<dyn Scheme> = Arc::from(scheme_for(reducer.name())?);
-        Self::assemble(cfg, scheme, Arc::from(reducer), reps, raws, 0.0)
+        Self::assemble(cfg, scheme, Arc::from(reducer), reps, |g| raws[g].values(), 0.0)
     }
 
-    fn assemble(
+    /// Split `reps` round-robin over the shards, build each shard's tree,
+    /// then copy its raw series — `raw_of(global id)` — into the shard's
+    /// leaf-ordered arena.
+    fn assemble<'a>(
         cfg: EngineConfig,
         scheme: Arc<dyn Scheme>,
         reducer: Arc<dyn Reducer>,
         reps: Vec<Representation>,
-        raws: Vec<TimeSeries>,
+        raw_of: impl Fn(usize) -> &'a [f64],
         lb_slack: f64,
     ) -> Result<Engine> {
         let n_shards = cfg.shards.max(1);
         let total = reps.len();
-        let mut shard_reps: Vec<Vec<Representation>> = Vec::with_capacity(n_shards);
-        let mut shard_raws: Vec<Vec<TimeSeries>> = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            let cap = total / n_shards + usize::from(s < total % n_shards);
-            shard_reps.push(Vec::with_capacity(cap));
-            shard_raws.push(Vec::with_capacity(cap));
-        }
-        for (g, (rep, raw)) in reps.into_iter().zip(raws).enumerate() {
+        let mut shard_reps: Vec<Vec<Representation>> = (0..n_shards)
+            .map(|s| Vec::with_capacity(total / n_shards + usize::from(s < total % n_shards)))
+            .collect();
+        for (g, rep) in reps.into_iter().enumerate() {
             shard_reps[g % n_shards].push(rep);
-            shard_raws[g % n_shards].push(raw);
         }
         let mut shards = Vec::with_capacity(n_shards);
-        for (reps, raws) in shard_reps.into_iter().zip(shard_raws) {
+        for (si, reps) in shard_reps.into_iter().enumerate() {
             let index = match cfg.tree {
                 TreeKind::Dbch => {
                     let mut tree = DbchTree::build_with_rule(
@@ -263,7 +282,7 @@ impl Engine {
                     cfg.max_fill,
                 )?),
             };
-            shards.push(Shard { index, raws });
+            shards.push(Shard::new(index, |local| Ok(raw_of(local * n_shards + si)))?);
         }
         Ok(Engine { cfg, scheme, reducer, shards, total, lb_slack })
     }
@@ -312,7 +331,7 @@ impl Engine {
     /// query-major blocks ([`crate::batched`]), scatter every
     /// `(block, shard)` pair over up to `threads` workers, gather per
     /// query by `(distance, global id)`. With one shard this returns
-    /// bit-for-bit what [`knn_batch`] returns (see module docs).
+    /// bit-for-bit what [`crate::knn_batch`] returns (see module docs).
     ///
     /// # Errors
     ///
@@ -325,38 +344,14 @@ impl Engine {
     ) -> Result<(Vec<SearchStats>, BatchStats)> {
         let _span = sapla_obs::span!("engine.knn");
         let n_shards = self.shards.len();
-        if n_shards == 1 {
-            if let (Some(shard), ShardIndex::Dbch(tree)) =
-                (self.shards.first(), &self.shards[0].index)
-            {
-                // Single DBCH shard: take the established batch path
-                // directly (same results as the scatter-gather below;
-                // skips the trivial merge).
-                let start_ns = sapla_obs::clock::now_ns();
-                let answer =
-                    knn_batch(tree, queries, k, self.scheme.as_ref(), &shard.raws, threads);
-                let dur = sapla_obs::clock::now_ns().saturating_sub(start_ns);
-                sapla_obs::windowed!("engine.shard.knn.ns", 0, dur);
-                let _ = dur;
-                return answer;
-            }
-        }
         let block = crate::batched::DEFAULT_QUERY_BLOCK;
         let blocks: Vec<&[Query]> = queries.chunks(block).collect();
         let tasks: Vec<(usize, usize)> =
             (0..blocks.len()).flat_map(|b| (0..n_shards).map(move |s| (b, s))).collect();
         let partials =
-            par_try_map_init(&tasks, threads, BlockScratch::new, |scratch, _, &(bi, si)| {
-                let shard = &self.shards[si];
+            par_try_map_init(&tasks, threads, KnnScratch::new, |scratch, _, &(bi, si)| {
                 let start_ns = sapla_obs::clock::now_ns();
-                let stats = knn_query_major(
-                    shard.index.as_batch_tree(),
-                    blocks[bi],
-                    k,
-                    self.scheme.as_ref(),
-                    &shard.raws,
-                    scratch,
-                )?;
+                let stats = self.shards[si].knn(blocks[bi], k, self.scheme.as_ref(), scratch)?;
                 // Per-shard execution time, windowed per shard lane so
                 // `OP_METRICS` can surface a slow shard's last-minute
                 // percentiles next to its lifetime totals.
@@ -416,7 +411,7 @@ impl Engine {
         let mut merged: Vec<(f64, usize)> = Vec::new();
         let mut measured = 0usize;
         for (si, shard) in self.shards.iter().enumerate() {
-            let stats = shard.index.range(q, epsilon, self.scheme.as_ref(), &shard.raws)?;
+            let stats = shard.range(q, epsilon, self.scheme.as_ref())?;
             measured += stats.measured;
             for (&d, &local) in stats.distances.iter().zip(&stats.retrieved) {
                 merged.push((d, local * n_shards + si));
@@ -472,16 +467,12 @@ impl Engine {
             return Err(Error::LengthMismatch { left: reps.len(), right: self.total });
         }
         let n_shards = self.shards.len();
-        let mut raws = Vec::with_capacity(self.total);
-        for g in 0..self.total {
-            raws.push(self.shards[g % n_shards].raws[g / n_shards].clone());
-        }
         Self::assemble(
             self.cfg,
             Arc::clone(&self.scheme),
             Arc::clone(&self.reducer),
             reps,
-            raws,
+            |g| self.shards[g % n_shards].raws.raw(g / n_shards),
             self.lb_slack,
         )
     }
@@ -557,7 +548,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::ingest_parallel;
+    use crate::parallel::{ingest_parallel, knn_batch};
     use sapla_baselines::SaplaReducer;
 
     fn dataset(n_series: usize, len: usize) -> Vec<TimeSeries> {
@@ -811,13 +802,12 @@ mod tests {
     fn snapshot_file_roundtrip_via_disk() {
         let raws = dataset(20, 64);
         let engine = engine_with(2, TreeKind::Dbch, &raws);
-        let path = std::env::temp_dir().join("sapla_engine_roundtrip.snap");
-        let bytes = engine.write_snapshot_file(&path, None).unwrap();
+        let path = sapla_core::temp::TempPath::new("sapla-engine-roundtrip", ".snap");
+        let bytes = engine.write_snapshot_file(path.path(), None).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
-        let loaded = Engine::from_snapshot_file(&path).unwrap();
+        let loaded = Engine::from_snapshot_file(path.path()).unwrap();
         assert_eq!(loaded.len(), 20);
         assert_eq!(loaded.shard_count(), 2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub(crate) struct SearchTally {
     measured: usize,
     nodes_visited: usize,
     nodes_pruned: usize,
+    hull_evals: usize,
 }
 
 impl SearchTally {
@@ -93,6 +94,13 @@ impl SearchTally {
         self.measured += 1;
     }
 
+    /// The search made `n` full hull-representative distance
+    /// evaluations for its node bounds ([`HullMemo::evals`]; stays 0 for
+    /// the R-tree and the scans, which bound nodes without them).
+    pub fn hull_evals(&mut self, n: usize) {
+        self.hull_evals = n;
+    }
+
     /// Flush into the `index.knn.*` counters; returns `measured`.
     pub fn finish_knn(self) -> usize {
         let SearchTally {
@@ -101,6 +109,7 @@ impl SearchTally {
             measured,
             nodes_visited: _visited,
             nodes_pruned: _node_pruned,
+            hull_evals: _hull_evals,
         } = self;
         sapla_obs::counter!("index.knn.queries");
         sapla_obs::counter!("index.knn.nodes_visited", _visited as u64);
@@ -108,6 +117,7 @@ impl SearchTally {
         sapla_obs::counter!("index.knn.entries_considered", _considered as u64);
         sapla_obs::counter!("index.knn.entries_pruned", _pruned as u64);
         sapla_obs::counter!("index.knn.refined", measured as u64);
+        sapla_obs::counter!("index.knn.hull_evals", _hull_evals as u64);
         measured
     }
 
@@ -119,6 +129,7 @@ impl SearchTally {
             measured,
             nodes_visited: _visited,
             nodes_pruned: _node_pruned,
+            hull_evals: _hull_evals,
         } = self;
         sapla_obs::counter!("index.range.queries");
         sapla_obs::counter!("index.range.nodes_visited", _visited as u64);
@@ -126,6 +137,7 @@ impl SearchTally {
         sapla_obs::counter!("index.range.entries_considered", _considered as u64);
         sapla_obs::counter!("index.range.entries_pruned", _pruned as u64);
         sapla_obs::counter!("index.range.refined", measured as u64);
+        sapla_obs::counter!("index.range.hull_evals", _hull_evals as u64);
         measured
     }
 
@@ -221,12 +233,14 @@ impl Default for KnnHeap {
 }
 
 /// Per-query memo of squared hull-representative distances, keyed by
-/// entry id. DBCH node bounds fully evaluate the representation
-/// distance against the two hull representatives of every node they
-/// score, and the same entries recur — an internal hull's
-/// representatives are drawn from its children's, and every hull
-/// representative is also an ordinary leaf entry. Caching the
-/// **squared** distance lets each re-use return the identical value:
+/// entry id — the same id that addresses the tree's
+/// [`crate::arena::RepArena`], so a memo lookup and the coefficients a
+/// miss goes on to read are found by one index. DBCH node bounds fully
+/// evaluate the representation distance against the two hull
+/// representatives of every node they score, and the same entries recur
+/// — an internal hull's representatives are drawn from its children's,
+/// and every hull representative is also an ordinary leaf entry. Caching
+/// the **squared** distance lets each re-use return the identical value:
 /// the distance is `sq.sqrt()` everywhere, the filter decision reduces
 /// to `sq.sqrt() <= threshold` on the exact full square (early
 /// abandoning only prunes candidates whose full square exceeds the
@@ -242,6 +256,8 @@ pub(crate) struct HullMemo {
     // Squared distance per entry id; NaN ⇒ not recorded.
     sq: Vec<f64>,
     touched: Vec<usize>,
+    // Full hull-representative evaluations (memo misses) this query.
+    evals: usize,
 }
 
 impl HullMemo {
@@ -253,14 +269,11 @@ impl HullMemo {
         }
     }
 
-    /// Replay a leaf-filter decision from the memo: `Some(kept)` when
-    /// entry `id` is recorded, where `kept` is exactly what the
-    /// scheme's pruned evaluation would decide (`d = sq.sqrt()`, kept
-    /// iff `d <= threshold`).
-    pub fn filter(&self, id: usize, threshold: f64) -> Option<Option<f64>> {
-        let sq = self.get(id)?;
-        let d = sq.sqrt();
-        Some((d <= threshold).then_some(d))
+    /// Replay a leaf-filter decision from the memo: `Some(keep)` when
+    /// entry `id` is recorded, where `keep` is exactly what the scheme's
+    /// threshold filter would decide (`sq.sqrt() <= threshold`).
+    pub fn within(&self, id: usize, threshold: f64) -> Option<bool> {
+        self.get(id).map(|sq| sq.sqrt() <= threshold)
     }
 
     /// Record the squared distance for entry `id`. First write wins —
@@ -278,28 +291,31 @@ impl HullMemo {
         }
     }
 
+    /// Count one full hull-representative evaluation (a memo miss).
+    pub fn count_eval(&mut self) {
+        self.evals += 1;
+    }
+
+    /// Full hull-representative evaluations since the last
+    /// [`HullMemo::clear`] (`index.*.hull_evals`).
+    pub fn evals(&self) -> usize {
+        self.evals
+    }
+
     /// Forget every recorded entry in O(recorded), keeping allocations.
     pub fn clear(&mut self) {
         for &id in &self.touched {
             self.sq[id] = f64::NAN;
         }
         self.touched.clear();
+        self.evals = 0;
     }
 }
 
-/// Reusable per-search buffers for [`DbchTree::knn_with_scratch`]
-/// (`DbchTree` is in [`crate::dbch`]): the candidate heap, the best-first
-/// node queue, the `Dist_PAR` partition buffer, and the per-query
-/// [`HullMemo`]. One instance per
-/// worker turns steady-state k-NN into an allocation-free loop, which is
-/// what the parallel multi-query engine in [`crate::parallel`] relies on.
-///
-/// Reusing a scratch **never changes results**: both heaps are cleared
-/// at the start of every search, the partition buffer is cleared by
-/// every distance call, and the buffered `Dist_PAR` is bit-for-bit the
-/// streaming one.
+/// One query's search state: the candidate heap, the best-first node
+/// queue, the `Dist_PAR` partition buffer, and the [`HullMemo`].
 #[derive(Debug, Default)]
-pub struct KnnScratch {
+pub(crate) struct QueryScratch {
     pub(crate) results: KnnHeap,
     // Best-first queue of (node distance, node id, node depth). Depth
     // rides along purely for the per-level fanout lanes: node ids are
@@ -311,18 +327,41 @@ pub struct KnnScratch {
     pub(crate) hull: HullMemo,
 }
 
-impl KnnScratch {
-    /// Fresh scratch (equivalent to `Default::default()`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl QueryScratch {
     /// Clear all buffers and size the result heap for `k` neighbours.
     pub(crate) fn reset(&mut self, k: usize) -> &mut Self {
         self.results.reset(k);
         self.nodes.clear();
         self.hull.clear();
         self
+    }
+}
+
+/// Reusable buffers for the k-NN driver ([`crate::batched`]): one
+/// [`QueryScratch`] per query of a block plus the driver's per-round
+/// bookkeeping. [`DbchTree::knn_with_scratch`] (`DbchTree` is in
+/// [`crate::dbch`]) and [`RTree::knn_with_scratch`](crate::RTree) run a
+/// block of one through it; the parallel multi-query engine in
+/// [`crate::parallel`] holds one instance per worker, which turns
+/// steady-state k-NN into an allocation-free loop.
+///
+/// Reusing a scratch **never changes results**: every buffer is reset at
+/// the start of every block, the partition buffer is cleared by every
+/// distance call, and the buffered `Dist_PAR` is bit-for-bit the
+/// streaming one.
+#[derive(Debug, Default)]
+pub struct KnnScratch {
+    pub(crate) queries: Vec<QueryScratch>,
+    // The round's pending `(leaf, query)` pairs.
+    pub(crate) pending: Vec<(usize, usize)>,
+    pub(crate) tallies: Vec<SearchTally>,
+    pub(crate) done: Vec<bool>,
+}
+
+impl KnnScratch {
+    /// Fresh scratch (equivalent to `Default::default()`).
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 

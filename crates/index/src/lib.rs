@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub(crate) mod arena;
 pub(crate) mod batched;
 pub mod dbch;
 pub mod engine;
@@ -33,7 +34,6 @@ pub mod rect;
 pub mod rtree;
 pub mod scheme;
 pub(crate) mod snapshot;
-pub(crate) mod soa;
 pub mod stats;
 
 pub use batched::DEFAULT_QUERY_BLOCK;

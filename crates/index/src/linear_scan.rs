@@ -64,7 +64,7 @@ pub fn filtered_scan_knn(
         // skip it, as the trees do. Strict-invariants builds keep it so
         // every candidate passes the lb ≤ exact audit.
         let skip_filter = threshold.is_infinite() && !cfg!(feature = "strict-invariants");
-        if skip_filter || scheme.rep_dist_pruned(q, rep, threshold, &mut dist_scratch)?.is_some() {
+        if skip_filter || scheme.rep_within(q, rep, threshold, &mut dist_scratch)? {
             tally.measure();
             // Early-abandoning refinement, same contract as the trees:
             // abandoned ⇒ exact > threshold strictly ⇒ the push would be
@@ -126,9 +126,7 @@ pub fn filtered_scan_knn_batch(
             let threshold = heap.threshold();
             let skip_filter = threshold.is_infinite() && !cfg!(feature = "strict-invariants");
             let step = (|| -> Result<()> {
-                if skip_filter
-                    || scheme.rep_dist_pruned(q, rep, threshold, &mut dist_scratch)?.is_some()
-                {
+                if skip_filter || scheme.rep_within(q, rep, threshold, &mut dist_scratch)? {
                     tallies[qi].measure();
                     match euclidean_early_abandon(&q.raw, &raws[i], safe_sq_bound(threshold))? {
                         Some(exact) => {

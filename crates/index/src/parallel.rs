@@ -13,8 +13,8 @@
 //!   blocks out across workers; each block runs through the query-major
 //!   co-scheduled driver ([`crate::batched`]), which evaluates every
 //!   query that reaches a leaf in the same round back-to-back while the
-//!   leaf's SoA block is cache-hot. Every worker owns the block driver's
-//!   scratch (per-query [`crate::knn::KnnScratch`]es, pending pairs)
+//!   leaf's entries are cache-hot. Every worker owns one
+//!   [`crate::knn::KnnScratch`] (per-query search state, pending pairs)
 //!   created once and reused for all its blocks, and batch-wide counters
 //!   aggregate lock-free over atomics while the searches run.
 //!
@@ -29,9 +29,9 @@ use sapla_baselines::{reduce_batch_parallel, ReduceScratch, Reducer};
 use sapla_core::{Result, TimeSeries};
 use sapla_parallel::par_try_map_init;
 
-use crate::batched::{knn_query_major, BlockScratch, DEFAULT_QUERY_BLOCK};
+use crate::batched::{knn_query_major, DEFAULT_QUERY_BLOCK};
 use crate::dbch::{DbchTree, NodeDistRule};
-use crate::knn::SearchStats;
+use crate::knn::{KnnScratch, SearchStats};
 use crate::scheme::{Query, Scheme};
 
 /// Batch-wide search counters, aggregated lock-free (atomic adds from
@@ -154,7 +154,7 @@ pub fn knn_batch_with_block(
     let _span = sapla_obs::span!("index.knn_batch");
     let measured = AtomicUsize::new(0);
     let chunks: Vec<&[Query]> = queries.chunks(query_block.max(1)).collect();
-    let per_chunk = par_try_map_init(&chunks, threads, BlockScratch::new, |scratch, _, &chunk| {
+    let per_chunk = par_try_map_init(&chunks, threads, KnnScratch::new, |scratch, _, &chunk| {
         let stats = knn_query_major(tree, chunk, k, scheme, raws, scratch)?;
         measured.fetch_add(stats.iter().map(|s| s.measured).sum(), Ordering::Relaxed);
         Ok(stats)
@@ -171,7 +171,6 @@ pub fn knn_batch_with_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::KnnScratch;
     use crate::scheme::scheme_for;
     use sapla_baselines::SaplaReducer;
     use sapla_core::Error;

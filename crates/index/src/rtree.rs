@@ -7,15 +7,12 @@
 //! entries with the scheme's representation distance, and survivors are
 //! refined against the raw series.
 
-use std::cmp::Reverse;
+use sapla_core::{Representation, Result, TimeSeries};
 
-use sapla_core::{OrdF64, Representation, Result, TimeSeries};
-use sapla_distance::{euclidean_early_abandon, safe_sq_bound};
-
-use crate::knn::{KnnScratch, SearchStats, SearchTally};
+use crate::arena::RepArena;
+use crate::knn::{KnnScratch, SearchStats};
 use crate::rect::HyperRect;
 use crate::scheme::{Query, Scheme};
-use crate::soa::LeafBlock;
 use crate::stats::TreeShape;
 
 #[derive(Debug, Clone)]
@@ -73,10 +70,11 @@ pub struct RTree {
     nodes: Vec<Node>,
     reps: Vec<Representation>,
     features: Vec<Vec<f64>>,
-    /// Per-node SoA leaf blocks (parallel to `nodes`), refreshed at every
-    /// leaf mutation; only consulted when the scheme supports the planned
-    /// `Dist_PAR` kernels and the query carries a plan.
-    blocks: Vec<LeafBlock>,
+    /// `reps`' coefficients, flat, in entry-id order (append-only; a
+    /// removed entry stays behind as an unreferenced hole). Read by the
+    /// leaf filter when the scheme supports the planned `Dist_PAR`
+    /// kernels and the query carries a plan.
+    arena: RepArena,
 }
 
 impl RTree {
@@ -106,11 +104,10 @@ impl RTree {
                 rect: HyperRect { lo: vec![], hi: vec![] },
                 kind: NodeKind::Leaf(vec![]),
             }],
+            arena: RepArena::from_reps(&reps),
             reps,
             features,
-            blocks: Vec::new(),
         };
-        tree.refresh_block(0);
         for id in 0..tree.reps.len() {
             tree.insert_entry(id);
         }
@@ -145,16 +142,14 @@ impl RTree {
                 rect: HyperRect { lo: vec![], hi: vec![] },
                 kind: NodeKind::Leaf(vec![]),
             }],
+            arena: RepArena::from_reps(&reps),
             reps,
             features,
-            blocks: Vec::new(),
         };
         if tree.reps.is_empty() {
-            tree.refresh_block(0);
             return Ok(tree);
         }
         tree.nodes.clear();
-        tree.blocks.clear();
 
         // Pack entries into leaves, ordered by the first feature dim.
         let mut order: Vec<usize> = (0..tree.reps.len()).collect();
@@ -197,9 +192,6 @@ impl RTree {
             level = next;
         }
         tree.root = level[0];
-        for node in 0..tree.nodes.len() {
-            tree.refresh_block(node);
-        }
         Ok(tree)
     }
 
@@ -227,6 +219,7 @@ impl RTree {
     pub fn insert(&mut self, scheme: &dyn Scheme, rep: Representation) -> Result<usize> {
         let id = self.reps.len();
         self.features.push(scheme.feature(&rep)?);
+        self.arena.push(&rep);
         self.reps.push(rep);
         self.insert_entry(id);
         Ok(id)
@@ -251,78 +244,7 @@ impl RTree {
         raws: &[TimeSeries],
     ) -> Result<SearchStats> {
         debug_assert_eq!(raws.len(), self.reps.len());
-        let mut hits: Vec<(f64, usize)> = Vec::new();
-        let mut tally = SearchTally::default();
-        let mut dist_scratch = sapla_distance::ParScratch::default();
-        let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-        if !self.is_empty() {
-            let mut stack = vec![self.root];
-            while let Some(nid) = stack.pop() {
-                if scheme.mindist(q, &self.nodes[nid].rect)? > epsilon {
-                    tally.prune_node();
-                    continue;
-                }
-                tally.visit_node();
-                match &self.nodes[nid].kind {
-                    NodeKind::Internal(children) => stack.extend(children.iter().copied()),
-                    NodeKind::Leaf(entries) => {
-                        tally.consider(entries.len());
-                        let block = self
-                            .blocks
-                            .get(nid)
-                            .filter(|b| use_soa && b.is_ok() && b.num_entries() == entries.len());
-                        for (j, &e) in entries.iter().enumerate() {
-                            let kept = match block {
-                                Some(b) => scheme.rep_dist_pruned_soa(
-                                    q,
-                                    b.entry(j)?,
-                                    epsilon,
-                                    &mut dist_scratch,
-                                )?,
-                                None => scheme.rep_dist_pruned(
-                                    q,
-                                    &self.reps[e],
-                                    epsilon,
-                                    &mut dist_scratch,
-                                )?,
-                            };
-                            if kept.is_some() {
-                                tally.measure();
-                                // Abandoned ⇒ exact > epsilon strictly:
-                                // not a hit, same as the full comparison.
-                                if let Some(exact) = euclidean_early_abandon(
-                                    &q.raw,
-                                    &raws[e],
-                                    safe_sq_bound(epsilon),
-                                )? {
-                                    #[cfg(feature = "strict-invariants")]
-                                    crate::scheme::assert_lb_le_exact(
-                                        q,
-                                        &self.reps[e],
-                                        exact,
-                                        0.0,
-                                    )?;
-                                    if exact <= epsilon {
-                                        hits.push((exact, e));
-                                    }
-                                }
-                            } else {
-                                tally.prune();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // (distance, id) — a strict total order, so multi-shard engines
-        // can merge per-shard hit lists deterministically.
-        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(SearchStats {
-            retrieved: hits.iter().map(|&(_, i)| i).collect(),
-            distances: hits.iter().map(|&(d, _)| d).collect(),
-            measured: tally.finish_range(),
-            total: self.reps.len(),
-        })
+        crate::batched::range_search(self, q, epsilon, scheme, raws)
     }
 
     /// Remove entry `id` from the index (its slot in the id space is
@@ -342,7 +264,6 @@ impl RTree {
         }
         if root_empty {
             self.nodes[self.root].kind = NodeKind::Leaf(vec![]);
-            self.refresh_block(self.root);
         }
         // Shrink a root that lost all but one child.
         loop {
@@ -360,8 +281,7 @@ impl RTree {
 
     /// Ids currently stored in leaves (sorted).
     pub fn entry_ids(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_entries(self.root, &mut out);
+        let mut out = self.leaf_walk();
         out.sort_unstable();
         out
     }
@@ -412,7 +332,7 @@ impl RTree {
     /// Reassemble a tree from persisted parts without re-running the
     /// insertion build *or* feature extraction: nodes, rectangles and
     /// feature vectors are adopted verbatim after a structural walk,
-    /// then the SoA leaf blocks are rebuilt in one linear pass. Every
+    /// then the rep arena is flattened in one linear pass. Every
     /// malformed input is an `Err`, never a panic.
     ///
     /// Validated here: fill-factor sanity, root in range, the graph
@@ -496,12 +416,91 @@ impl RTree {
                 kind: if n.is_leaf { NodeKind::Leaf(n.ids) } else { NodeKind::Internal(n.ids) },
             })
             .collect::<Vec<_>>();
-        let mut tree =
-            RTree { min_fill, max_fill, root, nodes, reps, features, blocks: Vec::new() };
-        for nid in 0..tree.nodes.len() {
-            tree.refresh_block(nid);
+        let arena = RepArena::from_reps(&reps);
+        Ok(RTree { min_fill, max_fill, root, nodes, reps, features, arena })
+    }
+
+    /// Structural integrity check, for stress tests and post-reload
+    /// verification. Walks every reachable node and verifies:
+    ///
+    /// * fill bounds (`min_fill ≤ |node| ≤ max_fill`, root exempt below),
+    /// * every entry id is unique and within the rep arena,
+    /// * each node's rectangle covers its children's rectangles / its
+    ///   entries' feature points (what MINDIST pruning relies on),
+    /// * the rep arena covers exactly the entry ids and its view of
+    ///   every live entry mirrors the stored representation
+    ///   coefficient-for-coefficient (removed entries are holes: still
+    ///   in the arena, referenced by no leaf).
+    ///
+    /// # Errors
+    ///
+    /// [`sapla_core::Error::CorruptIndex`] naming the first violated
+    /// invariant.
+    pub fn validate(&self) -> Result<()> {
+        fn corrupt(reason: &'static str) -> sapla_core::Error {
+            sapla_core::Error::CorruptIndex { reason }
         }
-        Ok(tree)
+        fn covers(outer: &HyperRect, inner: &HyperRect) -> bool {
+            outer.dims() == inner.dims()
+                && outer.lo.iter().zip(&inner.lo).all(|(o, i)| o <= i)
+                && outer.hi.iter().zip(&inner.hi).all(|(o, i)| o >= i)
+        }
+        if self.arena.len() != self.reps.len() || self.features.len() != self.reps.len() {
+            return Err(corrupt("rep arena or feature arena does not cover the entry ids"));
+        }
+        let mut seen = vec![false; self.reps.len()];
+        let mut stack = vec![self.root];
+        while let Some(nid) = stack.pop() {
+            let node = self.nodes.get(nid).ok_or_else(|| corrupt("child id outside the arena"))?;
+            let (len, is_leaf) = match &node.kind {
+                NodeKind::Internal(c) => (c.len(), false),
+                NodeKind::Leaf(e) => (e.len(), true),
+            };
+            let is_root = nid == self.root;
+            if len > self.max_fill {
+                return Err(corrupt("overfull node"));
+            }
+            if !is_root && len < self.min_fill {
+                return Err(corrupt("underfull non-root node"));
+            }
+            if len == 0 && !(is_root && is_leaf) {
+                return Err(corrupt("empty node below the root"));
+            }
+            match &node.kind {
+                NodeKind::Internal(children) => {
+                    if is_root && children.len() < 2 {
+                        return Err(corrupt("internal root not collapsed to its only child"));
+                    }
+                    for &c in children {
+                        let child = self
+                            .nodes
+                            .get(c)
+                            .ok_or_else(|| corrupt("child id outside the arena"))?;
+                        if !covers(&node.rect, &child.rect) {
+                            return Err(corrupt("node rectangle does not cover a child"));
+                        }
+                    }
+                    stack.extend_from_slice(children);
+                }
+                NodeKind::Leaf(entries) => {
+                    for &e in entries {
+                        if e >= self.reps.len() {
+                            return Err(corrupt("leaf entry outside the rep arena"));
+                        }
+                        if std::mem::replace(&mut seen[e], true) {
+                            return Err(corrupt("entry id stored in more than one leaf"));
+                        }
+                        if !covers(&node.rect, &self.entry_rect(e)) {
+                            return Err(corrupt("leaf rectangle does not cover an entry"));
+                        }
+                        if !self.arena.mirrors(e, &self.reps[e]) {
+                            return Err(corrupt("rep arena out of sync with a live entry"));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Returns `(found, this node should be detached)`.
@@ -523,13 +522,9 @@ impl RTree {
                     }
                 }
                 if detach {
-                    if let Some(b) = self.blocks.get_mut(node) {
-                        b.invalidate();
-                    }
                     return (true, true);
                 }
                 self.recompute_rect(node);
-                self.refresh_block(node);
                 (true, false)
             }
             NodeKind::Internal(children) => {
@@ -578,20 +573,6 @@ impl RTree {
         HyperRect::point(&self.features[id])
     }
 
-    /// Mirror a node into its SoA leaf block (see [`LeafBlock`]): leaves
-    /// get their entry coefficients flattened, internal slots are marked
-    /// unusable. Called at every site that mutates a leaf's entry list,
-    /// keeping `blocks` parallel to `nodes`.
-    fn refresh_block(&mut self, node: usize) {
-        if self.blocks.len() < self.nodes.len() {
-            self.blocks.resize_with(self.nodes.len(), LeafBlock::default);
-        }
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(entries) => self.blocks[node].rebuild(entries, &self.reps),
-            NodeKind::Internal(_) => self.blocks[node].invalidate(),
-        }
-    }
-
     fn insert_entry(&mut self, id: usize) {
         let rect = self.entry_rect(id);
         if let NodeKind::Leaf(entries) = &self.nodes[self.root].kind {
@@ -600,7 +581,6 @@ impl RTree {
                 if let NodeKind::Leaf(entries) = &mut self.nodes[self.root].kind {
                     entries.push(id);
                 }
-                self.refresh_block(self.root);
                 return;
             }
         }
@@ -611,7 +591,6 @@ impl RTree {
             self.nodes
                 .push(Node { rect: new_rect, kind: NodeKind::Internal(vec![old_root, sibling]) });
             self.root = self.nodes.len() - 1;
-            self.refresh_block(self.root);
         }
     }
 
@@ -623,12 +602,7 @@ impl RTree {
                 if let NodeKind::Leaf(entries) = &mut self.nodes[node].kind {
                     entries.push(id);
                 }
-                if self.leaf_len(node) > self.max_fill {
-                    Some(self.split_leaf(node))
-                } else {
-                    self.refresh_block(node);
-                    None
-                }
+                (self.leaf_len(node) > self.max_fill).then(|| self.split_leaf(node))
             }
             NodeKind::Internal(children) => {
                 // Guttman: child whose rect needs least enlargement
@@ -713,8 +687,6 @@ impl RTree {
         });
         let sib = self.nodes.len() - 1;
         self.recompute_rect(sib);
-        self.refresh_block(node);
-        self.refresh_block(sib);
         sib
     }
 
@@ -758,10 +730,11 @@ impl RTree {
         self.knn_with_scratch(q, k, scheme, raws, &mut KnnScratch::new())
     }
 
-    /// [`RTree::knn`] with caller-owned scratch buffers, making
-    /// steady-state search allocation-free. Results are identical to
+    /// [`RTree::knn`] with caller-owned scratch buffers — a block of one
+    /// through the shared driver in [`crate::batched`], the search
+    /// state's allocations kept warm. Results are identical to
     /// [`RTree::knn`] whatever the scratch's history — every buffer is
-    /// cleared on entry.
+    /// reset on entry.
     ///
     /// # Errors
     ///
@@ -775,52 +748,16 @@ impl RTree {
         scratch: &mut KnnScratch,
     ) -> Result<SearchStats> {
         debug_assert_eq!(raws.len(), self.reps.len());
-        scratch.reset(k);
-        let KnnScratch { results, nodes: heap, dist, hull } = scratch;
-        let mut tally = SearchTally::default();
-        let use_soa = scheme.supports_par_plan() && q.plan.is_some();
-        if !self.is_empty() {
-            let d = scheme.mindist(q, &self.nodes[self.root].rect)?;
-            heap.push(Reverse((OrdF64::new(d), self.root, 0)));
-        }
-        while let Some(Reverse((d, nid, depth))) = heap.pop() {
-            if d.get() > results.threshold() {
-                // Best-first order: the popped node *and* everything
-                // still queued behind it are beyond the threshold.
-                tally.prune_nodes(1 + heap.len());
-                break;
-            }
-            tally.visit_node();
-            match &self.nodes[nid].kind {
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        let d_child = scheme.mindist(q, &self.nodes[c].rect)?;
-                        if d_child <= results.threshold() {
-                            heap.push(Reverse((OrdF64::new(d_child), c, depth + 1)));
-                        } else {
-                            tally.prune_node();
-                        }
-                    }
-                }
-                NodeKind::Leaf(entries) => {
-                    let block = self
-                        .blocks
-                        .get(nid)
-                        .filter(|b| use_soa && b.is_ok() && b.num_entries() == entries.len());
-                    crate::batched::eval_leaf_entries(
-                        q, scheme, raws, &self.reps, entries, block, results, dist, hull,
-                        &mut tally, 0.0,
-                    )?;
-                }
-            }
-        }
-        let (retrieved, distances) = results.drain_sorted();
-        Ok(SearchStats {
-            retrieved,
-            distances,
-            measured: tally.finish_knn(),
-            total: self.reps.len(),
-        })
+        crate::batched::knn_single(self, q, k, scheme, raws, scratch)
+    }
+
+    /// Entry ids in leaf-walk order (depth-first, children and entries
+    /// in stored order) — the order an engine shard lays its raw series
+    /// out in.
+    pub(crate) fn leaf_walk(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.reps.len());
+        self.collect_entries(self.root, &mut out);
+        out
     }
 
     /// Structural statistics (Figs. 15–16).
@@ -841,20 +778,21 @@ impl crate::batched::BatchTree for RTree {
     fn reps(&self) -> &[Representation] {
         &self.reps
     }
+    fn arena(&self) -> &RepArena {
+        &self.arena
+    }
     fn node_view(&self, nid: usize) -> crate::batched::NodeView<'_> {
         match &self.nodes[nid].kind {
             NodeKind::Internal(c) => crate::batched::NodeView::Internal(c),
             NodeKind::Leaf(e) => crate::batched::NodeView::Leaf(e),
         }
     }
-    fn leaf_block(&self, nid: usize, n_entries: usize) -> Option<&LeafBlock> {
-        self.blocks.get(nid).filter(|b| b.is_ok() && b.num_entries() == n_entries)
-    }
     fn node_bound(
         &self,
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
+        _planned: bool,
         _dist: &mut sapla_distance::ParScratch,
         // MINDIST bounds come from rectangles, not entry distances —
         // nothing to memoise; the memo stays empty and the leaf filter

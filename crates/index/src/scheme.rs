@@ -129,13 +129,12 @@ pub trait Scheme: Send + Sync {
     /// [`Scheme::rep_dist_with`] plus its memoisable squared form.
     /// Schemes that compute the distance as `sq.sqrt()` over an exact
     /// squared accumulation return `(sq.sqrt(), Some(sq))` and promise
-    /// that **every** filter decision ([`Scheme::rep_dist_pruned`] /
-    /// [`Scheme::rep_dist_pruned_soa`]) is equivalent to
-    /// `sq.sqrt() <= threshold` with kept value `sq.sqrt()` — that lets
-    /// callers cache `sq` per (query, entry) and replay later
-    /// evaluations of the same pair bitwise (the DBCH hull memo in
-    /// [`crate::knn`]). The default returns no square, which disables
-    /// such caching.
+    /// that **every** filter decision ([`Scheme::rep_within`] /
+    /// [`Scheme::rep_within_soa`]) is equivalent to
+    /// `sq.sqrt() <= threshold` — that lets callers cache `sq` per
+    /// (query, entry) and replay later evaluations of the same pair
+    /// bitwise (the DBCH hull memo in [`crate::knn`]). The default
+    /// returns no square, which disables such caching.
     fn rep_dist_sq_with(
         &self,
         q: &Query,
@@ -145,45 +144,55 @@ pub trait Scheme: Send + Sync {
         Ok((self.rep_dist_with(q, rep, scratch)?, None))
     }
 
-    /// Whether this scheme's leaf refinement can run the query-compiled
-    /// `Dist_PAR` kernels over SoA candidate blocks (when the query
-    /// carries a plan). Trees consult this before taking the
-    /// [`Scheme::rep_dist_pruned_soa`] fast path.
+    /// Whether this scheme can run the query-compiled `Dist_PAR` kernels
+    /// over SoA views of a tree's rep arena (when the query carries a
+    /// plan). Trees consult this before taking the
+    /// [`Scheme::rep_dist_sq_soa`] / [`Scheme::rep_within_soa`] path.
     fn supports_par_plan(&self) -> bool {
         false
     }
 
-    /// Threshold-aware leaf filter: `Some(d)` when the candidate passes
-    /// (`d <= threshold`, with `d` bitwise equal to
-    /// [`Scheme::rep_dist_with`]'s result), `None` when it is pruned.
-    /// The contract is that `rep_dist_pruned(..).is_some()` agrees
-    /// exactly with `rep_dist_with(..) <= threshold` — schemes may
-    /// early-abandon the distance computation as long as that holds.
-    /// The default computes the full distance and compares.
-    fn rep_dist_pruned(
+    /// The square behind [`Scheme::rep_dist_sq_with`], evaluated over an
+    /// SoA arena view: bitwise the same value. Only called when
+    /// [`Scheme::supports_par_plan`] is true and the query carries a
+    /// plan; the default therefore errors.
+    fn rep_dist_sq_soa(
+        &self,
+        q: &Query,
+        cand: SoaSegs<'_>,
+        scratch: &mut sapla_distance::ParScratch,
+    ) -> Result<f64> {
+        let _ = (q, cand, scratch);
+        Err(Error::UnsupportedRepresentation { operation: "SoA representation distance" })
+    }
+
+    /// Threshold-aware leaf filter: whether the candidate passes. The
+    /// contract is exact agreement with
+    /// `rep_dist_with(..) <= threshold` — schemes may early-abandon the
+    /// distance computation as long as that holds. The default computes
+    /// the full distance and compares.
+    fn rep_within(
         &self,
         q: &Query,
         rep: &Representation,
         threshold: f64,
         scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<Option<f64>> {
-        let d = self.rep_dist_with(q, rep, scratch)?;
-        Ok((d <= threshold).then_some(d))
+    ) -> Result<bool> {
+        Ok(self.rep_dist_with(q, rep, scratch)? <= threshold)
     }
 
-    /// [`Scheme::rep_dist_pruned`] over an SoA candidate view from a
-    /// tree's contiguous leaf block. Only called when
-    /// [`Scheme::supports_par_plan`] is true and the query carries a
-    /// plan; the default therefore errors.
-    fn rep_dist_pruned_soa(
+    /// [`Scheme::rep_within`] over an SoA view from a tree's rep arena.
+    /// Only called when [`Scheme::supports_par_plan`] is true and the
+    /// query carries a plan; the default therefore errors.
+    fn rep_within_soa(
         &self,
         q: &Query,
         cand: SoaSegs<'_>,
         threshold: f64,
         scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<Option<f64>> {
+    ) -> Result<bool> {
         let _ = (q, cand, threshold, scratch);
-        Err(Error::UnsupportedRepresentation { operation: "SoA leaf refinement" })
+        Err(Error::UnsupportedRepresentation { operation: "SoA leaf filter" })
     }
 
     /// Distance between two representations (DBCH hull construction and
@@ -323,7 +332,7 @@ impl Scheme for AdaptiveLinearScheme {
     }
 
     // `Dist_PAR` is `sq.sqrt()` in every path, the planned filters
-    // decide via `keep_below` (abandon ⟺ full square > bound, by the
+    // decide via `within` (abandon ⟺ full square > bound, by the
     // monotone ≥ 0 Eq. 12 terms), and the unplanned filter compares
     // `sq.sqrt() <= threshold` directly — so the square is memoisable
     // per the trait contract.
@@ -346,52 +355,68 @@ impl Scheme for AdaptiveLinearScheme {
         true
     }
 
-    fn rep_dist_pruned(
+    fn rep_dist_sq_soa(
+        &self,
+        q: &Query,
+        cand: SoaSegs<'_>,
+        scratch: &mut sapla_distance::ParScratch,
+    ) -> Result<f64> {
+        dist_par_sq_planned_soa(expect_plan(q)?, cand, scratch, f64::INFINITY)
+    }
+
+    fn rep_within(
         &self,
         q: &Query,
         rep: &Representation,
         threshold: f64,
         scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<Option<f64>> {
+    ) -> Result<bool> {
         let Some(plan) = &q.plan else {
-            let d = self.rep_dist_with(q, rep, scratch)?;
-            return Ok((d <= threshold).then_some(d));
+            return Ok(self.rep_dist_with(q, rep, scratch)? <= threshold);
         };
-        let bound = if self.abandon { safe_sq_bound(threshold) } else { f64::INFINITY };
-        let sq = dist_par_sq_planned(plan, expect_linear(rep)?, scratch, bound)?;
-        Ok(keep_below(sq, threshold))
+        let sq =
+            dist_par_sq_planned(plan, expect_linear(rep)?, scratch, self.abandon_at(threshold))?;
+        Ok(within(sq, threshold))
     }
 
-    fn rep_dist_pruned_soa(
+    fn rep_within_soa(
         &self,
         q: &Query,
         cand: SoaSegs<'_>,
         threshold: f64,
         scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<Option<f64>> {
-        let Some(plan) = &q.plan else {
-            return Err(Error::UnsupportedRepresentation {
-                operation: "SoA leaf refinement without a query plan",
-            });
-        };
-        let bound = if self.abandon { safe_sq_bound(threshold) } else { f64::INFINITY };
-        let sq = dist_par_sq_planned_soa(plan, cand, scratch, bound)?;
-        Ok(keep_below(sq, threshold))
+    ) -> Result<bool> {
+        let sq =
+            dist_par_sq_planned_soa(expect_plan(q)?, cand, scratch, self.abandon_at(threshold))?;
+        Ok(within(sq, threshold))
     }
+}
+
+impl AdaptiveLinearScheme {
+    /// The planned filters' early-abandon bound for `threshold`.
+    fn abandon_at(&self, threshold: f64) -> f64 {
+        if self.abandon {
+            safe_sq_bound(threshold)
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+fn expect_plan(q: &Query) -> Result<&QueryPlan> {
+    q.plan.as_ref().ok_or(Error::UnsupportedRepresentation {
+        operation: "SoA representation distance without a query plan",
+    })
 }
 
 /// Turn a (possibly abandoned) planned `Dist_PAR²` into the leaf-filter
 /// decision. The `f64::INFINITY` abandon sentinel only arises under a
-/// finite threshold, where the reference comparison would prune too; a
-/// *genuine* infinite squared distance also (correctly) fails any finite
-/// threshold, and under `threshold = +∞` abandoning is disabled so the
-/// `INF <= INF` keep-decision matches the reference exactly.
-fn keep_below(sq: f64, threshold: f64) -> Option<f64> {
-    if sq.is_infinite() && threshold.is_finite() {
-        return None;
-    }
-    let d = sq.sqrt();
-    (d <= threshold).then_some(d)
+/// finite threshold, which it fails — as the reference comparison on the
+/// full square would; under `threshold = +∞` abandoning is disabled, so
+/// a *genuine* infinite squared distance keeps (`INF <= INF`) exactly as
+/// the reference does.
+fn within(sq: f64, threshold: f64) -> bool {
+    sq.sqrt() <= threshold
 }
 
 // ---------------------------------------------------------------------

@@ -6,9 +6,12 @@
 //! Loading therefore costs O(file size): the container is validated
 //! (`SnapshotView::parse`), each arena is reinterpreted in place
 //! (`sapla_store::view`), and the trees are adopted verbatim through
-//! `from_raw_parts` structural validation plus one linear SoA-block
-//! rebuild — no reduction, no O(n log n) insertion build, no per-record
-//! decode loop for the hot coefficient arrays.
+//! `from_raw_parts` structural validation — no reduction, no O(n log n)
+//! insertion build. The engine's in-memory search layout is the file's
+//! (DESIGN.md §"Search arenas"): the coefficient arenas fill the tree's
+//! id-ordered `RepArena` in one pass, and [`K_RAW_DATA`] is copied
+//! straight into the shard's leaf-ordered `RawArena` — one allocation
+//! per shard, no per-series `TimeSeries`.
 //!
 //! # Arena schema (consumer side of the container)
 //!
@@ -64,11 +67,12 @@ use std::sync::Arc;
 use sapla_baselines::{all_reducers, Reducer};
 use sapla_core::codec::{decode_collection, encode_collection};
 use sapla_core::repr::{LinearSegment, PiecewiseLinear};
-use sapla_core::{Error, Representation, Result, TimeSeries};
+use sapla_core::{Error, Representation, Result};
 use sapla_store::{
     put_f64s, put_i32s, put_u32s, put_u64s, view, ArenaWriter, SnapshotBytes, SnapshotView,
 };
 
+use crate::arena::RawSource;
 use crate::dbch::{DbchTree, NodeDistRule, RawDbchNode};
 use crate::engine::{Engine, EngineConfig, Shard, ShardIndex, TreeKind};
 use crate::rtree::{RTree, RawRtreeNode};
@@ -434,9 +438,10 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
         let s = u32::try_from(si).map_err(|_| corrupt("too many shards for a snapshot"))?;
         let mut lens = Vec::new();
         let mut data = Vec::new();
-        for raw in &shard.raws {
+        for id in 0..shard.raws.len() {
+            let raw = shard.raws.raw(id);
             put_u64s(&mut lens, [raw.len() as u64]);
-            put_f64s(&mut data, raw.values().iter().copied());
+            put_f64s(&mut data, raw.iter().copied());
         }
         w.push_arena(K_RAW_LENS, s, &lens)?;
         w.push_arena(K_RAW_DATA, s, &data)?;
@@ -616,21 +621,33 @@ fn load_quantized_reps(
     Ok((reps, shard_slack))
 }
 
-fn load_raws(v: &SnapshotView<'_>, s: u32, n_reps: usize) -> Result<Vec<TimeSeries>> {
+/// The shard's raw samples as stored — series-concatenated in local-id
+/// order — with the common series length the fixed-stride raw arena
+/// needs. The samples themselves are validated by [`checked_series`] as
+/// the arena copies them.
+fn load_raws<'a>(v: &SnapshotView<'a>, s: u32, n_reps: usize) -> Result<(&'a [f64], usize)> {
     let lens = view::u64s(v.arena(K_RAW_LENS, s)?)?;
     if lens.len() != n_reps {
         return Err(corrupt("snapshot raw lengths disagree with the shard record count"));
     }
     let data = view::f64s(v.arena(K_RAW_DATA, s)?)?;
     checked_total(lens, data.len(), "snapshot raw arena disagrees with the raw lengths")?;
-    let mut raws = Vec::with_capacity(n_reps);
-    let mut at = 0usize;
-    for &len in lens {
-        let len = to_usize(len, "snapshot raw length overflows")?;
-        raws.push(TimeSeries::new(data[at..at + len].to_vec())?);
-        at += len;
+    let stride = to_usize(lens.first().copied().unwrap_or(0), "snapshot raw length overflows")?;
+    if lens.iter().any(|&len| len != lens[0]) {
+        return Err(corrupt("snapshot raw series differ in length"));
     }
-    Ok(raws)
+    Ok((data, stride))
+}
+
+/// What `TimeSeries::new` checks, on a borrowed series.
+fn checked_series(series: &[f64]) -> Result<&[f64]> {
+    if series.is_empty() {
+        return Err(Error::EmptySeries);
+    }
+    match series.iter().position(|x| !x.is_finite()) {
+        Some(index) => Err(Error::NonFiniteSample { index }),
+        None => Ok(series),
+    }
 }
 
 fn load_dbch_nodes(v: &SnapshotView<'_>, s: u32, n_nodes: usize) -> Result<Vec<RawDbchNode>> {
@@ -771,7 +788,7 @@ pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
             return Err(corrupt("snapshot shard sizes break round-robin placement"));
         }
         seen += n_reps;
-        let raws = load_raws(&v, s, n_reps)?;
+        let (raws, stride) = load_raws(&v, s, n_reps)?;
         let (reps, shard_slack) = if quantized {
             load_quantized_reps(&v, s, n_reps, meta.quant_step)?
         } else {
@@ -804,7 +821,7 @@ pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
                 )?)
             }
         };
-        shards.push(Shard { index, raws });
+        shards.push(Shard::new(index, |id| checked_series(&raws[id * stride..(id + 1) * stride]))?);
     }
     if seen != meta.total {
         return Err(corrupt("snapshot shard sizes do not sum to the record count"));

@@ -7,7 +7,7 @@
 //! full structural contract:
 //!
 //! * `DbchTree::validate` — hulls bitwise-consistent with current
-//!   membership, SoA leaf blocks in sync with their leaves, entry
+//!   membership, the rep arena in sync with every live entry, entry
 //!   bookkeeping sound;
 //! * membership equals the ground-truth live set;
 //! * full-enumeration kNN (`k = |live|`, so the candidate heap never
@@ -197,4 +197,135 @@ fn churn_down_to_empty_and_back_up() {
     let q = Query::new(&raws2[30], &reducer, M).unwrap();
     let stats = tree.knn(&q, 3, scheme.as_ref(), &raws2).unwrap();
     assert_eq!(stats.retrieved[0], 30, "an indexed series is its own 1-NN");
+}
+
+mod planned_vs_plan_stripped {
+    //! After long churn a tree's rep arena holds appended entries and
+    //! unreferenced holes. Planned queries read it (hull bounds and leaf
+    //! filter through the SoA kernel); a plan-stripped query walks the
+    //! stored representations instead and is the oracle: both must give
+    //! the same answer, bit for bit, counts included.
+
+    use super::*;
+    use proptest::prelude::*;
+    use sapla_index::{RTree, SearchStats};
+
+    /// What the churn needs of a tree, so one body drives both.
+    trait Tree: Sized {
+        fn build(s: &dyn Scheme, reps: Vec<Representation>) -> Self;
+        fn insert(&mut self, s: &dyn Scheme, rep: Representation) -> usize;
+        fn remove(&mut self, s: &dyn Scheme, id: usize) -> bool;
+        fn validate(&self, s: &dyn Scheme);
+        fn knn(&self, q: &Query, k: usize, s: &dyn Scheme, raws: &[TimeSeries]) -> SearchStats;
+        fn range(&self, q: &Query, eps: f64, s: &dyn Scheme, raws: &[TimeSeries]) -> SearchStats;
+    }
+
+    impl Tree for DbchTree {
+        fn build(s: &dyn Scheme, reps: Vec<Representation>) -> Self {
+            DbchTree::build(s, reps, 2, 5).unwrap()
+        }
+        fn insert(&mut self, s: &dyn Scheme, rep: Representation) -> usize {
+            DbchTree::insert(self, s, rep).unwrap()
+        }
+        fn remove(&mut self, s: &dyn Scheme, id: usize) -> bool {
+            DbchTree::remove(self, s, id).unwrap()
+        }
+        fn validate(&self, s: &dyn Scheme) {
+            DbchTree::validate(self, s).unwrap();
+        }
+        fn knn(&self, q: &Query, k: usize, s: &dyn Scheme, raws: &[TimeSeries]) -> SearchStats {
+            DbchTree::knn(self, q, k, s, raws).unwrap()
+        }
+        fn range(&self, q: &Query, eps: f64, s: &dyn Scheme, raws: &[TimeSeries]) -> SearchStats {
+            DbchTree::range(self, q, eps, s, raws).unwrap()
+        }
+    }
+
+    impl Tree for RTree {
+        fn build(s: &dyn Scheme, reps: Vec<Representation>) -> Self {
+            RTree::build(s, reps, 2, 5).unwrap()
+        }
+        fn insert(&mut self, s: &dyn Scheme, rep: Representation) -> usize {
+            RTree::insert(self, s, rep).unwrap()
+        }
+        fn remove(&mut self, _: &dyn Scheme, id: usize) -> bool {
+            RTree::remove(self, id)
+        }
+        fn validate(&self, _: &dyn Scheme) {
+            RTree::validate(self).unwrap();
+        }
+        fn knn(&self, q: &Query, k: usize, s: &dyn Scheme, raws: &[TimeSeries]) -> SearchStats {
+            RTree::knn(self, q, k, s, raws).unwrap()
+        }
+        fn range(&self, q: &Query, eps: f64, s: &dyn Scheme, raws: &[TimeSeries]) -> SearchStats {
+            RTree::range(self, q, eps, s, raws).unwrap()
+        }
+    }
+
+    fn assert_same(planned: &SearchStats, stripped: &SearchStats, what: &str) {
+        assert_eq!(planned, stripped, "{what}");
+        for (p, s) in planned.distances.iter().zip(&stripped.distances) {
+            assert_eq!(p.to_bits(), s.to_bits(), "{what}");
+        }
+    }
+
+    /// `ops` interleaved inserts and removes (the population drifts
+    /// between 6 and 90, so splits and condenses both run), then planned
+    /// vs plan-stripped kNN and ε-range.
+    fn churn_then_compare<T: Tree>(seed: u64, ops: usize, k: usize) {
+        let reducer = SaplaReducer::new();
+        let scheme = scheme_for("SAPLA").unwrap();
+        let s = scheme.as_ref();
+        let mut rng = XorShift(seed | 1);
+        let mut raws: Vec<TimeSeries> = (0..30).map(|i| series(i + rng.below(97), LEN)).collect();
+        let mut tree = T::build(s, raws.iter().map(|r| reducer.reduce(r, M).unwrap()).collect());
+        let mut live: Vec<usize> = (0..30).collect();
+        for op in 0..ops {
+            if live.len() <= 6 || (live.len() < 90 && rng.below(5) < 3) {
+                let fresh = series(1000 + op + rng.below(89), LEN);
+                let id = tree.insert(s, reducer.reduce(&fresh, M).unwrap());
+                assert_eq!(id, raws.len(), "entry ids stay dense");
+                raws.push(fresh);
+                live.push(id);
+            } else {
+                assert!(tree.remove(s, live.swap_remove(rng.below(live.len()))));
+            }
+        }
+        tree.validate(s);
+        for probe in [series(3, LEN), series(424_242 + rng.below(1000), LEN)] {
+            let planned = Query::new(&probe, &reducer, M).unwrap();
+            assert!(planned.plan.is_some());
+            let stripped = Query { plan: None, ..planned.clone() };
+            let k = k.min(live.len());
+            let got = tree.knn(&planned, k, s, &raws);
+            assert_same(&got, &tree.knn(&stripped, k, s, &raws), "kNN");
+            assert!(got.retrieved.iter().all(|id| live.contains(id)), "a hole was returned");
+            let eps = got.distances[k - 1];
+            let hits = tree.range(&planned, eps, s, &raws);
+            assert_same(&hits, &tree.range(&stripped, eps, s, &raws), "range");
+            assert!(hits.retrieved.iter().all(|id| live.contains(id)), "a hole was returned");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn dbch_arena_answers_equal_the_plan_stripped_oracle(
+            seed in 0u64..u64::MAX,
+            ops in 200usize..320,
+            k in 1usize..12,
+        ) {
+            churn_then_compare::<DbchTree>(seed, ops, k);
+        }
+
+        #[test]
+        fn rtree_arena_answers_equal_the_plan_stripped_oracle(
+            seed in 0u64..u64::MAX,
+            ops in 200usize..320,
+            k in 1usize..12,
+        ) {
+            churn_then_compare::<RTree>(seed, ops, k);
+        }
+    }
 }

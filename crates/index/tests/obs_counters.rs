@@ -62,6 +62,21 @@ fn knn_counters_obey_the_search_invariants() {
     assert_eq!(refined, measured_total as u64, "dbch: counter agrees with SearchStats.measured");
     assert!(refined >= (queries * k) as u64, "dbch: each query refines at least k candidates");
     assert!(counter(&snap, "index.knn.nodes_visited") >= queries as u64, "root visited per query");
+    // Every visited or pruned node was scored against its two hull
+    // representatives: each one either a full evaluation or a memo hit.
+    let hull_evals = counter(&snap, "index.knn.hull_evals");
+    assert!(hull_evals >= queries as u64, "dbch: the root's hull is evaluated per query");
+    assert!(
+        hull_evals <= (queries * raws.len()) as u64,
+        "dbch: the memo evaluates each entry at most once per query"
+    );
+    sapla_obs::reset();
+    let q = Query::new(&raws[0], &reducer, m).unwrap();
+    let hits = tree.range(&q, 3.0, scheme.as_ref(), &raws).unwrap();
+    let snap = Snapshot::capture();
+    assert_eq!(counter(&snap, "index.range.refined"), hits.measured as u64);
+    let range_evals = counter(&snap, "index.range.hull_evals");
+    assert!((1..=raws.len() as u64).contains(&range_evals), "dbch range: {range_evals}");
 
     // --- R*-tree baseline, same invariants ---
     let tree = RTree::build(scheme.as_ref(), reps, 2, 5).unwrap();
@@ -85,4 +100,5 @@ fn knn_counters_obey_the_search_invariants() {
     );
     assert_eq!(refined, measured_total as u64, "rtree: counter agrees with SearchStats.measured");
     assert!(refined >= (queries * k) as u64, "rtree: each query refines at least k candidates");
+    assert_eq!(counter(&snap, "index.knn.hull_evals"), 0, "rtree: MINDIST bounds, no hulls");
 }

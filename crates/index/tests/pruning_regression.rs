@@ -3,7 +3,7 @@
 //! k-th-best threshold must bite, both trees have to *demonstrably* prune
 //! — fewer exact refinements than the database size, and (in an
 //! instrumented build) non-zero entry and node prune counters. Before
-//! the threshold-driven `rep_dist_pruned` filter and the break-drain
+//! the threshold-driven `rep_within` filter and the break-drain
 //! node accounting, the counters stayed zero even though the searches
 //! were doing the work.
 //!

@@ -6,8 +6,11 @@
 //! refinement these searches perform).
 
 use proptest::prelude::*;
+use sapla_baselines::{Pla, SaplaReducer};
 use sapla_core::TimeSeries;
-use sapla_index::{Engine, EngineConfig, NodeDistRule, TreeKind};
+use sapla_index::{
+    linear_scan_knn, linear_scan_range, Engine, EngineConfig, NodeDistRule, SearchStats, TreeKind,
+};
 
 /// Random small database of regime-style series.
 fn db_strategy(n_series: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TimeSeries>> {
@@ -37,6 +40,25 @@ fn db_strategy(n_series: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Ti
 fn engine(raws: &[TimeSeries], shards: usize, tree: TreeKind) -> Engine {
     let cfg = EngineConfig { shards, tree, ..EngineConfig::default() };
     Engine::build(cfg, Box::new(sapla_baselines::SaplaReducer::new()), raws.to_vec(), 2).unwrap()
+}
+
+/// kNN (at 1 and 2 threads) and ε-range answers for the first queries.
+fn answers(engine: &Engine, raws: &[TimeSeries], k: usize, eps: f64) -> Vec<SearchStats> {
+    let queries = engine.prepare(&raws[..raws.len().min(5)], 2).unwrap();
+    let mut out = engine.knn(&queries, k, 1).unwrap().0;
+    out.extend(engine.knn(&queries, k, 2).unwrap().0);
+    out.extend(queries.iter().map(|q| engine.range(q, eps).unwrap()));
+    out
+}
+
+fn assert_bit_identical(got: &[SearchStats], want: &[SearchStats], what: &str) {
+    // Includes `measured`: the same traversal, not just the same answer.
+    assert_eq!(got, want, "{what}");
+    for (g, w) in got.iter().zip(want) {
+        for (gd, wd) in g.distances.iter().zip(&w.distances) {
+            assert_eq!(gd.to_bits(), wd.to_bits(), "{what}");
+        }
+    }
 }
 
 proptest! {
@@ -166,5 +188,70 @@ proptest! {
         prop_assert!(Engine::from_snapshot_image(&mutated).is_err());
         let cut = (byte_seed as usize) % image.len();
         prop_assert!(Engine::from_snapshot_image(&image[..cut]).is_err());
+    }
+
+    /// Every way of making an engine lays its raw series out in the
+    /// tree's leaf-walk order (`RawArena`) from a different source:
+    /// `build` and `from_parts` from the caller's series, a snapshot
+    /// load from the file's id-ordered arena, `reload_from_snapshot`
+    /// from the old engine's arena. The layout must be invisible: all
+    /// four answer kNN and ε-range bit-identically, sharded or not.
+    #[test]
+    fn all_four_constructors_answer_bit_identically(
+        raws in db_strategy(9..40),
+        k in 1usize..6,
+        eps in 2.0f64..7.0,
+    ) {
+        for shards in [1usize, 3] {
+            let cfg = EngineConfig { shards, ..EngineConfig::default() };
+            let reducer = || Box::new(SaplaReducer::new());
+            let built = Engine::build(cfg, reducer(), raws.clone(), 2).unwrap();
+            let want = answers(&built, &raws, k, eps);
+            let parts = Engine::from_parts(cfg, reducer(), built.reps(), raws.clone()).unwrap();
+            let loaded = Engine::from_snapshot_image(&built.snapshot_image(None).unwrap()).unwrap();
+            let reloaded = built.reload_from_snapshot(&built.snapshot().unwrap()).unwrap();
+            for (engine, name) in
+                [(&parts, "from_parts"), (&loaded, "from_snapshot_image"), (&reloaded, "reload")]
+            {
+                let what = format!("{name}, shards = {shards}");
+                assert_bit_identical(&answers(engine, &raws, k, eps), &want, &what);
+            }
+        }
+    }
+
+    /// PLA's `dist_pla` leaf filter under the Triangle node rule is an
+    /// unconditional pipeline, so the quantized-loaded engine must match
+    /// a brute-force scan rank for rank — which holds only while every
+    /// pruning comparison, kNN and range alike, is widened by the slack.
+    #[test]
+    fn quantized_engines_keep_the_slack_through_every_constructor(
+        raws in db_strategy(9..40),
+        k in 1usize..6,
+        eps in 2.0f64..7.0,
+        step in 1e-3f64..2e-1,
+    ) {
+        for shards in [1usize, 3] {
+            let cfg = EngineConfig { shards, rule: NodeDistRule::Triangle, ..EngineConfig::default() };
+            let built = Engine::build(cfg, Box::new(Pla::new()), raws.clone(), 2).unwrap();
+            let loaded =
+                Engine::from_snapshot_image(&built.snapshot_image(Some(step)).unwrap()).unwrap();
+            prop_assert!(loaded.lb_slack() > 0.0);
+            let reloaded = loaded.reload_from_snapshot(&loaded.snapshot().unwrap()).unwrap();
+            prop_assert_eq!(reloaded.lb_slack().to_bits(), loaded.lb_slack().to_bits());
+            for engine in [&loaded, &reloaded] {
+                let queries = engine.prepare(&raws[..raws.len().min(5)], 2).unwrap();
+                let (found, _) = engine.knn(&queries, k, 2).unwrap();
+                for (qi, (q, got)) in queries.iter().zip(&found).enumerate() {
+                    let truth = linear_scan_knn(&raws[qi], &raws, k).unwrap();
+                    prop_assert_eq!(got.distances.len(), truth.distances.len());
+                    for (g, t) in got.distances.iter().zip(&truth.distances) {
+                        prop_assert!(g.to_bits() == t.to_bits(), "kNN, shards = {}", shards);
+                    }
+                    let hits = engine.range(q, eps).unwrap();
+                    let truth = linear_scan_range(&raws[qi], &raws, eps).unwrap();
+                    prop_assert_eq!(&hits.retrieved, &truth.retrieved, "range, shards = {}", shards);
+                }
+            }
+        }
     }
 }

@@ -243,7 +243,8 @@ fn snapshot_reload_cycle_preserves_answers_and_survives_garbage() {
 fn empty_reload_rereads_the_configured_snapshot_file() {
     let raws = dataset(30);
     let queries = query_samples(4);
-    let path = std::env::temp_dir().join(format!("sapla-serve-reload-{}.snap", std::process::id()));
+    let snapshot = sapla_core::temp::TempPath::new("sapla-serve-reload", ".snap");
+    let path = snapshot.path().to_path_buf();
     let server = Server::start(
         build_engine(&raws[..10], 1, TreeKind::Dbch),
         "127.0.0.1:0",

@@ -221,8 +221,39 @@ impl SnapshotBytes {
     ///
     /// [`Error::Io`] on any filesystem failure.
     pub fn read_file(path: &Path) -> Result<Self> {
-        let raw = std::fs::read(path).map_err(|e| io_err(path, &e))?;
-        Ok(Self::from_slice(&raw))
+        use std::io::Read;
+        // Streamed through a small buffer straight into the word
+        // storage: the image is held once, not once as the bytes
+        // `fs::read` returns and once more as their aligned copy.
+        let mut file = std::fs::File::open(path).map_err(|e| io_err(path, &e))?;
+        let size = file.metadata().map_err(|e| io_err(path, &e))?.len();
+        let mut words = Vec::with_capacity(usize::try_from(size).unwrap_or(0).div_ceil(8));
+        let mut buf = vec![0u8; 1 << 16];
+        let mut len = 0usize;
+        loop {
+            // Fill the buffer — short reads are legal — or reach the end
+            // of the file, the only place a partial word can occur.
+            let mut held = 0usize;
+            while held < buf.len() {
+                match file.read(&mut buf[held..]) {
+                    Ok(0) => break,
+                    Ok(got) => held += got,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(io_err(path, &e)),
+                }
+            }
+            len += held;
+            buf[held..].fill(0);
+            words.extend(buf[..held.div_ceil(8) * 8].chunks_exact(8).map(|c| {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(c);
+                // from_ne_bytes: as in `from_slice`.
+                u64::from_ne_bytes(word)
+            }));
+            if held < buf.len() {
+                return Ok(Self { words, len });
+            }
+        }
     }
 
     /// The snapshot image as bytes (8-byte-aligned base address).
@@ -452,17 +483,29 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("sapla_store_file_roundtrip.snap");
+        let path = sapla_core::temp::TempPath::new("sapla-store-roundtrip", ".snap");
         let mut w = ArenaWriter::new(7);
         w.push_arena(3, 2, b"payload").unwrap();
-        let written = w.write_file(&path).unwrap();
-        let owned = SnapshotBytes::read_file(&path).unwrap();
+        let written = w.write_file(path.path()).unwrap();
+        let owned = SnapshotBytes::read_file(path.path()).unwrap();
         assert_eq!(owned.bytes().len() as u64, written);
         let v = SnapshotView::parse(owned.bytes()).unwrap();
         assert_eq!(v.flags(), 7);
         assert_eq!(v.arena(3, 2).unwrap(), b"payload");
-        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_file_streams_any_length_byte_for_byte() {
+        // Around the read buffer's size and off the word size: the
+        // streamed copy must equal the bytes on disk.
+        for len in [0usize, 1, 7, 8, 9, (1 << 16) - 1, 1 << 16, (1 << 16) + 5, 200_003] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let path = sapla_core::temp::TempPath::new("sapla-store-stream", ".bin");
+            std::fs::write(&path, &bytes).unwrap();
+            let owned = SnapshotBytes::read_file(path.path()).unwrap();
+            assert_eq!(owned.bytes(), &bytes[..], "len {len}");
+            assert_eq!(owned.bytes().as_ptr().align_offset(8), 0);
+        }
     }
 
     #[test]

@@ -83,8 +83,17 @@ simd-off:
     SAPLA_SIMD=off cargo test -q
     cargo bench -p sapla-bench --bench perf_json -- --quick --no-simd
 
+# Lifecycle benchmark smoke (benchmark/, a workspace of its own): its
+# unit tests, then one whole run — build → kNN/range → snapshot → serve
+# on `short-wide` — whose last stdout line must report every output
+# check passed and no operation failed. Numbers are not judged here;
+# `benchmark/run.sh` + `compare` do that.
+bench-smoke-lifecycle:
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --workload short-wide --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
+
 # The full pre-merge gate.
-ci: tier1 lint audit audit-model-serve obs serve-smoke metrics persist simd-off
+ci: tier1 lint audit audit-model-serve obs serve-smoke metrics persist simd-off bench-smoke-lifecycle
 
 # Regenerate every paper table/figure (slow; see EXPERIMENTS.md).
 bench:

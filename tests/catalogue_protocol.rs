@@ -59,7 +59,8 @@ fn full_protocol_loads_one_dataset() {
 #[test]
 fn ucr_round_trip_through_a_temp_dir() {
     // Write a miniature UCR-layout dataset and load it back.
-    let dir = std::env::temp_dir().join(format!("sapla_ucr_test_{}", std::process::id()));
+    let temp = sapla_core::temp::TempPath::new("sapla-ucr-test", "");
+    let dir = temp.path();
     let name = "MiniDataset";
     let base = dir.join(name);
     std::fs::create_dir_all(&base).unwrap();
@@ -68,7 +69,7 @@ fn ucr_round_trip_through_a_temp_dir() {
     std::fs::write(base.join(format!("{name}_TRAIN.tsv")), train).unwrap();
     std::fs::write(base.join(format!("{name}_TEST.tsv")), test).unwrap();
 
-    let ds = sapla_data::ucr::load_dataset(&dir, name, 10, 5).unwrap();
+    let ds = sapla_data::ucr::load_dataset(dir, name, 10, 5).unwrap();
     assert_eq!(ds.name, name);
     assert_eq!(ds.series.len(), 3);
     assert_eq!(ds.queries.len(), 1);
@@ -77,7 +78,6 @@ fn ucr_round_trip_through_a_temp_dir() {
     for s in &ds.series {
         assert!(s.mean().abs() < 1e-9);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,22 +4,39 @@
 //! `Sapla::reduce_into` with a warmed [`SaplaScratch`] performs **zero**
 //! heap allocations — the contract the heap-driven refinement kernel and
 //! the scratch workspace exist to provide. Kept as its own integration
-//! test binary so no other test's allocations pollute the counter.
+//! test binary, and counted **per thread**: the tests of this binary run
+//! on parallel threads next to the harness's own, so a process-wide
+//! counter charges each test with its neighbours' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use sapla_core::sapla::{Sapla, SaplaScratch};
 use sapla_core::TimeSeries;
 
-/// `System`, but counting every allocation and reallocation.
+/// `System`, but counting every allocation and reallocation of the
+/// calling thread.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` + no destructor: touching it never allocates or registers
+    // anything, which an allocator hook could not afford.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,12 +45,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -73,11 +90,11 @@ fn warmed_reduce_into_allocates_nothing() {
         }
     }
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     for (series, sapla) in &work {
         sapla.reduce_into(series, &mut scratch, &mut buf).unwrap();
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
 
     assert_eq!(
         after - before,
@@ -144,9 +161,9 @@ fn warmed_planned_dist_par_allocates_nothing() {
     run(&mut scratch);
     run(&mut scratch);
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     run(&mut scratch);
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
 
     assert_eq!(
         after - before,
@@ -182,7 +199,7 @@ fn obs_off_is_free() {
         }
     }
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     for (series, sapla) in &work {
         sapla.reduce_into(series, &mut scratch, &mut buf).unwrap();
     }
@@ -198,7 +215,7 @@ fn obs_off_is_free() {
     let total = sapla_obs::recorder::end(trace);
     sapla_obs::windowed!("zero.alloc.window", 0, 1);
     let clock = sapla_obs::clock::now_ns();
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
 
     assert_eq!(
         after - before,
