@@ -46,5 +46,8 @@ pub use linear_scan::{
 pub use parallel::{ingest_parallel, knn_batch, knn_batch_with_block, prepare_queries, BatchStats};
 pub use rect::HyperRect;
 pub use rtree::RTree;
+/// The hardware thread count that `threads = 0` resolves to in every
+/// call of this crate that takes a thread count.
+pub use sapla_parallel::max_threads;
 pub use scheme::{scheme_for, Query, Scheme};
 pub use stats::TreeShape;

@@ -38,7 +38,7 @@ pub enum Stage {
     Decode = 0,
     /// Request validation / job construction before enqueue.
     Prepare = 1,
-    /// Admission-queue wait: enqueue → batcher drain.
+    /// Admission-queue wait: enqueue → executor drain.
     Queue = 2,
     /// Batch formation: drain → this job's k-cohort starts executing.
     Batch = 3,

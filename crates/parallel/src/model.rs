@@ -36,9 +36,12 @@
 //!   blocked on the mutex itself), while a notifier that does *not*
 //!   hold the mutex can — which is precisely the lost-wakeup window
 //!   the serve admission-queue model checks for.
-//! * `notify_one` is modelled as `notify_all`. Waking more threads
-//!   than std would is sound: any extra wakeup is indistinguishable
-//!   from a spurious wakeup, which std permits at any time.
+//! * `notify_one` wakes exactly one thread blocked on the condvar (none
+//!   if nobody is: the notification is lost, as in std). With two or
+//!   more waiters *which* one wakes is a scheduling decision of its
+//!   own — a [`Choice`] with `wake` set, enumerated by [`explore`] like
+//!   any other — so a protocol that strands the waiter it did not wake
+//!   is found, not hidden behind an over-approximating `notify_all`.
 //! * [`run_schedule_spurious`] grants a *spurious-wakeup budget*: a
 //!   thread blocked on a condvar counts as runnable while budget
 //!   remains, and granting it a step wakes it with no notification —
@@ -68,12 +71,20 @@ use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as Std
 
 /// One scheduling decision: which thread was granted the step, and which
 /// threads were runnable when the decision was taken (ascending ids).
+/// A `wake` decision is the other kind: which of the threads blocked on
+/// a condvar a `notify_one` woke.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Choice {
-    /// The thread that received the step.
+    /// The thread that received the step (or, for a `wake` decision,
+    /// the waiter that was woken).
     pub chosen: usize,
-    /// Every thread that was runnable at this point.
+    /// Every thread that was runnable at this point (for a `wake`
+    /// decision: every thread blocked on the notified condvar).
     pub enabled: Vec<usize>,
+    /// True when this decision picked the waiter a [`Condvar::notify_one`]
+    /// wakes. No step is granted: the notifier keeps running, so the
+    /// decision never counts as a preemption.
+    pub wake: bool,
 }
 
 /// The outcome of one controlled execution.
@@ -129,6 +140,10 @@ enum Status {
     /// spurious budget remains) a spurious grant. The payload is the
     /// condvar's model id.
     BlockedCondvar(u64),
+    /// Parked inside [`Condvar::notify_one`] while the coordinator picks
+    /// which of several waiters it wakes; resumed (not re-scheduled) as
+    /// soon as the pick is recorded.
+    Choosing,
     Finished,
 }
 
@@ -147,12 +162,32 @@ struct State {
     /// Remaining spurious wakeups the coordinator may inject (granting a
     /// step to a condvar-blocked thread with no notify).
     spurious_left: usize,
+    /// Set by a `notify_one` that found several waiters: the notifier
+    /// and the waiters' ids, ascending. The coordinator takes it, picks
+    /// a waiter, wakes it and resumes the notifier.
+    wake_choice: Option<(usize, Vec<usize>)>,
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 struct Inner {
     state: StdMutex<State>,
+    /// Wakes the coordinator: a thread parked, finished, or asked for a
+    /// wake pick.
     cv: StdCondvar,
+    /// Wakes one parked model thread each (index = thread id): a grant
+    /// goes to the chosen thread alone instead of stampeding every
+    /// parked thread through the state lock at every step.
+    parked: Vec<StdCondvar>,
+}
+
+impl Inner {
+    /// Wake every parked thread: scheduling stopped (free run) or the
+    /// run deadlocked, and each of them has to notice.
+    fn wake_threads(&self) {
+        for cv in &self.parked {
+            cv.notify_one();
+        }
+    }
 }
 
 thread_local! {
@@ -174,9 +209,9 @@ pub fn yield_point() {
         return;
     }
     st.status[tid] = Status::Waiting;
-    inner.cv.notify_all();
+    inner.cv.notify_one();
     while st.current != Some(tid) && !st.free_run {
-        st = inner.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        st = inner.parked[tid].wait(st).unwrap_or_else(|p| p.into_inner());
     }
     if !st.free_run {
         st.current = None;
@@ -248,9 +283,11 @@ where
             free_run: false,
             deadlock: false,
             spurious_left: spurious_budget,
+            wake_choice: None,
             panic: None,
         }),
         cv: StdCondvar::new(),
+        parked: (0..n_threads).map(|_| StdCondvar::new()).collect(),
     });
     let mut choices: Vec<Choice> = Vec::new();
     let mut exceeded_budget = false;
@@ -276,8 +313,9 @@ where
                         st.panic = Some(payload);
                     }
                     st.free_run = true;
+                    inner.wake_threads();
                 }
-                inner.cv.notify_all();
+                inner.cv.notify_one();
             });
         }
 
@@ -298,24 +336,34 @@ where
                 st = inner.cv.wait(st).unwrap_or_else(|p| p.into_inner());
                 continue;
             }
-            let enabled: Vec<usize> = (0..n_threads)
-                .filter(|&t| match st.status[t] {
-                    Status::Waiting => true,
-                    Status::BlockedCondvar(_) => st.spurious_left > 0,
-                    _ => false,
-                })
-                .collect();
+            // A `notify_one` that found several waiters is decided
+            // before anything else runs: the candidates of that pick
+            // are the waiters, not the runnable threads.
+            let (notifier, enabled) = match st.wake_choice.take() {
+                Some((notifier, waiters)) => (Some(notifier), waiters),
+                None => {
+                    let runnable = (0..n_threads).filter(|&t| match st.status[t] {
+                        Status::Waiting => true,
+                        Status::BlockedCondvar(_) => st.spurious_left > 0,
+                        _ => false,
+                    });
+                    (None, runnable.collect::<Vec<usize>>())
+                }
+            };
             if enabled.is_empty() {
                 // Every unfinished thread is blocked on a mutex or
                 // condvar and no spurious budget remains: deadlock.
                 // Blocked threads observe the flag and abort-panic, so
                 // the scope joins and the schedule id is reported.
                 st.deadlock = true;
-                inner.cv.notify_all();
+                inner.wake_threads();
                 st = inner.cv.wait(st).unwrap_or_else(|p| p.into_inner());
                 continue;
             }
             let step = choices.len();
+            // The thread that held the previous step (wake picks grant
+            // none, so they are skipped).
+            let last_run = choices.iter().rev().find(|c| !c.wake).map(|c| c.chosen);
             let chosen = if let Some(&want) = replay.get(step) {
                 if enabled.contains(&want) {
                     want
@@ -324,19 +372,28 @@ where
                     enabled[0]
                 }
             } else {
-                match (&mut rng, choices.last()) {
+                match (&mut rng, last_run) {
                     (Some(r), _) => enabled[(r.next() % enabled.len() as u64) as usize],
-                    (None, Some(last)) if enabled.contains(&last.chosen) => last.chosen,
+                    (None, Some(last)) if notifier.is_none() && enabled.contains(&last) => last,
                     (None, _) => enabled[0],
                 }
             };
             if step >= max_steps {
                 exceeded_budget = true;
                 st.free_run = true;
-                inner.cv.notify_all();
+                inner.wake_threads();
                 continue;
             }
-            choices.push(Choice { chosen, enabled });
+            if let Some(notifier) = notifier {
+                // Wake the picked waiter and resume the notifier, which
+                // is still inside its own step.
+                choices.push(Choice { chosen, enabled, wake: true });
+                st.status[chosen] = Status::Waiting;
+                st.status[notifier] = Status::Running;
+                inner.parked[notifier].notify_one();
+                continue;
+            }
+            choices.push(Choice { chosen, enabled, wake: false });
             if matches!(st.status[chosen], Status::BlockedCondvar(_)) {
                 // Granting a condvar-blocked thread with no notify is a
                 // spurious wakeup; spend one unit of budget.
@@ -344,7 +401,7 @@ where
             }
             // Grant the step and wait for the thread to consume it.
             st.current = Some(chosen);
-            inner.cv.notify_all();
+            inner.parked[chosen].notify_one();
             while st.current.is_some() && !st.free_run {
                 st = inner.cv.wait(st).unwrap_or_else(|p| p.into_inner());
             }
@@ -376,11 +433,33 @@ struct Frame {
     tried: Vec<usize>,
     /// Preemptions spent strictly before this decision.
     pre_before: usize,
+    /// A `notify_one` waiter pick (see [`Choice::wake`]).
+    wake: bool,
+}
+
+impl Frame {
+    /// What choosing `candidate` here costs: 1 when it switches away
+    /// from `prev` — the thread that held the step before — while
+    /// `prev` is still runnable, else 0. A wake pick grants no step, so
+    /// it is free.
+    fn preemption(&self, candidate: usize, prev: Option<usize>) -> usize {
+        match prev {
+            Some(p) if !self.wake && candidate != p && self.enabled.contains(&p) => 1,
+            _ => 0,
+        }
+    }
+}
+
+/// The thread that held the last step granted in `frames` (wake picks
+/// grant none).
+fn last_run(frames: &[Frame]) -> Option<usize> {
+    frames.iter().rev().find(|f| !f.wake).map(|f| f.chosen)
 }
 
 /// Exhaustively enumerate schedules of a harness, depth-first, visiting
 /// every schedule with at most `preemption_bound` preemptions (a
-/// *preemption* switches away from a thread that is still runnable).
+/// *preemption* switches away from a thread that is still runnable;
+/// which waiter a `notify_one` wakes is enumerated too, at no cost).
 ///
 /// `run` executes one schedule: it must call [`run_schedule`] with the
 /// given replay prefix and [`Policy::Continue`], assert its invariants,
@@ -400,46 +479,31 @@ where
             return ExploreOutcome { schedules, capped: true };
         }
         // Extend the stack with the decisions the default policy took
-        // beyond the replayed prefix. A preemption at step j means step
-        // j's choice switched away from step j-1's thread while it was
-        // still runnable; the Continue policy never does that, so the
-        // appended frames only inherit the preemption spent by the frame
-        // directly above them (which may be a replayed alternative).
+        // beyond the replayed prefix. The Continue policy never
+        // preempts, so the appended frames only inherit the preemption
+        // spent by the frame directly above them (which may be a
+        // replayed alternative).
         for choice in trace.choices.iter().skip(stack.len()) {
-            let pre_before = match stack.len() {
-                0 => 0,
-                depth => {
-                    let top = &stack[depth - 1];
-                    let top_preempted = depth >= 2 && {
-                        let prev = stack[depth - 2].chosen;
-                        top.chosen != prev && top.enabled.contains(&prev)
-                    };
-                    top.pre_before + usize::from(top_preempted)
-                }
+            let pre_before = match stack.split_last() {
+                None => 0,
+                Some((top, below)) => top.pre_before + top.preemption(top.chosen, last_run(below)),
             };
             stack.push(Frame {
                 enabled: choice.enabled.clone(),
                 chosen: choice.chosen,
                 tried: vec![choice.chosen],
                 pre_before,
+                wake: choice.wake,
             });
         }
         // Backtrack to the deepest frame with an untried alternative
         // that stays within the preemption bound.
         let mut advanced = false;
-        while !stack.is_empty() {
-            let depth = stack.len() - 1;
-            let prev_chosen = if depth == 0 { None } else { Some(stack[depth - 1].chosen) };
-            let top = &mut stack[depth];
-            let candidate = top.enabled.iter().copied().find(|c| {
-                if top.tried.contains(c) {
-                    return false;
-                }
-                let pre = match prev_chosen {
-                    Some(p) if *c != p && top.enabled.contains(&p) => top.pre_before + 1,
-                    _ => top.pre_before,
-                };
-                pre <= preemption_bound
+        while let Some((top, below)) = stack.split_last_mut() {
+            let prev = last_run(below);
+            let candidate = top.enabled.iter().copied().find(|&c| {
+                !top.tried.contains(&c)
+                    && top.pre_before + top.preemption(c, prev) <= preemption_bound
             });
             match candidate {
                 Some(c) => {
@@ -494,9 +558,10 @@ enum Park {
 }
 
 /// Park the calling thread until the coordinator grants it a step.
-/// The caller has already recorded a `Blocked*` status for `tid` and
-/// woken the coordinator. Panics (aborting the run) on deadlock.
+/// The caller has already recorded a `Blocked*` status for `tid`; the
+/// coordinator is told here. Panics (aborting the run) on deadlock.
 fn park_blocked(tid: usize, inner: &Inner, mut st: StdMutexGuard<'_, State>) -> Park {
+    inner.cv.notify_one();
     loop {
         if st.deadlock {
             drop(st);
@@ -511,19 +576,19 @@ fn park_blocked(tid: usize, inner: &Inner, mut st: StdMutexGuard<'_, State>) -> 
             st.status[tid] = Status::Running;
             return Park::Granted;
         }
-        st = inner.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        st = inner.parked[tid].wait(st).unwrap_or_else(|p| p.into_inner());
     }
 }
 
 /// Flip every thread parked with the given blocked status back to
-/// `Waiting` (runnable) and wake the parked threads so they observe it.
-fn wake_blocked(st: &mut State, inner: &Inner, which: Status) {
+/// `Waiting` (runnable). Nobody is woken: a parked thread moves only on
+/// a grant, and the coordinator decides next when the caller parks.
+fn wake_blocked(st: &mut State, which: Status) {
     for s in &mut st.status {
         if *s == which {
             *s = Status::Waiting;
         }
     }
-    inner.cv.notify_all();
 }
 
 /// A model-aware drop-in for `std::sync::Mutex` (see the module docs):
@@ -572,7 +637,6 @@ impl<T> Mutex<T> {
                 return MutexGuard { mutex: self, raw: Some(plain_lock(&self.raw)) };
             }
             st.status[tid] = Status::BlockedMutex(self.id);
-            inner.cv.notify_all();
             match park_blocked(tid, &inner, st) {
                 // Granted after an unlock: re-try. Another granted
                 // thread may have re-acquired first, in which case we
@@ -627,16 +691,15 @@ impl<T> Drop for MutexGuard<'_, T> {
         let reg = REGISTRATION.with(|r| r.borrow().clone());
         let Some((_tid, inner)) = reg else { return };
         let mut st = lock(&inner);
-        wake_blocked(&mut st, &inner, Status::BlockedMutex(self.mutex.id));
+        wake_blocked(&mut st, Status::BlockedMutex(self.mutex.id));
     }
 }
 
 /// A model-aware drop-in for `std::sync::Condvar` (see the module
 /// docs). `wait` yields once while still holding the mutex — the
 /// lost-wakeup window for notifiers that do not hold it — and then
-/// releases-and-blocks in one atomic transition; `notify_one` is
-/// modelled as `notify_all` (extra wakeups are legal spurious
-/// wakeups).
+/// releases-and-blocks in one atomic transition; `notify_one` wakes
+/// exactly one waiter, chosen by the schedule.
 #[derive(Debug)]
 pub struct Condvar {
     id: u64,
@@ -692,7 +755,7 @@ impl Condvar {
             // thread blocked on the mutex we just released.
             st.status[tid] = Status::BlockedCondvar(self.id);
             drop(raw_guard);
-            wake_blocked(&mut st, &inner, Status::BlockedMutex(mutex.id));
+            wake_blocked(&mut st, Status::BlockedMutex(mutex.id));
             match park_blocked(tid, &inner, st) {
                 Park::Granted => {}
                 Park::FreeRun => abort_model_thread("free-run drain reached Condvar::wait"),
@@ -712,18 +775,50 @@ impl Condvar {
         };
         yield_point();
         let mut st = lock(&inner);
-        wake_blocked(&mut st, &inner, Status::BlockedCondvar(self.id));
+        wake_blocked(&mut st, Status::BlockedCondvar(self.id));
     }
 
-    /// Modelled as [`Condvar::notify_all`]: waking more threads than
-    /// `std` would is indistinguishable from spurious wakeups, which
-    /// are legal at any time, so every real behaviour is preserved.
+    /// Wake one thread blocked on this condvar; with nobody blocked the
+    /// notification is lost, exactly as in `std`. One scheduling step,
+    /// plus — when several threads are blocked — a [`Choice::wake`]
+    /// decision for which of them it is.
     pub fn notify_one(&self) {
         let reg = REGISTRATION.with(|r| r.borrow().clone());
-        let Some((_tid, _inner)) = reg else {
+        let Some((tid, inner)) = reg else {
             self.raw.notify_one();
             return;
         };
-        self.notify_all();
+        yield_point();
+        let mut st = lock(&inner);
+        let blocked = Status::BlockedCondvar(self.id);
+        let waiters: Vec<usize> =
+            (0..st.status.len()).filter(|&t| st.status[t] == blocked).collect();
+        if waiters.len() < 2 || st.free_run {
+            // Nobody or one waiter: nothing to pick. (Once scheduling
+            // has stopped, condvar waiters abort whatever they are
+            // handed, so waking all of them is as good as any pick.)
+            wake_blocked(&mut st, blocked);
+            return;
+        }
+        // Hand the pick to the coordinator and stay parked, mid-step,
+        // until it has recorded one.
+        st.wake_choice = Some((tid, waiters));
+        st.status[tid] = Status::Choosing;
+        inner.cv.notify_one();
+        while st.status[tid] == Status::Choosing && !st.free_run {
+            st = inner.parked[tid].wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+        st.status[tid] = Status::Running;
+    }
+
+    /// How many model threads are blocked in [`Condvar::wait`] on this
+    /// condvar right now (0 outside a model run). Model threads run one
+    /// at a time, so a harness that reads this next to its own state,
+    /// with no scheduling point in between, sees one consistent instant.
+    pub fn blocked_waiters(&self) -> usize {
+        let reg = REGISTRATION.with(|r| r.borrow().clone());
+        let Some((_tid, inner)) = reg else { return 0 };
+        let st = lock(&inner);
+        st.status.iter().filter(|&&s| s == Status::BlockedCondvar(self.id)).count()
     }
 }

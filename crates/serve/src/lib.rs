@@ -9,20 +9,26 @@
 //!                                         │   queries, enqueue job)
 //!                                         ▼
 //!                        admission queue (Mutex<VecDeque> + Condvar)
-//!                                         │
-//!                                         ▼
-//!                       batcher thread: drain *all* pending jobs,
-//!                       group by k, one Engine::knn call per group
-//!                       (the engine fans (query, shard) pairs over
-//!                       its work-stealing pool), split the replies
+//!                               │                     │
+//!                               ▼                     ▼
+//!                          executor 0       …    executor E−1
+//!                   E = max(1, cores / threads) of them; each takes
+//!                   ⌈pending / E⌉ jobs (FIFO), groups them by k, makes
+//!                   one Engine::knn call per group (the engine fans
+//!                   (query, shard) pairs over `threads` workers of its
+//!                   work-stealing pool) and splits the replies
 //! ```
 //!
-//! Batching is pure admission coalescing: queries that happen to be
-//! waiting together ride one [`sapla_index::Engine::knn`] call. Because
-//! per-query kNN answers are independent of which batch they ride in
-//! (the engine merges per query, deterministically), a batched server
-//! is **bit-identical** to the single-process `knn_batch` path — the
-//! loopback tests pin this.
+//! One queue, `E` executors: as many as fit the hardware when every
+//! engine call uses [`ServerConfig::threads`] workers, so engine
+//! concurrency is bounded by the cores, not by the connection count. A
+//! lone request starts at once on an idle executor; cohorts form only
+//! under a backlog, when queries that happen to be waiting together ride
+//! one [`sapla_index::Engine::knn`] call. Because per-query kNN answers
+//! are independent of which cohort they ride in (the engine merges per
+//! query, deterministically), the server is **bit-identical** to the
+//! single-process `knn_batch` path at any `E` — the loopback tests pin
+//! this.
 //!
 //! Reloads swap an `Arc<Engine>` inside an `RwLock`: in-flight queries
 //! keep the `Arc` they started with, so a snapshot reload never drops

@@ -1,6 +1,6 @@
-//! The daemon: accept loop, per-connection threads, admission-batching
-//! queue, and the batcher thread that feeds the engine (crate docs have
-//! the picture).
+//! The daemon: accept loop, per-connection threads, the admission
+//! queue, and the executor threads that drain it into the engine (crate
+//! docs have the picture).
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -26,7 +26,11 @@ const SLOW_LOG_CAP: usize = 32;
 /// [`sapla_index::EngineConfig`] instead).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads per engine call (`0` = all available cores).
+    /// Worker threads per engine call (`0` = all available cores). The
+    /// server runs `max(1, cores / threads)` executors on its admission
+    /// queue, so concurrent engine calls × `threads` never exceeds the
+    /// hardware: `1` serves one cohort per core, `0` (or any value
+    /// above half the cores) one cohort at a time across all of them.
     pub threads: usize,
     /// Per-frame byte cap (defaults to [`wire::MAX_FRAME`]).
     pub max_frame: usize,
@@ -85,6 +89,8 @@ struct Shared {
     streams: Mutex<Vec<TcpStream>>,
     counters: Counters,
     threads: usize,
+    /// Executor threads draining `queue` (see [`executors_for`]).
+    executors: usize,
     max_frame: usize,
     /// `--slow-ms` converted to nanoseconds (`None` = slow log off).
     slow_ns: Option<u64>,
@@ -113,13 +119,13 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
+    executors: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
     /// Bind `addr` (use port `0` for an ephemeral port) and start the
-    /// accept and batcher threads around `engine`.
+    /// accept and executor threads around `engine`.
     ///
     /// # Errors
     ///
@@ -136,22 +142,25 @@ impl Server {
             streams: Mutex::new(Vec::new()),
             counters: Counters::default(),
             threads: cfg.threads,
+            executors: executors_for(sapla_index::max_threads(), cfg.threads),
             max_frame: cfg.max_frame,
             slow_ns: cfg.slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
             slow_log: Mutex::new(VecDeque::new()),
             index_file: cfg.index_file,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || batch_loop(&shared))
-        };
+        let executors = (0..shared.executors)
+            .map(|lane| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || batch_loop(&shared, lane))
+            })
+            .collect();
         let accept = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
             std::thread::spawn(move || accept_loop(&listener, &shared, &conns))
         };
-        Ok(Server { shared, addr: local, accept: Some(accept), batcher: Some(batcher), conns })
+        Ok(Server { shared, addr: local, accept: Some(accept), executors, conns })
     }
 
     /// The bound address (resolves port `0` to the real port).
@@ -168,7 +177,7 @@ impl Server {
     }
 
     /// Request shutdown and wait for every thread to finish. The
-    /// batcher drains already-queued work; open connections are closed
+    /// executors drain already-queued work; open connections are closed
     /// (clients mid-request see the socket drop).
     pub fn stop(mut self) {
         initiate_shutdown(&self.shared, self.addr);
@@ -197,18 +206,28 @@ impl Server {
                 None => break,
             }
         }
-        if let Some(h) = self.batcher.take() {
+        for h in self.executors.drain(..) {
             let _ = h.join();
         }
     }
 }
 
+/// Executors for a host with `cores` hardware threads when every engine
+/// call fans out over `threads` workers (`0` = all cores): as many as
+/// fit, so `executors × threads ≤ cores`, and never fewer than one.
+fn executors_for(cores: usize, threads: usize) -> usize {
+    match threads {
+        0 => 1,
+        t => (cores / t).max(1),
+    }
+}
+
 /// Raise the shutdown flag *while holding the queue lock*, then wake
-/// the batcher. Holding the lock for the store is what makes the
-/// wakeup reliable: the batcher checks the flag and enters its wait
+/// every executor. Holding the lock for the store is what makes the
+/// wakeup reliable: an executor checks the flag and enters its wait
 /// under the same lock, so a store made outside it could land between
-/// that check and the wait — the notify would find no waiter and the
-/// batcher would sleep forever (`Server::stop` hang). The admission
+/// that check and the wait — the notify would find no waiter and that
+/// executor would sleep forever (`Server::stop` hang). The admission
 /// queue model (`crates/audit/tests/model_serve.rs`) reproduces that
 /// lost wakeup against the unlocked variant and verifies this one.
 fn raise_shutdown_flag(shared: &Shared) {
@@ -219,7 +238,7 @@ fn raise_shutdown_flag(shared: &Shared) {
     shared.available.notify_all();
 }
 
-/// Flip the flag, wake the batcher, close every open connection (so
+/// Flip the flag, wake the executors, close every open connection (so
 /// threads blocked in a read exit), and poke the listener so its
 /// blocking `accept` returns.
 fn initiate_shutdown(shared: &Shared, addr: SocketAddr) {
@@ -272,6 +291,7 @@ fn preregister_metrics() {
     sapla_obs::register_hist!("serve.request.ns");
     sapla_obs::register_hist!("serve.batch.jobs");
     sapla_obs::register_hist!("serve.batch.queries");
+    sapla_obs::lane_counter!("serve.batch.queries.executor", 0, 0);
     sapla_obs::register_windowed!("serve.request");
     sapla_obs::register_windowed!("serve.stage.decode");
     sapla_obs::register_windowed!("serve.stage.prepare");
@@ -285,20 +305,21 @@ fn preregister_metrics() {
 
 /// Record one stage interval into the flight recorder *and* that
 /// stage's windowed percentile sketch (macro names must be literals, so
-/// the stage → sketch fanout is spelled out).
-fn record_stage(trace: TraceId, stage: Stage, start_ns: u64, end_ns: u64) {
+/// the stage → sketch fanout is spelled out). `lane` is the executor
+/// that ran the cohort for `execute`, 0 for every other stage.
+fn record_stage(lane: usize, trace: TraceId, stage: Stage, start_ns: u64, end_ns: u64) {
     recorder::stage(trace, stage, start_ns, end_ns);
     let dur = end_ns.saturating_sub(start_ns);
     match stage {
-        Stage::Decode => sapla_obs::windowed!("serve.stage.decode", 0, dur),
-        Stage::Prepare => sapla_obs::windowed!("serve.stage.prepare", 0, dur),
-        Stage::Queue => sapla_obs::windowed!("serve.stage.queue", 0, dur),
-        Stage::Batch => sapla_obs::windowed!("serve.stage.batch", 0, dur),
-        Stage::Execute => sapla_obs::windowed!("serve.stage.execute", 0, dur),
-        Stage::Merge => sapla_obs::windowed!("serve.stage.merge", 0, dur),
-        Stage::Reply => sapla_obs::windowed!("serve.stage.reply", 0, dur),
+        Stage::Decode => sapla_obs::windowed!("serve.stage.decode", lane, dur),
+        Stage::Prepare => sapla_obs::windowed!("serve.stage.prepare", lane, dur),
+        Stage::Queue => sapla_obs::windowed!("serve.stage.queue", lane, dur),
+        Stage::Batch => sapla_obs::windowed!("serve.stage.batch", lane, dur),
+        Stage::Execute => sapla_obs::windowed!("serve.stage.execute", lane, dur),
+        Stage::Merge => sapla_obs::windowed!("serve.stage.merge", lane, dur),
+        Stage::Reply => sapla_obs::windowed!("serve.stage.reply", lane, dur),
     }
-    let _ = dur;
+    let _ = (dur, lane);
 }
 
 /// Record request latency; consumes `started` even when obs is off so
@@ -339,7 +360,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>, local: Option<So
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         sapla_obs::counter!("serve.requests");
         let decoded = wire::decode_request(&payload);
-        record_stage(trace, Stage::Decode, decode_start, sapla_obs::clock::now_ns());
+        record_stage(0, trace, Stage::Decode, decode_start, sapla_obs::clock::now_ns());
         let (response, shutdown_after) = match decoded {
             Ok(req) => {
                 let is_shutdown = matches!(req, Request::Shutdown);
@@ -349,7 +370,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>, local: Option<So
         };
         let reply_start = sapla_obs::clock::now_ns();
         let write_ok = wire::write_frame(&mut stream, &response).is_ok();
-        record_stage(trace, Stage::Reply, reply_start, sapla_obs::clock::now_ns());
+        record_stage(0, trace, Stage::Reply, reply_start, sapla_obs::clock::now_ns());
         let elapsed_ns = recorder::end(trace);
         record_latency(started);
         note_slow(shared, trace, elapsed_ns);
@@ -370,7 +391,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>, local: Option<So
 /// Serve one decoded request; every failure becomes an error response.
 fn handle_request(shared: &Arc<Shared>, req: Request, trace: TraceId) -> Vec<u8> {
     match req {
-        Request::Knn { k, queries } => handle_knn(shared, k, &queries, trace),
+        Request::Knn { k, queries } => handle_knn(shared, k, queries, trace),
         Request::Range { epsilon, query } => handle_range(shared, epsilon, query),
         Request::Stats => wire::ok_text_response(&stats_json(shared)),
         Request::Snapshot => match shared.current_engine().snapshot() {
@@ -387,7 +408,7 @@ fn handle_request(shared: &Arc<Shared>, req: Request, trace: TraceId) -> Vec<u8>
                     &slow_log_copy(shared),
                 ),
                 MetricsFormat::Text => metrics::metrics_text(
-                    &shared.counters.export(),
+                    &server_samples(shared),
                     shared.slow_ns,
                     &slow_log_copy(shared),
                 ),
@@ -402,7 +423,7 @@ fn slow_log_copy(shared: &Shared) -> Vec<TraceDump> {
     lock(&shared.slow_log).iter().cloned().collect()
 }
 
-fn handle_knn(shared: &Arc<Shared>, k: usize, queries: &[Vec<f64>], trace: TraceId) -> Vec<u8> {
+fn handle_knn(shared: &Arc<Shared>, k: usize, queries: Vec<Vec<f64>>, trace: TraceId) -> Vec<u8> {
     if k == 0 {
         return wire::err_response("k must be at least 1");
     }
@@ -412,20 +433,23 @@ fn handle_knn(shared: &Arc<Shared>, k: usize, queries: &[Vec<f64>], trace: Trace
     let prepare_start = sapla_obs::clock::now_ns();
     recorder::set_meta(trace, Meta::K, k as u64);
     let engine = shared.current_engine();
+    // Reduced right here, on one thread: connection threads already
+    // are the parallelism of decode + prepare, and a helper spawned for
+    // a two-query request would only queue behind the cohort workers.
     let raws: sapla_core::Result<Vec<TimeSeries>> =
-        queries.iter().map(|q| TimeSeries::new(q.clone())).collect();
-    let prepared = match raws.and_then(|r| engine.prepare(&r, shared.threads)) {
+        queries.into_iter().map(TimeSeries::new).collect();
+    let prepared = match raws.and_then(|r| engine.prepare(&r, 1)) {
         Ok(p) => p,
         Err(e) => return wire::err_response(&e.to_string()),
     };
-    record_stage(trace, Stage::Prepare, prepare_start, sapla_obs::clock::now_ns());
-    // Hand the prepared queries to the batcher and block on the reply.
+    record_stage(0, trace, Stage::Prepare, prepare_start, sapla_obs::clock::now_ns());
+    // Hand the prepared queries to an executor and block on the reply.
     // Queries only depend on the reducer and `m`, both invariant across
     // reloads, so they stay valid whichever engine generation answers.
     let (tx, rx) = mpsc::channel();
     let enqueued_ns = sapla_obs::clock::now_ns();
     {
-        // The flag is checked under the queue lock: the batcher only
+        // The flag is checked under the queue lock: an executor only
         // exits once the flag is up *and* the queue is empty (also
         // under the lock), so a job admitted here is guaranteed an
         // answer — no request can strand in `recv` below.
@@ -506,18 +530,18 @@ fn handle_reload(shared: &Arc<Shared>, blob: Vec<u8>) -> Vec<u8> {
     }
 }
 
-impl Counters {
-    /// Name/value pairs for the text exposition.
-    fn export(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("requests", self.requests.load(Ordering::Relaxed)),
-            ("batches", self.batches.load(Ordering::Relaxed)),
-            ("batched_queries", self.batched_queries.load(Ordering::Relaxed)),
-            ("max_batch_queries", self.max_batch_queries.load(Ordering::Relaxed)),
-            ("reloads", self.reloads.load(Ordering::Relaxed)),
-            ("generation", self.generation.load(Ordering::Relaxed)),
-        ]
-    }
+/// Name/value pairs for the text exposition.
+fn server_samples(shared: &Shared) -> Vec<(&'static str, u64)> {
+    let c = &shared.counters;
+    vec![
+        ("executors", shared.executors as u64),
+        ("requests", c.requests.load(Ordering::Relaxed)),
+        ("batches", c.batches.load(Ordering::Relaxed)),
+        ("batched_queries", c.batched_queries.load(Ordering::Relaxed)),
+        ("max_batch_queries", c.max_batch_queries.load(Ordering::Relaxed)),
+        ("reloads", c.reloads.load(Ordering::Relaxed)),
+        ("generation", c.generation.load(Ordering::Relaxed)),
+    ]
 }
 
 /// The `"server"` JSON object shared by `stats` and `OP_METRICS`.
@@ -527,13 +551,15 @@ fn server_section(shared: &Shared) -> String {
     format!(
         concat!(
             "{{\"tree\": \"{}\", \"method\": \"{}\", \"indexed\": {}, ",
-            "\"shards\": {}, \"generation\": {}, \"requests\": {}, \"batches\": {}, ",
-            "\"batched_queries\": {}, \"max_batch_queries\": {}, \"reloads\": {}}}"
+            "\"shards\": {}, \"executors\": {}, \"generation\": {}, \"requests\": {}, ",
+            "\"batches\": {}, \"batched_queries\": {}, \"max_batch_queries\": {}, ",
+            "\"reloads\": {}}}"
         ),
         engine.config().tree.name(),
         engine.method(),
         engine.len(),
         engine.shard_count(),
+        shared.executors,
         c.generation.load(Ordering::Relaxed),
         c.requests.load(Ordering::Relaxed),
         c.batches.load(Ordering::Relaxed),
@@ -551,17 +577,24 @@ fn stats_json(shared: &Shared) -> String {
     )
 }
 
-/// Drain every waiting job in one gulp, group by `k`, and answer each
-/// group with a single engine call: admission batching. Exits when the
+/// One executor: take a fair share of the waiting jobs — `⌈len / E⌉`,
+/// FIFO — and answer them with one engine call per `k`. A lone request
+/// starts at once on whichever executor is idle; under a backlog every
+/// executor leaves with a cohort (admission batching). An executor that
+/// leaves jobs behind passes the baton with a `notify_one`, so they
+/// never sit queued while another executor sleeps on the strength of a
+/// connection thread's notify that has yet to run. Exits when the
 /// shutdown flag is up *and* the queue is empty, so queries accepted
 /// before shutdown still get answers.
-fn batch_loop(shared: &Arc<Shared>) {
+fn batch_loop(shared: &Arc<Shared>, lane: usize) {
     loop {
-        let jobs: Vec<Job> = {
+        let (jobs, left_some): (Vec<Job>, bool) = {
             let mut queue = lock(&shared.queue);
             loop {
                 if !queue.is_empty() {
-                    break queue.drain(..).collect();
+                    let share = queue.len().div_ceil(shared.executors);
+                    let jobs = queue.drain(..share).collect();
+                    break (jobs, !queue.is_empty());
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
@@ -569,11 +602,14 @@ fn batch_loop(shared: &Arc<Shared>) {
                 queue = shared.available.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        run_batch(shared, jobs);
+        if left_some {
+            shared.available.notify_one();
+        }
+        run_batch(shared, jobs, lane);
     }
 }
 
-fn run_batch(shared: &Arc<Shared>, mut jobs: Vec<Job>) {
+fn run_batch(shared: &Arc<Shared>, mut jobs: Vec<Job>, lane: usize) {
     let total_queries: usize = jobs.iter().map(|j| j.queries.len()).sum();
     let c = &shared.counters;
     c.batches.fetch_add(1, Ordering::Relaxed);
@@ -581,12 +617,13 @@ fn run_batch(shared: &Arc<Shared>, mut jobs: Vec<Job>) {
     c.max_batch_queries.fetch_max(total_queries as u64, Ordering::Relaxed);
     sapla_obs::hist!("serve.batch.jobs", jobs.len() as u64);
     sapla_obs::hist!("serve.batch.queries", total_queries as u64);
+    sapla_obs::lane_counter!("serve.batch.queries.executor", lane, total_queries as u64);
     let engine = shared.current_engine();
 
     // Queue wait ends for every drained job at this moment.
     let drained_ns = sapla_obs::clock::now_ns();
     for job in &jobs {
-        record_stage(job.trace, Stage::Queue, job.enqueued_ns, drained_ns);
+        record_stage(0, job.trace, Stage::Queue, job.enqueued_ns, drained_ns);
         recorder::set_meta(job.trace, Meta::BatchJobs, jobs.len() as u64);
         recorder::set_meta(job.trace, Meta::BatchQueries, total_queries as u64);
     }
@@ -612,13 +649,13 @@ fn run_batch(shared: &Arc<Shared>, mut jobs: Vec<Job>) {
         // every rider shares the cohort's execute interval.
         let exec_start = sapla_obs::clock::now_ns();
         for &trace in &traces {
-            record_stage(trace, Stage::Batch, drained_ns, exec_start);
+            record_stage(0, trace, Stage::Batch, drained_ns, exec_start);
             recorder::set_meta(trace, Meta::CohortQueries, all.len() as u64);
         }
         let answer = engine.knn(&all, k, shared.threads);
         let exec_end = sapla_obs::clock::now_ns();
         for &trace in &traces {
-            record_stage(trace, Stage::Execute, exec_start, exec_end);
+            record_stage(lane, trace, Stage::Execute, exec_start, exec_end);
         }
         match answer {
             Ok((mut per_query, batch)) => {
@@ -630,7 +667,7 @@ fn run_batch(shared: &Arc<Shared>, mut jobs: Vec<Job>) {
                     // Stamp the merge before the send: the connection
                     // thread wakes on the send and starts its reply
                     // stage, which must not overlap this one.
-                    record_stage(trace, Stage::Merge, exec_end, sapla_obs::clock::now_ns());
+                    record_stage(0, trace, Stage::Merge, exec_end, sapla_obs::clock::now_ns());
                     // A dead receiver just means the client hung up.
                     let _ = reply.send(Ok((chunk, batch)));
                 }
@@ -641,6 +678,33 @@ fn run_batch(shared: &Arc<Shared>, mut jobs: Vec<Job>) {
                     let _ = reply.send(Err(msg.clone()));
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::executors_for;
+
+    #[test]
+    fn executors_fill_the_cores_without_oversubscribing_them() {
+        for (cores, threads, want) in [
+            (1, 1, 1),
+            (2, 1, 2),
+            (2, 2, 1),
+            (2, 0, 1),
+            (8, 3, 2),
+            (4, 16, 1),
+            (8, 1, 8),
+            (1, 0, 1),
+        ] {
+            let e = executors_for(cores, threads);
+            assert_eq!(e, want, "executors_for({cores}, {threads})");
+            let per_call = if threads == 0 { cores } else { threads };
+            assert!(
+                e == 1 || e * per_call <= cores,
+                "{e} executors × {per_call} threads > {cores}"
+            );
         }
     }
 }

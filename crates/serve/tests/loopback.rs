@@ -2,43 +2,21 @@
 //! `127.0.0.1:0`, real client connections, concurrent load.
 //!
 //! The load-bearing property is pinned in
-//! [`concurrent_clients_get_bit_identical_answers`]: whatever admission
-//! batches the server happens to coalesce under concurrency, every
-//! query's answer is bit-identical to the single-process
-//! `Engine::knn` (= `knn_batch`) path.
+//! [`concurrent_clients_get_bit_identical_answers`] and
+//! [`every_executor_serves_bit_identical_answers`]: whatever cohorts the
+//! server happens to form under concurrency, on however many executors
+//! the host gives it, every query's answer is bit-identical to the
+//! single-process `Engine::knn` (= `knn_batch`) path.
+
+mod common;
 
 use std::sync::Arc;
 
-use sapla_baselines::SaplaReducer;
+use common::{build_engine, dataset, query_samples, samples, LEN};
 use sapla_core::codec::decode_collection;
 use sapla_core::TimeSeries;
-use sapla_index::{Engine, EngineConfig, SearchStats, TreeKind};
+use sapla_index::{Engine, SearchStats, TreeKind};
 use sapla_serve::{Client, MetricsFormat, Server, ServerConfig};
-
-const LEN: usize = 64;
-
-fn samples(i: usize) -> Vec<f64> {
-    (0..LEN)
-        .map(|t| {
-            ((t + i * 13) as f64 * 0.19).sin() * (1.0 + (i % 4) as f64 * 0.3)
-                + (i as f64 * 0.37).cos() * 0.4
-        })
-        .collect()
-}
-
-fn dataset(n: usize) -> Vec<TimeSeries> {
-    (0..n).map(|i| TimeSeries::new(samples(i)).unwrap().znormalized()).collect()
-}
-
-/// Raw query vectors, already z-normalized to match the dataset.
-fn query_samples(n: usize) -> Vec<Vec<f64>> {
-    dataset(n).iter().map(|s| s.values().to_vec()).collect()
-}
-
-fn build_engine(raws: &[TimeSeries], shards: usize, tree: TreeKind) -> Engine {
-    let cfg = EngineConfig { shards, tree, ..EngineConfig::default() };
-    Engine::build(cfg, Box::new(SaplaReducer::new()), raws.to_vec(), 2).unwrap()
-}
 
 /// Local ground truth through the same engine code path the server
 /// batches into.
@@ -62,6 +40,20 @@ fn assert_matches_local(got: &sapla_serve::KnnResponse, want: &[SearchStats], co
         assert_eq!(got_hits, want_hits, "{context}: query {qi} differs from the local engine");
         assert_eq!(g.measured, w.measured as u64, "{context}: query {qi} measured");
     }
+}
+
+/// One engine call per core: `threads = 1` makes the server start as
+/// many executors as the host has hardware threads (`threads = 0`, the
+/// default the other tests use, always means one executor).
+fn one_thread_per_call() -> ServerConfig {
+    ServerConfig { threads: 1, ..ServerConfig::default() }
+}
+
+/// A numeric field of the `"server"` object of a stats document.
+fn server_field(stats: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let rest = stats.split(&key).nth(1).unwrap_or_else(|| panic!("no server.{name} in {stats}"));
+    rest.chars().take_while(char::is_ascii_digit).collect::<String>().parse().unwrap()
 }
 
 #[test]
@@ -109,7 +101,7 @@ fn sharded_server_agrees_with_a_local_sharded_engine() {
 
 /// ≥2 concurrent connections hammer the daemon; coalesced or not, every
 /// reply must be bit-identical to the local engine. Mixed `k` values
-/// exercise the batcher's group-by-k splitting.
+/// exercise the group-by-k splitting of a cohort.
 #[test]
 fn concurrent_clients_get_bit_identical_answers() {
     let raws = dataset(64);
@@ -163,6 +155,157 @@ fn concurrent_clients_get_bit_identical_answers() {
         {
             assert!(stats.contains(name), "obs snapshot should name {name}: {stats}");
         }
+    }
+    server.stop();
+}
+
+/// The server at full width: `threads = 1`, so it runs one executor per
+/// core of whatever host this is (one under `taskset -c 0`, which CI
+/// also runs). Four connections × many small requests keep every
+/// executor busy with cohorts of varying size; every reply must equal
+/// the local engine's, and the cohort counters must add up to exactly
+/// the queries answered.
+#[test]
+fn every_executor_serves_bit_identical_answers() {
+    let raws = dataset(96);
+    let reference = Arc::new(build_engine(&raws, 1, TreeKind::Dbch));
+    let server =
+        Server::start(build_engine(&raws, 1, TreeKind::Dbch), "127.0.0.1:0", one_thread_per_call())
+            .unwrap();
+    let addr = server.addr();
+
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 40;
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|ci| {
+            let reference = Arc::clone(&reference);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut sent = 0;
+                for round in 0..ROUNDS {
+                    let k = 2 + (ci + round) % 3;
+                    let queries: Vec<Vec<f64>> = (0..1 + (ci + round) % 2)
+                        .map(|j| samples(200 + ci * 53 + round * 11 + j))
+                        .collect();
+                    let want = local_answers(&reference, &queries, k);
+                    let got = client.knn(&queries, k).unwrap();
+                    assert_matches_local(&got, &want, &format!("client {ci} round {round}"));
+                    sent += queries.len();
+                }
+                sent
+            })
+        })
+        .collect();
+    let total_queries: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+
+    let mut client = Client::connect(addr).unwrap();
+    let stats = client.stats().unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let executors = server_field(&stats, "executors");
+    // CI greps this line: an unrestricted run on a multi-core runner
+    // must not fall back to one executor.
+    eprintln!("executors: {executors}");
+    assert_eq!(executors, cores as u64, "threads = 1 ⇒ one executor per core: {stats}");
+    let (batches, batched, largest) = (
+        server_field(&stats, "batches"),
+        server_field(&stats, "batched_queries"),
+        server_field(&stats, "max_batch_queries"),
+    );
+    assert_eq!(batched, total_queries as u64, "Σ cohort queries = queries answered: {stats}");
+    assert!(
+        (1..=(CLIENTS * ROUNDS) as u64).contains(&batches),
+        "a batch holds at least one request: {stats}"
+    );
+    assert!(
+        largest * batches >= batched && largest <= batched,
+        "the largest batch bounds the mean: {stats}"
+    );
+    if sapla_obs::enabled() {
+        // The registry is process-wide (other tests add to it), so the
+        // per-executor lanes can only be bounded from below.
+        let snap = sapla_obs::Snapshot::capture();
+        let lanes = snap.lanes.iter().find(|(n, _)| n == "serve.batch.queries.executor");
+        let per_executor = &lanes.expect("per-executor cohort lanes are registered").1;
+        assert!(per_executor.iter().sum::<u64>() >= batched, "{per_executor:?} vs {stats}");
+        let executed: u64 =
+            snap.windows.iter().filter(|w| w.name == "serve.stage.execute").map(|w| w.count).sum();
+        assert!(executed >= (CLIENTS * ROUNDS) as u64, "every request has an execute stage");
+    }
+    server.stop();
+}
+
+/// A reload swapped in while the executors are mid-cohort: every reply
+/// comes from one generation as a whole — the one its cohort started
+/// on — and a connection that has seen the new generation never sees
+/// the old one again.
+#[test]
+fn a_reload_under_load_leaves_every_cohort_on_one_generation() {
+    let raws = dataset(160);
+    let old = &raws[..90];
+    let snapshot = sapla_core::temp::TempPath::new("sapla-serve-midcohort", ".snap");
+    let path = snapshot.path().to_path_buf();
+    build_engine(&raws, 1, TreeKind::Dbch).write_snapshot_file(&path, None).unwrap();
+    let cfg = ServerConfig { index_file: Some(path), ..one_thread_per_call() };
+    let server = Server::start(build_engine(old, 1, TreeKind::Dbch), "127.0.0.1:0", cfg).unwrap();
+    let addr = server.addr();
+
+    // Sixteen queries a request: long enough to be in flight when the
+    // swap lands. The two memberships answer them differently.
+    let queries: Vec<Vec<f64>> = (0..16).map(|j| samples(300 + j * 7)).collect();
+    let want_old = local_answers(&build_engine(old, 1, TreeKind::Dbch), &queries, 4);
+    let want_new = local_answers(&build_engine(&raws, 1, TreeKind::Dbch), &queries, 4);
+    let as_served = |want: &[SearchStats]| -> Vec<sapla_serve::KnnResult> {
+        want.iter()
+            .map(|w| sapla_serve::KnnResult {
+                hits: w.retrieved.iter().map(|&id| id as u64).zip(w.distances.clone()).collect(),
+                measured: w.measured as u64,
+            })
+            .collect()
+    };
+    let (want_old, want_new) = (as_served(&want_old), as_served(&want_new));
+    assert_ne!(want_old, want_new, "the generations must be distinguishable");
+
+    let (first_reply_tx, first_reply_rx) = std::sync::mpsc::channel();
+    let clients: Vec<_> = (0..2)
+        .map(|ci| {
+            let (queries, want_old, want_new) =
+                (queries.clone(), want_old.clone(), want_new.clone());
+            let first_reply = first_reply_tx.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                // Keep asking until the new generation answers, then a
+                // few rounds more (it must not flip back).
+                let mut rounds_on_new = 0;
+                for round in 0..100_000 {
+                    let got = client.knn(&queries, 4).unwrap().per_query;
+                    if round == 0 {
+                        first_reply.send(()).unwrap();
+                    }
+                    if got == want_new {
+                        rounds_on_new += 1;
+                        if rounds_on_new == 8 {
+                            break;
+                        }
+                    } else {
+                        assert_eq!(got, want_old, "client {ci} round {round}: a mixed reply");
+                        assert_eq!(rounds_on_new, 0, "client {ci} round {round}: old generation");
+                    }
+                }
+                rounds_on_new
+            })
+        })
+        .collect();
+    // Swap once both connections are in their request loops: from their
+    // first replies on there is always a cohort queued or in flight.
+    let mut control = Client::connect(addr).unwrap();
+    first_reply_rx.recv().unwrap();
+    first_reply_rx.recv().unwrap();
+    assert_eq!(control.reload(&[]).unwrap(), raws.len() as u64);
+    // Whatever was in flight, a request sent after the reload returned
+    // is answered by the new generation.
+    assert_eq!(control.knn(&queries, 4).unwrap().per_query, want_new);
+    for c in clients {
+        assert_eq!(c.join().unwrap(), 8, "both connections end on the new generation");
     }
     server.stop();
 }
@@ -333,7 +476,7 @@ fn wire_shutdown_drains_and_stops_the_server() {
     client.knn(&queries, 2).unwrap();
     client.shutdown().unwrap();
     // join() returns only once the accept loop, connection threads, and
-    // batcher have all wound down.
+    // executors have all wound down.
     server.join();
     assert!(
         Client::connect(addr).is_err() || {
@@ -377,6 +520,9 @@ fn metrics_exposition_parses_in_both_formats() {
         "server counters as samples:\n{text}"
     );
     assert!(text.contains("sapla_slow_log_size 0"), "slow log off => empty:\n{text}");
+    // `threads = 0` ⇒ one executor, in both formats.
+    assert!(json.contains("\"executors\": 1"), "executor count in the server section:\n{json}");
+    assert!(text.contains("sapla_server{name=\"executors\"} 1"), "and as a sample:\n{text}");
 
     if sapla_obs::enabled() {
         // Stage rows surface over the wire (pre-registered, and the kNN
@@ -422,56 +568,14 @@ fn metrics_surface_preregistered_stage_rows_before_traffic() {
             let name = format!("serve.stage.{stage}");
             assert!(json.contains(&name), "idle metrics must name {name}:\n{json}");
         }
-        for name in ["serve.request.ns", "serve.batch.jobs", "engine.shard.knn.ns"] {
+        for name in [
+            "serve.request.ns",
+            "serve.batch.jobs",
+            "serve.batch.queries.executor",
+            "engine.shard.knn.ns",
+        ] {
             assert!(json.contains(name), "idle metrics must name {name}:\n{json}");
         }
-    }
-    server.stop();
-}
-
-#[test]
-fn traces_decompose_end_to_end_latency_into_stages() {
-    if !sapla_obs::enabled() {
-        return; // the recorder compiles away without obs
-    }
-    let raws = dataset(40);
-    let queries = query_samples(3);
-    let server = Server::start(
-        build_engine(&raws, 2, TreeKind::Dbch),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    // k = 6 is unique to this test, so its traces are identifiable even
-    // with other loopback tests hammering the shared recorder ring.
-    client.knn(&queries, 6).unwrap();
-
-    let k_idx = sapla_obs::recorder::Meta::K as usize;
-    let traces: Vec<_> = sapla_obs::recorder::recent(sapla_obs::recorder::TRACE_CAPACITY)
-        .into_iter()
-        .filter(|d| d.meta[k_idx] == 6)
-        .collect();
-    assert!(!traces.is_empty(), "the k=6 request must have left a trace");
-    for d in &traces {
-        let names: Vec<&str> = d.stages.iter().map(|&(n, _, _)| n).collect();
-        for stage in ["decode", "prepare", "queue", "batch", "execute", "merge", "reply"] {
-            assert!(names.contains(&stage), "trace {d:?} is missing stage {stage}");
-        }
-        assert!(d.total_ns > 0, "completed trace has an end stamp: {d:?}");
-        assert!(
-            d.stage_sum_ns() <= d.total_ns,
-            "stages are disjoint sub-intervals, so their sum is bounded by \
-             the end-to-end latency: {d:?}"
-        );
-        let nq = d.meta[sapla_obs::recorder::Meta::BatchQueries as usize];
-        assert!(nq >= queries.len() as u64, "the batch carried at least our queries: {d:?}");
-    }
-
-    // The same decomposition is retrievable over the wire.
-    let json = client.metrics(MetricsFormat::Json).unwrap();
-    for stage in ["\"decode\"", "\"queue\"", "\"execute\"", "\"reply\""] {
-        assert!(json.contains(stage), "wire metrics must carry stage names:\n{json}");
     }
     server.stop();
 }
@@ -548,31 +652,68 @@ fn malformed_metrics_frames_get_error_responses() {
 }
 
 /// Regression: `Server::stop` must terminate even when shutdown races
-/// the batcher's check-then-wait entry. The pre-fix `initiate_shutdown`
+/// an executor's check-then-wait entry. The pre-fix `initiate_shutdown`
 /// stored the shutdown flag *outside* the queue lock, so its notify
-/// could land between the batcher's flag check and its wait — nobody
-/// was waiting yet, the wakeup was lost, and `stop()` hung joining the
-/// batcher. The admission-queue model in
-/// `crates/audit/tests/model_serve.rs` reproduces that lost wakeup
-/// deterministically; this test guards the wiring under real threads,
-/// where an immediate stop lands close to the batcher's wait entry.
+/// could land between an executor's flag check and its wait — nobody
+/// was waiting yet, the wakeup was lost, and `stop()` hung joining it.
+/// The admission-queue model in `crates/audit/tests/model_serve.rs`
+/// reproduces that lost wakeup deterministically; this test guards the
+/// wiring under real threads, on every executor the host gives: half
+/// the iterations stop at once (close to the executors' wait entry),
+/// the other half stop with three connections in their request loops,
+/// so jobs are queued and in flight on more than one executor when the
+/// flag goes up. `stop()` joins the connection threads, and a connection thread
+/// returns only once its accepted job was answered — so `stop()`
+/// returning is every accepted job answered. A reply that does arrive
+/// must be the right one.
 #[test]
-fn stop_terminates_promptly_even_when_racing_the_batcher() {
+fn stop_terminates_promptly_even_when_racing_the_executors() {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let raws = dataset(8);
-        for _ in 0..50 {
+        let raws = dataset(48);
+        let queries: Vec<Vec<f64>> = (0..4).map(|j| samples(400 + j)).collect();
+        let want = local_answers(&build_engine(&raws, 1, TreeKind::Dbch), &queries, 3);
+        let mut answered = 0usize;
+        for i in 0..50 {
             let server = Server::start(
                 build_engine(&raws, 1, TreeKind::Dbch),
                 "127.0.0.1:0",
-                ServerConfig::default(),
+                one_thread_per_call(),
             )
             .unwrap();
+            let addr = server.addr();
+            // Odd iterations: three connections, each past its first
+            // reply and asking again, when the flag goes up.
+            let (first_reply_tx, first_reply_rx) = std::sync::mpsc::channel();
+            let clients: Vec<_> = (0..if i % 2 == 0 { 0 } else { 3 })
+                .map(|_| {
+                    let (queries, want) = (queries.clone(), want.clone());
+                    let first_reply = first_reply_tx.clone();
+                    std::thread::spawn(move || {
+                        let mut client = Client::connect(addr).unwrap();
+                        let mut answered = 0;
+                        // Until the server refuses or the socket drops.
+                        while let Ok(got) = client.knn(&queries, 3) {
+                            assert_matches_local(&got, &want, "reply racing shutdown");
+                            if answered == 0 {
+                                first_reply.send(()).unwrap();
+                            }
+                            answered += 1;
+                        }
+                        answered
+                    })
+                })
+                .collect();
+            for _ in &clients {
+                first_reply_rx.recv().unwrap();
+            }
             server.stop();
+            answered += clients.into_iter().map(|c| c.join().unwrap()).sum::<usize>();
         }
-        let _ = done_tx.send(());
+        let _ = done_tx.send(answered);
     });
-    done_rx
+    let answered = done_rx
         .recv_timeout(std::time::Duration::from_secs(120))
-        .expect("Server::stop hung: a shutdown wakeup was lost");
+        .expect("Server::stop hung: a shutdown wakeup was lost or a job was stranded");
+    assert!(answered >= 25 * 3, "every connection was answered before its shutdown");
 }

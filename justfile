@@ -20,10 +20,11 @@ audit:
     cargo test -q -p sapla-distance --features strict-invariants
     cargo test -q -p sapla-index --features strict-invariants
 
-# Condvar-aware model check of the sapla-serve admission queue:
-# exhaustive enumeration with pinned schedule counts, the lost-wakeup
-# and if-wait canaries, and the seeded randomized long-run (tune with
-# SAPLA_AUDIT_RANDOM_RUNS / SAPLA_AUDIT_SEED without recompiling).
+# Condvar-aware model check of the sapla-serve admission queue at one
+# and two executors: exhaustive enumeration with pinned schedule counts,
+# the lost-wakeup, wake-one-shutdown, no-baton and if-wait canaries, and
+# the seeded randomized long-run (tune with SAPLA_AUDIT_RANDOM_RUNS /
+# SAPLA_AUDIT_SEED without recompiling).
 audit-model-serve:
     cargo test -q -p sapla-audit --test model_serve
 
@@ -45,9 +46,15 @@ obs:
 # Daemon smoke: the wire/loopback suite of sapla-serve in every feature
 # state (stock, instrumented, strict), plus the end-to-end `sapla serve`
 # subprocess test. The obs run is what checks the `stats` wire command
-# reports non-zero batching and pruning counters.
+# reports non-zero batching and pruning counters. The stock suite runs
+# twice: pinned to one CPU (one executor — the path every 1-CPU host
+# takes) and unrestricted, where a host with two or more cores must
+# report two or more executors.
 serve-smoke:
+    cargo test -q -p sapla-serve --no-run
+    taskset -c 0 cargo test -q -p sapla-serve
     cargo test -q -p sapla-serve
+    test "$(nproc)" -lt 2 || cargo test -q -p sapla-serve --test loopback every_executor -- --nocapture 2>&1 | grep -Eq '^executors: ([2-9]|[1-9][0-9]+)$'
     cargo test -q -p sapla-serve --features obs
     cargo test -q -p sapla-serve --features strict-invariants
     cargo test -q -p sapla-cli --test cli serve
