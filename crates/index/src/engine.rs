@@ -4,8 +4,10 @@
 //!
 //! The engine owns everything a query needs: the indexing [`Scheme`],
 //! the [`Reducer`] that turns raw series into queries, the raw series
-//! (for exact refinement; one flat leaf-ordered [`RawArena`] per shard),
-//! and one or more index shards. Callers hand
+//! (for exact refinement; one flat leaf-ordered [`RawArena`] per shard —
+//! its own allocation in a built engine, a view of the retained file
+//! image in one loaded by [`Engine::from_snapshot_file`]), and one or
+//! more index shards. Callers hand
 //! it raw query series (or pre-built [`Query`]s) and get back the same
 //! `(Vec<SearchStats>, BatchStats)` that [`crate::knn_batch`] produces.
 //!
@@ -123,7 +125,8 @@ impl ShardIndex {
         }
     }
 
-    fn leaf_walk(&self) -> Vec<usize> {
+    /// Entry ids in the order the shard's [`RawArena`] stores them.
+    pub(crate) fn leaf_walk(&self) -> Vec<usize> {
         match self {
             ShardIndex::Dbch(t) => t.leaf_walk(),
             ShardIndex::Rtree(t) => t.leaf_walk(),
@@ -141,10 +144,7 @@ pub(crate) struct Shard {
 impl Shard {
     /// Pair a built tree with its raw series: `raw_of(local id)` is
     /// copied once, into leaf-walk order.
-    pub(crate) fn new<'a>(
-        index: ShardIndex,
-        raw_of: impl Fn(usize) -> Result<&'a [f64]>,
-    ) -> Result<Shard> {
+    fn new<'a>(index: ShardIndex, raw_of: impl Fn(usize) -> &'a [f64]) -> Result<Shard> {
         let raws = RawArena::gather(&index.leaf_walk(), raw_of)?;
         Ok(Shard { index, raws })
     }
@@ -156,16 +156,18 @@ impl Shard {
         scheme: &dyn Scheme,
         scratch: &mut KnnScratch,
     ) -> Result<Vec<SearchStats>> {
+        let raws = self.raws.view();
         match &self.index {
-            ShardIndex::Dbch(t) => knn_query_major(t, queries, k, scheme, &self.raws, scratch),
-            ShardIndex::Rtree(t) => knn_query_major(t, queries, k, scheme, &self.raws, scratch),
+            ShardIndex::Dbch(t) => knn_query_major(t, queries, k, scheme, &raws, scratch),
+            ShardIndex::Rtree(t) => knn_query_major(t, queries, k, scheme, &raws, scratch),
         }
     }
 
     fn range(&self, q: &Query, epsilon: f64, scheme: &dyn Scheme) -> Result<SearchStats> {
+        let raws = self.raws.view();
         match &self.index {
-            ShardIndex::Dbch(t) => range_search(t, q, epsilon, scheme, &self.raws),
-            ShardIndex::Rtree(t) => range_search(t, q, epsilon, scheme, &self.raws),
+            ShardIndex::Dbch(t) => range_search(t, q, epsilon, scheme, &raws),
+            ShardIndex::Rtree(t) => range_search(t, q, epsilon, scheme, &raws),
         }
     }
 }
@@ -282,7 +284,7 @@ impl Engine {
                     cfg.max_fill,
                 )?),
             };
-            shards.push(Shard::new(index, |local| Ok(raw_of(local * n_shards + si)))?);
+            shards.push(Shard::new(index, |local| raw_of(local * n_shards + si))?);
         }
         Ok(Engine { cfg, scheme, reducer, shards, total, lb_slack })
     }
@@ -466,13 +468,13 @@ impl Engine {
         if reps.len() != self.total {
             return Err(Error::LengthMismatch { left: reps.len(), right: self.total });
         }
-        let n_shards = self.shards.len();
+        let raws: Vec<_> = self.shards.iter().map(|shard| shard.raws.view()).collect();
         Self::assemble(
             self.cfg,
             Arc::clone(&self.scheme),
             Arc::clone(&self.reducer),
             reps,
-            |g| self.shards[g % n_shards].raws.raw(g / n_shards),
+            |g| raws[g % raws.len()].raw(g / raws.len()),
             self.lb_slack,
         )
     }
@@ -546,12 +548,12 @@ impl Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parallel::{ingest_parallel, knn_batch};
     use sapla_baselines::SaplaReducer;
 
-    fn dataset(n_series: usize, len: usize) -> Vec<TimeSeries> {
+    pub(crate) fn dataset(n_series: usize, len: usize) -> Vec<TimeSeries> {
         (0..n_series)
             .map(|i| {
                 TimeSeries::new(
@@ -568,7 +570,7 @@ mod tests {
             .collect()
     }
 
-    fn engine_with(shards: usize, tree: TreeKind, raws: &[TimeSeries]) -> Engine {
+    pub(crate) fn engine_with(shards: usize, tree: TreeKind, raws: &[TimeSeries]) -> Engine {
         let cfg = EngineConfig { shards, tree, ..EngineConfig::default() };
         Engine::build(cfg, Box::new(SaplaReducer::new()), raws.to_vec(), 2).unwrap()
     }

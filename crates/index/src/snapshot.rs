@@ -9,9 +9,22 @@
 //! `from_raw_parts` structural validation — no reduction, no O(n log n)
 //! insertion build. The engine's in-memory search layout is the file's
 //! (DESIGN.md §"Search arenas"): the coefficient arenas fill the tree's
-//! id-ordered `RepArena` in one pass, and [`K_RAW_DATA`] is copied
-//! straight into the shard's leaf-ordered `RawArena` — one allocation
-//! per shard, no per-series `TimeSeries`.
+//! id-ordered `RepArena` in one pass, and [`K_RAW_DATA`] *is* the
+//! shard's leaf-ordered `RawArena` buffer, byte for byte.
+//!
+//! # Who owns the image
+//!
+//! [`Engine::from_snapshot_file`] reads the file once into a
+//! [`SnapshotBytes`], keeps it behind an `Arc`, and every shard's
+//! `RawArena` borrows its samples from it: the raw series — 88–99% of a
+//! file — are never copied, and the loaded engine retains the whole
+//! image (the raw arenas plus the 1–14% of representation and tree
+//! arenas it has already materialised) until it is dropped.
+//! [`Engine::from_snapshot_image`] takes a `&[u8]` it cannot retain, so
+//! it copies each raw arena once, in bulk, into an allocation the arena
+//! owns. Both run the same checks: the whole-file checksum before any
+//! arena is read, the adopted tree's leaf walk a permutation of the
+//! entry ids, every raw sample finite.
 //!
 //! # Arena schema (consumer side of the container)
 //!
@@ -19,8 +32,8 @@
 //!
 //! | kind | element | contents |
 //! |------|---------|----------|
-//! | [`K_RAW_DATA`] | `f64` | raw samples, series-concatenated |
-//! | [`K_RAW_LENS`] | `u64` | raw length per local series |
+//! | [`K_RAW_DATA`] | `f64` | raw samples, series-concatenated in the tree's leaf-walk (slot) order |
+//! | [`K_RAW_LENS`] | `u64` | raw length per series (all equal: the arena's stride) |
 //! | [`K_REP_SPANS`] | `u64` | segment count per representation |
 //! | [`K_REP_SLOPES`] / [`K_REP_INTERCEPTS`] | `f64` | exact SoA coefficients |
 //! | [`K_REP_ENDPOINTS`] | `u64` | exact inclusive right endpoints |
@@ -61,6 +74,7 @@
 //! Node hull volumes are recomputed over the dequantized reps at write
 //! time so the stored tree is self-consistent.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -72,7 +86,7 @@ use sapla_store::{
     put_f64s, put_i32s, put_u32s, put_u64s, view, ArenaWriter, SnapshotBytes, SnapshotView,
 };
 
-use crate::arena::RawSource;
+use crate::arena::RawArena;
 use crate::dbch::{DbchTree, NodeDistRule, RawDbchNode};
 use crate::engine::{Engine, EngineConfig, Shard, ShardIndex, TreeKind};
 use crate::rtree::{RTree, RawRtreeNode};
@@ -80,9 +94,10 @@ use crate::scheme::{scheme_for, Scheme};
 
 /// Global engine metadata (method, config, quantization step).
 pub(crate) const K_META: u32 = 1;
-/// Raw samples, `f64`, series-concatenated in local-id order.
+/// Raw samples, `f64`, series-concatenated in the order of the shard
+/// tree's leaf walk — the shard's `RawArena` buffer verbatim.
 pub(crate) const K_RAW_DATA: u32 = 10;
-/// Raw series lengths, `u64`, one per local id.
+/// Raw series lengths, `u64`, one per series (all equal).
 pub(crate) const K_RAW_LENS: u32 = 11;
 /// Exact SoA slopes, `f64`, segment-concatenated.
 pub(crate) const K_REP_SLOPES: u32 = 20;
@@ -331,25 +346,24 @@ fn quantize_reps(reps: &[Representation], step: f64) -> Result<QuantizedReps> {
     Ok(out)
 }
 
-/// The four SoA arenas of an exact linear-rep shard, as raw bytes:
-/// spans, slopes, intercepts, endpoints.
-type ExactRepArenas = (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>);
+/// Exact rep arenas: the four SoA arenas (bit-preserving — coefficients
+/// round-trip as raw `f64` bits) when every rep is linear, the
+/// hardened-codec blob otherwise.
+fn push_exact_reps(w: &mut ArenaWriter, s: u32, reps: &[Representation]) -> Result<()> {
+    let Some(lins) = reps.iter().map(Representation::as_linear).collect::<Option<Vec<_>>>() else {
+        return w.push_arena(K_REP_BLOB, s, &encode_collection(reps)?);
+    };
+    let segments = || lins.iter().flat_map(|lin| lin.segments());
+    w.push_u64s(K_REP_SPANS, s, lins.iter().map(|lin| lin.num_segments() as u64))?;
+    w.push_f64s(K_REP_SLOPES, s, segments().map(|seg| seg.a))?;
+    w.push_f64s(K_REP_INTERCEPTS, s, segments().map(|seg| seg.b))?;
+    w.push_u64s(K_REP_ENDPOINTS, s, segments().map(|seg| seg.r as u64))
+}
 
-/// Exact SoA rep arenas (bit-preserving: coefficients round-trip as raw
-/// `f64` bits).
-fn exact_rep_arenas(reps: &[Representation]) -> Option<ExactRepArenas> {
-    let mut spans = Vec::new();
-    let mut slopes = Vec::new();
-    let mut intercepts = Vec::new();
-    let mut endpoints = Vec::new();
-    for rep in reps {
-        let lin = rep.as_linear()?;
-        put_u64s(&mut spans, [lin.num_segments() as u64]);
-        put_f64s(&mut slopes, lin.segments().iter().map(|s| s.a));
-        put_f64s(&mut intercepts, lin.segments().iter().map(|s| s.b));
-        put_u64s(&mut endpoints, lin.segments().iter().map(|s| s.r as u64));
-    }
-    Some((spans, slopes, intercepts, endpoints))
+/// Node child / entry ids, node-concatenated: the flat id arena the
+/// node records' `(offset, count)` pairs index.
+fn child_ids<'a>(ids: impl Iterator<Item = &'a Vec<usize>> + 'a) -> impl Iterator<Item = u64> + 'a {
+    ids.flat_map(|ids| ids.iter().map(|&id| id as u64))
 }
 
 fn push_dbch_tree(
@@ -360,64 +374,42 @@ fn push_dbch_tree(
     n_reps: usize,
     volumes: Option<&[f64]>,
 ) -> Result<()> {
-    let mut nodes = Vec::new();
-    let mut children = Vec::new();
-    let mut child_ids: Vec<u64> = Vec::new();
-    for (i, n) in raw.iter().enumerate() {
+    let mut ids_at = 0u64;
+    let records = raw.iter().enumerate().flat_map(|(i, n)| {
         let volume = volumes.map_or(n.volume, |v| v[i]);
-        put_u64s(
-            &mut nodes,
-            [
-                u64::from(n.is_leaf),
-                child_ids.len() as u64,
-                n.ids.len() as u64,
-                n.hull_u as u64,
-                n.hull_l as u64,
-                volume.to_bits(),
-            ],
-        );
-        child_ids.extend(n.ids.iter().map(|&id| id as u64));
-    }
-    put_u64s(&mut children, child_ids.iter().copied());
-    w.push_arena(K_TREE_NODES, shard, &nodes)?;
-    w.push_arena(K_CHILD_IDS, shard, &children)?;
-    let mut sm = Vec::new();
-    put_u64s(&mut sm, [root as u64, raw.len() as u64, n_reps as u64]);
-    w.push_arena(K_SHARD_META, shard, &sm)
+        let record = [
+            u64::from(n.is_leaf),
+            ids_at,
+            n.ids.len() as u64,
+            n.hull_u as u64,
+            n.hull_l as u64,
+            volume.to_bits(),
+        ];
+        ids_at += n.ids.len() as u64;
+        record
+    });
+    w.push_u64s(K_TREE_NODES, shard, records)?;
+    w.push_u64s(K_CHILD_IDS, shard, child_ids(raw.iter().map(|n| &n.ids)))?;
+    w.push_u64s(K_SHARD_META, shard, [root as u64, raw.len() as u64, n_reps as u64])
 }
 
 fn push_rtree_tree(w: &mut ArenaWriter, shard: u32, tree: &RTree, n_reps: usize) -> Result<()> {
     let raw = tree.raw_nodes();
-    let mut nodes = Vec::new();
-    let mut children = Vec::new();
-    let mut child_ids: Vec<u64> = Vec::new();
-    let mut rect_spans = Vec::new();
-    let mut rect_lo = Vec::new();
-    let mut rect_hi = Vec::new();
-    for n in &raw {
-        put_u64s(&mut nodes, [u64::from(n.is_leaf), child_ids.len() as u64, n.ids.len() as u64]);
-        child_ids.extend(n.ids.iter().map(|&id| id as u64));
-        put_u64s(&mut rect_spans, [n.rect_lo.len() as u64]);
-        put_f64s(&mut rect_lo, n.rect_lo.iter().copied());
-        put_f64s(&mut rect_hi, n.rect_hi.iter().copied());
-    }
-    put_u64s(&mut children, child_ids.iter().copied());
-    let mut features = Vec::new();
-    let mut feature_spans = Vec::new();
-    for f in tree.feature_vectors() {
-        put_u64s(&mut feature_spans, [f.len() as u64]);
-        put_f64s(&mut features, f.iter().copied());
-    }
-    w.push_arena(K_TREE_NODES, shard, &nodes)?;
-    w.push_arena(K_CHILD_IDS, shard, &children)?;
-    w.push_arena(K_RECT_SPANS, shard, &rect_spans)?;
-    w.push_arena(K_RECT_LO, shard, &rect_lo)?;
-    w.push_arena(K_RECT_HI, shard, &rect_hi)?;
-    w.push_arena(K_FEATURE_SPANS, shard, &feature_spans)?;
-    w.push_arena(K_FEATURES, shard, &features)?;
-    let mut sm = Vec::new();
-    put_u64s(&mut sm, [tree.root_id() as u64, raw.len() as u64, n_reps as u64]);
-    w.push_arena(K_SHARD_META, shard, &sm)
+    let mut ids_at = 0u64;
+    let records = raw.iter().flat_map(|n| {
+        let record = [u64::from(n.is_leaf), ids_at, n.ids.len() as u64];
+        ids_at += n.ids.len() as u64;
+        record
+    });
+    w.push_u64s(K_TREE_NODES, shard, records)?;
+    w.push_u64s(K_CHILD_IDS, shard, child_ids(raw.iter().map(|n| &n.ids)))?;
+    w.push_u64s(K_RECT_SPANS, shard, raw.iter().map(|n| n.rect_lo.len() as u64))?;
+    w.push_f64s(K_RECT_LO, shard, raw.iter().flat_map(|n| n.rect_lo.iter().copied()))?;
+    w.push_f64s(K_RECT_HI, shard, raw.iter().flat_map(|n| n.rect_hi.iter().copied()))?;
+    let features = tree.feature_vectors();
+    w.push_u64s(K_FEATURE_SPANS, shard, features.iter().map(|f| f.len() as u64))?;
+    w.push_f64s(K_FEATURES, shard, features.iter().flat_map(|f| f.iter().copied()))?;
+    w.push_u64s(K_SHARD_META, shard, [tree.root_id() as u64, raw.len() as u64, n_reps as u64])
 }
 
 pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<u8>> {
@@ -436,15 +428,11 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
     w.push_arena(K_META, 0, &encode_meta(engine, quantize.unwrap_or(0.0)))?;
     for (si, shard) in engine.shards.iter().enumerate() {
         let s = u32::try_from(si).map_err(|_| corrupt("too many shards for a snapshot"))?;
-        let mut lens = Vec::new();
-        let mut data = Vec::new();
-        for id in 0..shard.raws.len() {
-            let raw = shard.raws.raw(id);
-            put_u64s(&mut lens, [raw.len() as u64]);
-            put_f64s(&mut data, raw.iter().copied());
-        }
-        w.push_arena(K_RAW_LENS, s, &lens)?;
-        w.push_arena(K_RAW_DATA, s, &data)?;
+        // The raw arena goes out as it lies in memory — leaf-walk order —
+        // so a loader can use it where it lands.
+        let raws = &shard.raws;
+        w.push_u64s(K_RAW_LENS, s, std::iter::repeat_n(raws.stride() as u64, raws.len()))?;
+        w.push_f64s(K_RAW_DATA, s, raws.samples().iter().copied())?;
         let reps = shard.index.reps();
         match (&shard.index, quantize) {
             (ShardIndex::Dbch(tree), Some(step)) => {
@@ -471,27 +459,11 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
                 push_dbch_tree(&mut w, s, tree.root_id(), &raw, reps.len(), Some(&volumes))?;
             }
             (ShardIndex::Dbch(tree), None) => {
-                match exact_rep_arenas(reps) {
-                    Some((spans, slopes, intercepts, endpoints)) => {
-                        w.push_arena(K_REP_SPANS, s, &spans)?;
-                        w.push_arena(K_REP_SLOPES, s, &slopes)?;
-                        w.push_arena(K_REP_INTERCEPTS, s, &intercepts)?;
-                        w.push_arena(K_REP_ENDPOINTS, s, &endpoints)?;
-                    }
-                    None => w.push_arena(K_REP_BLOB, s, &encode_collection(reps)?)?,
-                }
+                push_exact_reps(&mut w, s, reps)?;
                 push_dbch_tree(&mut w, s, tree.root_id(), &tree.raw_nodes(), reps.len(), None)?;
             }
             (ShardIndex::Rtree(tree), _) => {
-                match exact_rep_arenas(reps) {
-                    Some((spans, slopes, intercepts, endpoints)) => {
-                        w.push_arena(K_REP_SPANS, s, &spans)?;
-                        w.push_arena(K_REP_SLOPES, s, &slopes)?;
-                        w.push_arena(K_REP_INTERCEPTS, s, &intercepts)?;
-                        w.push_arena(K_REP_ENDPOINTS, s, &endpoints)?;
-                    }
-                    None => w.push_arena(K_REP_BLOB, s, &encode_collection(reps)?)?,
-                }
+                push_exact_reps(&mut w, s, reps)?;
                 push_rtree_tree(&mut w, s, tree, reps.len())?;
             }
         }
@@ -500,10 +472,7 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
 }
 
 pub(crate) fn write_file(engine: &Engine, path: &Path, quantize: Option<f64>) -> Result<u64> {
-    let image = write_image(engine, quantize)?;
-    std::fs::write(path, &image)
-        .map_err(|e| Error::Io { path: path.display().to_string(), message: e.to_string() })?;
-    Ok(image.len() as u64)
+    sapla_store::write_image_file(path, &write_image(engine, quantize)?)
 }
 
 // ---------------------------------------------------------------------
@@ -621,33 +590,31 @@ fn load_quantized_reps(
     Ok((reps, shard_slack))
 }
 
-/// The shard's raw samples as stored — series-concatenated in local-id
-/// order — with the common series length the fixed-stride raw arena
-/// needs. The samples themselves are validated by [`checked_series`] as
-/// the arena copies them.
-fn load_raws<'a>(v: &SnapshotView<'a>, s: u32, n_reps: usize) -> Result<(&'a [f64], usize)> {
+/// The shard's raw samples as stored — series-concatenated in leaf-walk
+/// order.
+struct StoredRaws<'a> {
+    samples: &'a [f64],
+    /// Where `samples` lies in the image.
+    bytes: Range<usize>,
+    /// The common series length the fixed-stride raw arena needs.
+    stride: usize,
+}
+
+/// Checks the arena's shape only; the samples themselves, and the
+/// order, are validated by the [`RawArena`] constructor that adopts them.
+fn load_raws<'a>(v: &SnapshotView<'a>, s: u32, n_reps: usize) -> Result<StoredRaws<'a>> {
     let lens = view::u64s(v.arena(K_RAW_LENS, s)?)?;
     if lens.len() != n_reps {
         return Err(corrupt("snapshot raw lengths disagree with the shard record count"));
     }
-    let data = view::f64s(v.arena(K_RAW_DATA, s)?)?;
-    checked_total(lens, data.len(), "snapshot raw arena disagrees with the raw lengths")?;
+    let samples = view::f64s(v.arena(K_RAW_DATA, s)?)?;
+    let bytes = v.arena_range(K_RAW_DATA, s)?;
+    checked_total(lens, samples.len(), "snapshot raw arena disagrees with the raw lengths")?;
     let stride = to_usize(lens.first().copied().unwrap_or(0), "snapshot raw length overflows")?;
     if lens.iter().any(|&len| len != lens[0]) {
         return Err(corrupt("snapshot raw series differ in length"));
     }
-    Ok((data, stride))
-}
-
-/// What `TimeSeries::new` checks, on a borrowed series.
-fn checked_series(series: &[f64]) -> Result<&[f64]> {
-    if series.is_empty() {
-        return Err(Error::EmptySeries);
-    }
-    match series.iter().position(|x| !x.is_finite()) {
-        Some(index) => Err(Error::NonFiniteSample { index }),
-        None => Ok(series),
-    }
+    Ok(StoredRaws { samples, bytes, stride })
 }
 
 fn load_dbch_nodes(v: &SnapshotView<'_>, s: u32, n_nodes: usize) -> Result<Vec<RawDbchNode>> {
@@ -751,8 +718,12 @@ fn load_features(v: &SnapshotView<'_>, s: u32, n_reps: usize) -> Result<Vec<Vec<
     Ok(features)
 }
 
-pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
-    let v = SnapshotView::parse(data)?;
+/// Materialise the engine a validated container describes. With
+/// `retain` — the image `v` was parsed from — every shard's raw arena
+/// borrows its samples from that image and keeps it alive; without, each
+/// is copied out once, in bulk.
+fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<Engine> {
+    let _span = sapla_obs::span!("index.adopt");
     if v.flags() & !FLAG_QUANTIZED != 0 {
         return Err(corrupt("snapshot carries unknown header flags"));
     }
@@ -788,16 +759,16 @@ pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
             return Err(corrupt("snapshot shard sizes break round-robin placement"));
         }
         seen += n_reps;
-        let (raws, stride) = load_raws(&v, s, n_reps)?;
+        let stored = load_raws(v, s, n_reps)?;
         let (reps, shard_slack) = if quantized {
-            load_quantized_reps(&v, s, n_reps, meta.quant_step)?
+            load_quantized_reps(v, s, n_reps, meta.quant_step)?
         } else {
-            (load_exact_reps(&v, s, n_reps)?, 0.0)
+            (load_exact_reps(v, s, n_reps)?, 0.0)
         };
         lb_slack = lb_slack.max(shard_slack);
         let index = match meta.tree {
             TreeKind::Dbch => {
-                let raw = load_dbch_nodes(&v, s, n_nodes)?;
+                let raw = load_dbch_nodes(v, s, n_nodes)?;
                 ShardIndex::Dbch(DbchTree::from_raw_parts(
                     meta.min_fill,
                     meta.max_fill,
@@ -809,8 +780,8 @@ pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
                 )?)
             }
             TreeKind::Rtree => {
-                let raw = load_rtree_nodes(&v, s, n_nodes)?;
-                let features = load_features(&v, s, n_reps)?;
+                let raw = load_rtree_nodes(v, s, n_nodes)?;
+                let features = load_features(v, s, n_reps)?;
                 ShardIndex::Rtree(RTree::from_raw_parts(
                     meta.min_fill,
                     meta.max_fill,
@@ -821,7 +792,19 @@ pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
                 )?)
             }
         };
-        shards.push(Shard::new(index, |id| checked_series(&raws[id * stride..(id + 1) * stride]))?);
+        // The samples lie in the order of the adopted tree's leaf walk:
+        // slot `i` holds entry `order[i]`.
+        let order = index.leaf_walk();
+        // Counted on both paths, so a file load shows its zero.
+        sapla_obs::counter!(
+            "index.snapshot.raw_bytes_copied",
+            if retain.is_some() { 0 } else { std::mem::size_of_val(stored.samples) as u64 }
+        );
+        let raws = match retain {
+            Some(image) => RawArena::borrowed(&order, stored.stride, image, stored.bytes)?,
+            None => RawArena::copied(&order, stored.stride, stored.samples)?,
+        };
+        shards.push(Shard { index, raws });
     }
     if seen != meta.total {
         return Err(corrupt("snapshot shard sizes do not sum to the record count"));
@@ -837,7 +820,154 @@ pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
     Ok(Engine { cfg, scheme, reducer, shards, total: meta.total, lb_slack })
 }
 
+/// Validate a container image — the whole-file checksum first — before
+/// any arena of it is interpreted.
+fn verify(data: &[u8]) -> Result<SnapshotView<'_>> {
+    let _span = sapla_obs::span!("store.verify");
+    SnapshotView::parse(data)
+}
+
+pub(crate) fn load_image(data: &[u8]) -> Result<Engine> {
+    adopt(&verify(data)?, None)
+}
+
 pub(crate) fn load_file(path: &Path) -> Result<Engine> {
-    let owned = SnapshotBytes::read_file(path)?;
-    load_image(owned.bytes())
+    let image = {
+        let _span = sapla_obs::span!("store.read");
+        Arc::new(SnapshotBytes::read_file(path)?)
+    };
+    adopt(&verify(image.bytes())?, Some(&image))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::{dataset, engine_with};
+    use crate::knn::SearchStats;
+    use sapla_core::temp::TempPath;
+    use sapla_core::TimeSeries;
+
+    /// kNN and ε-range answers to the first few series as queries.
+    fn answers(engine: &Engine, raws: &[TimeSeries]) -> Vec<SearchStats> {
+        let queries = engine.prepare(&raws[..raws.len().min(5)], 2).unwrap();
+        let mut out = engine.knn(&queries, 4, 2).unwrap().0;
+        out.extend(queries.iter().map(|q| engine.range(q, 4.0).unwrap()));
+        out
+    }
+
+    /// `image` through both loaders: the slice as it is, and a file
+    /// holding it.
+    fn load_both_ways(image: &[u8]) -> [Result<Engine>; 2] {
+        let file = TempPath::new("sapla-snapshot-both", ".snap");
+        std::fs::write(&file, image).unwrap();
+        [load_image(image), load_file(file.path())]
+    }
+
+    /// Recompute the checksum of a deliberately mutated image, so the
+    /// mutation reaches the checks behind the container's.
+    fn reseal(image: &mut [u8]) {
+        let sum = sapla_store::image_checksum(image).to_le_bytes();
+        image[24..32].copy_from_slice(&sum);
+    }
+
+    fn arena_at(image: &[u8], kind: u32, shard: u32) -> Range<usize> {
+        SnapshotView::parse(image).unwrap().arena_range(kind, shard).unwrap()
+    }
+
+    #[test]
+    fn quantized_snapshot_answers_the_same_from_a_file_and_from_an_image() {
+        let raws = dataset(41, 64);
+        for shards in [1usize, 3] {
+            let built = engine_with(shards, TreeKind::Dbch, &raws);
+            let image = built.snapshot_image(Some(1e-3)).unwrap();
+            let [from_image, from_file] = load_both_ways(&image).map(Result::unwrap);
+            assert!(from_file.lb_slack() > 0.0);
+            assert_eq!(from_file.lb_slack().to_bits(), from_image.lb_slack().to_bits());
+            assert_eq!(answers(&from_file, &raws), answers(&from_image, &raws));
+        }
+    }
+
+    #[test]
+    fn snapshot_with_more_shards_than_series_round_trips_through_a_file() {
+        // Four of the seven shards are empty: their raw arenas are
+        // zero-length ranges of the image, and so is everything of an
+        // engine with no series at all.
+        for total in [3usize, 0] {
+            let raws = dataset(total, 64);
+            let built = engine_with(7, TreeKind::Dbch, &raws);
+            let first = built.snapshot_image(None).unwrap();
+            for loaded in load_both_ways(&first) {
+                let loaded = loaded.unwrap();
+                assert_eq!((loaded.len(), loaded.shard_count()), (total, 7));
+                assert!(loaded.snapshot_image(None).unwrap() == first, "total = {total}");
+                let queries = loaded.prepare(&dataset(3, 64), 2).unwrap();
+                let got = loaded.knn(&queries, 2, 2).unwrap().0;
+                assert_eq!(got, built.knn(&queries, 2, 2).unwrap().0, "total = {total}");
+                assert!(got.iter().all(|a| a.retrieved.len() == total.min(2)));
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_loaded_engine_outlives_its_file() {
+        let raws = dataset(30, 64);
+        let built = engine_with(2, TreeKind::Dbch, &raws);
+        let file = TempPath::new("sapla-snapshot-outlives", ".snap");
+        built.write_snapshot_file(file.path(), None).unwrap();
+        let loaded = load_file(file.path()).unwrap();
+        // Overwritten, then gone: the engine reads the image it kept.
+        std::fs::write(&file, b"no longer a snapshot").unwrap();
+        assert_eq!(answers(&loaded, &raws), answers(&built, &raws));
+        std::fs::remove_file(&file).unwrap();
+        assert_eq!(answers(&loaded, &raws), answers(&built, &raws));
+        assert!(load_file(file.path()).is_err());
+    }
+
+    #[test]
+    fn resealed_snapshot_corruption_is_an_error_from_both_loaders() {
+        let raws = dataset(20, 64);
+        let image = engine_with(2, TreeKind::Dbch, &raws).snapshot_image(None).unwrap();
+        // Both loaders must refuse, and for the same reason.
+        let refused = |image: &[u8], what: &str| -> Error {
+            let [from_image, from_file] =
+                load_both_ways(image).map(|loaded| loaded.map(|_| ()).expect_err(what));
+            assert_eq!(from_image, from_file, "{what}");
+            from_image
+        };
+
+        // One raw sample of shard 1 is not a number.
+        let mut nan = image.clone();
+        let at = arena_at(&nan, K_RAW_DATA, 1).start + 8 * (3 * 64 + 5);
+        nan[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        reseal(&mut nan);
+        assert_eq!(refused(&nan, "NaN sample"), Error::NonFiniteSample { index: 5 });
+
+        // A leaf lists its first entry twice: the walk over the adopted
+        // tree would no longer be a permutation of the entry ids.
+        let mut twice = image.clone();
+        let nodes = arena_at(&twice, K_TREE_NODES, 0);
+        let ids = arena_at(&twice, K_CHILD_IDS, 0);
+        let word = |image: &[u8], at: usize| {
+            u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize
+        };
+        let leaf = nodes
+            .step_by(8 * DBCH_NODE_STRIDE)
+            .find(|&rec| word(&twice, rec) == 1 && word(&twice, rec + 16) >= 2)
+            .expect("a leaf with two entries");
+        let first = ids.start + 8 * word(&twice, leaf + 8);
+        twice.copy_within(first..first + 8, first + 8);
+        reseal(&mut twice);
+        let err = refused(&twice, "repeated leaf entry");
+        assert!(matches!(err, Error::CorruptIndex { .. }), "{err}");
+
+        // The same bytes under a version 1 header.
+        let mut v1 = image.clone();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        reseal(&mut v1);
+        assert_eq!(refused(&v1, "version 1"), corrupt("unsupported snapshot version"));
+
+        // Without the re-seal, the checksum is what refuses all three.
+        nan[24] ^= 1;
+        assert_eq!(refused(&nan, "unsealed"), corrupt("snapshot checksum mismatch"));
+    }
 }

@@ -11,7 +11,7 @@
 use sapla_baselines::{Reducer, SaplaReducer};
 use sapla_core::TimeSeries;
 use sapla_data::{catalogue, Protocol};
-use sapla_index::{scheme_for, DbchTree, Query, RTree};
+use sapla_index::{scheme_for, DbchTree, Engine, EngineConfig, Query, RTree};
 use sapla_obs::Snapshot;
 
 fn counter(snap: &Snapshot, name: &str) -> u64 {
@@ -101,4 +101,30 @@ fn knn_counters_obey_the_search_invariants() {
     assert_eq!(refined, measured_total as u64, "rtree: counter agrees with SearchStats.measured");
     assert!(refined >= (queries * k) as u64, "rtree: each query refines at least k candidates");
     assert_eq!(counter(&snap, "index.knn.hull_evals"), 0, "rtree: MINDIST bounds, no hulls");
+
+    // --- Snapshot load: where the time goes, and who copies the raws ---
+    let cfg = EngineConfig { shards: 3, ..EngineConfig::default() };
+    let engine = Engine::build(cfg, Box::new(SaplaReducer::new()), raws.clone(), 1).unwrap();
+    let file = sapla_core::temp::TempPath::new("sapla-obs-snapshot", ".snap");
+    engine.write_snapshot_file(file.path(), None).unwrap();
+    let spans = |snap: &Snapshot, name: &str| {
+        snap.histograms.iter().find(|h| h.name == name).map_or(0, |h| h.count)
+    };
+    sapla_obs::reset();
+    let loaded = Engine::from_snapshot_file(file.path()).unwrap();
+    let snap = Snapshot::capture();
+    assert_eq!(counter(&snap, "index.snapshot.raw_bytes_copied"), 0, "a file load borrows");
+    for phase in ["engine.snapshot.load", "store.read", "store.verify", "index.adopt"] {
+        assert_eq!(spans(&snap, phase), 1, "{phase}");
+    }
+    sapla_obs::reset();
+    Engine::from_snapshot_image(&loaded.snapshot_image(None).unwrap()).unwrap();
+    let snap = Snapshot::capture();
+    let arena_bytes = (raws.len() * raws[0].len() * std::mem::size_of::<f64>()) as u64;
+    assert_eq!(
+        counter(&snap, "index.snapshot.raw_bytes_copied"),
+        arena_bytes,
+        "an image load copies"
+    );
+    assert_eq!((spans(&snap, "store.read"), spans(&snap, "store.verify")), (0, 1));
 }

@@ -193,8 +193,9 @@ proptest! {
     /// Every way of making an engine lays its raw series out in the
     /// tree's leaf-walk order (`RawArena`) from a different source:
     /// `build` and `from_parts` from the caller's series, a snapshot
-    /// load from the file's id-ordered arena, `reload_from_snapshot`
-    /// from the old engine's arena. The layout must be invisible: all
+    /// load from the file's arena (already in that order),
+    /// `reload_from_snapshot` from the old engine's arena. The layout
+    /// must be invisible: all
     /// four answer kNN and ε-range bit-identically, sharded or not.
     #[test]
     fn all_four_constructors_answer_bit_identically(
@@ -216,6 +217,39 @@ proptest! {
                 let what = format!("{name}, shards = {shards}");
                 assert_bit_identical(&answers(engine, &raws, k, eps), &want, &what);
             }
+        }
+    }
+
+    /// Saving is a fixpoint of loading: an engine loaded from a snapshot
+    /// file (raw arenas borrowed from the retained image) or from an
+    /// image (copied) writes the very bytes it was loaded from, answers
+    /// like the engine that wrote them, and keeps doing so through a
+    /// codec-blob rebuild and another save/load — the build → snapshot →
+    /// load → mutate → snapshot chain.
+    #[test]
+    fn loading_then_saving_is_a_fixpoint(
+        raws in db_strategy(5..40),
+        k in 1usize..6,
+        eps in 2.0f64..7.0,
+        shards in 1usize..6,
+        rtree in 0usize..2,
+    ) {
+        let tree = if rtree == 1 { TreeKind::Rtree } else { TreeKind::Dbch };
+        let built = engine(&raws, shards, tree);
+        let want = answers(&built, &raws, k, eps);
+        let first = built.snapshot_image(None).unwrap();
+        let file = sapla_core::temp::TempPath::new("sapla-props-fixpoint", ".snap");
+        prop_assert_eq!(built.write_snapshot_file(file.path(), None).unwrap(), first.len() as u64);
+        let from_file = Engine::from_snapshot_file(file.path()).unwrap();
+        let from_image = Engine::from_snapshot_image(&first).unwrap();
+        for (loaded, name) in [(&from_file, "file"), (&from_image, "image")] {
+            prop_assert!(loaded.snapshot_image(None).unwrap() == first, "{} is no fixpoint", name);
+            assert_bit_identical(&answers(loaded, &raws, k, eps), &want, name);
+            let rebuilt = loaded.reload_from_snapshot(&loaded.snapshot().unwrap()).unwrap();
+            assert_bit_identical(&answers(&rebuilt, &raws, k, eps), &want, name);
+            let again =
+                Engine::from_snapshot_image(&rebuilt.snapshot_image(None).unwrap()).unwrap();
+            assert_bit_identical(&answers(&again, &raws, k, eps), &want, name);
         }
     }
 

@@ -237,16 +237,21 @@ fn every_executor_serves_bit_identical_answers() {
 /// A reload swapped in while the executors are mid-cohort: every reply
 /// comes from one generation as a whole — the one its cohort started
 /// on — and a connection that has seen the new generation never sees
-/// the old one again.
+/// the old one again. Both generations are loaded from the index file,
+/// so each reads its raw series out of the file image it retains: the
+/// old generation's image has to outlive the file being replaced and
+/// the swap, until the last cohort holding that engine is done.
 #[test]
 fn a_reload_under_load_leaves_every_cohort_on_one_generation() {
     let raws = dataset(160);
     let old = &raws[..90];
     let snapshot = sapla_core::temp::TempPath::new("sapla-serve-midcohort", ".snap");
     let path = snapshot.path().to_path_buf();
+    build_engine(old, 1, TreeKind::Dbch).write_snapshot_file(&path, None).unwrap();
+    let first_generation = Engine::from_snapshot_file(&path).unwrap();
     build_engine(&raws, 1, TreeKind::Dbch).write_snapshot_file(&path, None).unwrap();
     let cfg = ServerConfig { index_file: Some(path), ..one_thread_per_call() };
-    let server = Server::start(build_engine(old, 1, TreeKind::Dbch), "127.0.0.1:0", cfg).unwrap();
+    let server = Server::start(first_generation, "127.0.0.1:0", cfg).unwrap();
     let addr = server.addr();
 
     // Sixteen queries a request: long enough to be in flight when the
@@ -415,6 +420,58 @@ fn empty_reload_rereads_the_configured_snapshot_file() {
     assert!(client.reload(&[]).is_err(), "missing index file is a clean error");
     let still = client.knn(&queries, 3).unwrap();
     assert_eq!(still.per_query, got.per_query);
+    server.stop();
+}
+
+/// The index file is replaced over and over while a client keeps asking
+/// the daemon to re-read it: a snapshot write is a rename of a complete
+/// sibling file, so every reload finds a whole file — never a torn one
+/// that fails its checksum — and every answer stays bit-identical.
+#[test]
+fn reloads_racing_index_file_rewrites_never_read_a_torn_file() {
+    let raws = dataset(400);
+    let queries = query_samples(4);
+    let engine = build_engine(&raws, 2, TreeKind::Dbch);
+    let want = local_answers(&engine, &queries, 3);
+    let dir = sapla_core::temp::TempPath::new("sapla-serve-rewrite", "");
+    std::fs::create_dir(&dir).unwrap();
+    let path = dir.path().join("index.snap");
+    engine.write_snapshot_file(&path, None).unwrap();
+    let cfg = ServerConfig { index_file: Some(path.clone()), ..ServerConfig::default() };
+    let loaded = Engine::from_snapshot_file(&path).unwrap();
+    let server = Server::start(loaded, "127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let (rewritten_tx, rewritten_rx) = std::sync::mpsc::channel();
+    let rewrites = std::thread::scope(|scope| {
+        // Rewrites until nobody listens any more — which is also what a
+        // failed assertion below leaves behind, so it cannot hang here.
+        let writer = scope.spawn(|| {
+            let mut rewrites = 0u32;
+            loop {
+                engine.write_snapshot_file(&path, None).unwrap();
+                rewrites += 1;
+                if rewritten_tx.send(()).is_err() {
+                    return rewrites;
+                }
+            }
+        });
+        let rewritten = rewritten_rx;
+        // Every reload starts with a rewrite behind it and the next one
+        // already under way.
+        for round in 0..40 {
+            rewritten.recv().unwrap();
+            let records = client.reload(&[]).unwrap_or_else(|e| panic!("reload {round}: {e}"));
+            assert_eq!(records, raws.len() as u64, "reload {round}");
+            let got = client.knn(&queries, 3).unwrap();
+            assert_matches_local(&got, &want, &format!("after reload {round}"));
+        }
+        drop(rewritten);
+        writer.join().unwrap()
+    });
+    assert!(rewrites >= 40, "the file was rewritten beside every reload: {rewrites}");
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left, ["index.snap"], "no temporary file is left behind");
     server.stop();
 }
 

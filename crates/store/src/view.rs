@@ -14,6 +14,7 @@ use sapla_core::{Error, Result};
 /// Shared implementation: `T` must be a plain-old-data numeric type
 /// (every bit pattern valid) — enforced by keeping this private and
 /// only instantiating it for `f64`/`u64`/`u32`/`i32` below.
+#[inline]
 fn typed<T: Copy>(bytes: &[u8]) -> Result<&[T]> {
     if bytes.is_empty() {
         // An empty arena views as an empty slice regardless of its base
@@ -43,6 +44,7 @@ fn typed<T: Copy>(bytes: &[u8]) -> Result<&[T]> {
 /// # Errors
 ///
 /// [`Error::CorruptIndex`] on length or alignment violations.
+#[inline]
 pub fn f64s(bytes: &[u8]) -> Result<&[f64]> {
     typed::<f64>(bytes)
 }

@@ -70,18 +70,33 @@ metrics:
     cargo test -q -p sapla-cli --test cli stats_subcommand
     cargo test -q -p sapla-bench --lib --features obs quick_grid_runs_and_serialises
 
-# Zero-copy snapshot persistence: the sapla-store container fuzz suite
-# (truncation / bit-flip / misalignment — every failure an Err, never a
-# panic), then the engine snapshot round-trip tests and the
-# bit-identity / quantization-bound property tests, stock and under
-# strict-invariants (which re-proves `Dist_LB ≤ exact + slack` inside
-# every refinement the snapshot-loaded trees perform).
+# Zero-copy snapshot persistence. The sapla-store container suite:
+# checksum specification / lane-swap / alignment properties, version 1
+# refusal, atomic write, then the fuzz tests (truncation / bit-flip /
+# misalignment — every failure an Err, never a panic). The engine
+# snapshot tests (`--lib snapshot`: more shards than series, re-sealed
+# NaN / repeated-leaf-entry / version 1 images refused by both loaders,
+# an engine outliving its file; `--lib arena`: owned vs borrowed raw
+# arenas) and the bit-identity / load-save fixpoint /
+# quantization-bound property tests, stock and under strict-invariants
+# (which re-proves `Dist_LB ≤ exact + slack` inside every refinement
+# the snapshot-loaded trees perform). The instrumented load (phase
+# spans, `raw_bytes_copied` 0 from a file). The daemon's reload tests
+# (reloads racing index-file rewrites, a generation outliving its file
+# mid-cohort). And one `long-narrow` lifecycle run — the workload whose
+# load is raw-dominated — whose loaded engine and served replies must
+# equal the built engine's.
 persist:
     cargo test -q -p sapla-store
     cargo test -q -p sapla-index --lib snapshot
+    cargo test -q -p sapla-index --lib arena
     cargo test -q -p sapla-index --test snapshot_props
     cargo test -q -p sapla-index --features strict-invariants --lib snapshot
+    cargo test -q -p sapla-index --features strict-invariants --lib arena
     cargo test -q -p sapla-index --features strict-invariants --test snapshot_props
+    cargo test -q -p sapla-index --features obs --test obs_counters
+    cargo test -q -p sapla-serve --test loopback reload
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --workload long-narrow --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
 
 # SIMD dispatch safety net: the whole suite pinned to the scalar
 # kernels through the env override (the bit-identity contract means no
