@@ -1,6 +1,7 @@
-//! Thread-sweep experiment for the parallel engine: ingest (work-stealing
-//! batch reduction + sequential DBCH build) and multi-query k-NN wall
-//! time as a function of worker count, on the catalogue profile.
+//! Thread-sweep experiment for the parallel engine: `Engine::build`
+//! (work-stealing batch reduction + sequential DBCH build) and
+//! multi-query `Engine::knn` wall time as a function of worker count, on
+//! the catalogue profile.
 //!
 //! Every sweep point also *checks* the engine's core promise: the search
 //! results at `t` threads are compared against the single-threaded
@@ -9,10 +10,8 @@
 
 use std::time::Duration;
 
-use sapla_baselines::all_reducers;
-use sapla_index::{
-    ingest_parallel, knn_batch, prepare_queries, scheme_for, NodeDistRule, Query, SearchStats,
-};
+use sapla_baselines::SaplaReducer;
+use sapla_index::{prepare_queries, Engine, EngineConfig, Query, SearchStats};
 
 use crate::harness::{load_datasets, time_it, RunConfig};
 use crate::table::{dur, Table};
@@ -42,12 +41,12 @@ impl SweepPoint {
 /// determinism is part of what this experiment certifies.
 pub fn thread_sweep(cfg: &RunConfig, thread_counts: &[usize], k: usize) -> Vec<SweepPoint> {
     let datasets = load_datasets(cfg.datasets, &cfg.index_protocol);
-    let m = cfg.ms[0];
-    let reducer = all_reducers()
-        .into_iter()
-        .find(|r| r.name() == "SAPLA")
-        .expect("SAPLA is always registered");
-    let scheme = scheme_for("SAPLA").unwrap();
+    let engine_cfg = EngineConfig {
+        m: cfg.ms[0],
+        min_fill: cfg.min_fill,
+        max_fill: cfg.max_fill,
+        ..EngineConfig::default()
+    };
 
     // A realistic multi-query load: the protocol's queries plus every
     // database series queried against its own dataset.
@@ -56,7 +55,7 @@ pub fn thread_sweep(cfg: &RunConfig, thread_counts: &[usize], k: usize) -> Vec<S
         .map(|ds| {
             let mut raws = ds.queries.clone();
             raws.extend(ds.series.iter().cloned());
-            prepare_queries(&raws, reducer.as_ref(), m, 0).expect("query reduction")
+            prepare_queries(&raws, &SaplaReducer::new(), engine_cfg.m, 0).expect("query reduction")
         })
         .collect();
 
@@ -67,23 +66,13 @@ pub fn thread_sweep(cfg: &RunConfig, thread_counts: &[usize], k: usize) -> Vec<S
         let mut knn = Duration::ZERO;
         let mut results: Vec<Vec<SearchStats>> = Vec::with_capacity(datasets.len());
         for (ds, queries) in datasets.iter().zip(&query_sets) {
-            let (tree, t_ingest) = time_it(|| {
-                ingest_parallel(
-                    scheme.as_ref(),
-                    reducer.as_ref(),
-                    &ds.series,
-                    m,
-                    cfg.min_fill,
-                    cfg.max_fill,
-                    NodeDistRule::Paper,
-                    threads,
-                )
-                .expect("ingest")
+            let series = ds.series.clone();
+            let (engine, t_ingest) = time_it(|| {
+                Engine::build(engine_cfg, Box::new(SaplaReducer::new()), series, threads)
+                    .expect("ingest")
             });
-            let ((per_query, _batch), t_knn) = time_it(|| {
-                knn_batch(&tree, queries, k, scheme.as_ref(), &ds.series, threads)
-                    .expect("knn batch")
-            });
+            let ((per_query, _batch), t_knn) =
+                time_it(|| engine.knn(queries, k, threads).expect("knn batch"));
             ingest += t_ingest;
             knn += t_knn;
             results.push(per_query);

@@ -27,7 +27,6 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod perf;
 pub mod table;
 
 pub use harness::{load_datasets, time_it, RunConfig};

@@ -158,7 +158,7 @@ fn profile_prints_pipeline_counters() {
     }
 }
 
-/// Minimal JSON sanity checker (the CI bench-smoke gate, satellite 5):
+/// Minimal JSON sanity checker (the CI `obs` job runs it on `sapla profile`):
 /// balanced braces/brackets outside strings and no trailing garbage.
 /// Not a full parser — just enough to catch broken hand-rolled output.
 fn assert_balanced_json(text: &str) {

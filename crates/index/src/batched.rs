@@ -19,8 +19,8 @@
 //! interleaves *which query runs next*; within one query the operation
 //! sequence (node pops, bound computations, filter decisions,
 //! refinements, heap pushes) is exactly the sequential one. The
-//! `knn_batch` / engine regression tests pin this bitwise over the
-//! DBCH-tree, the R-tree, and the linear scan at several thread counts.
+//! block-size and engine regression tests pin this bitwise over the
+//! DBCH-tree and the R-tree at several thread counts.
 //!
 //! **One memory layout.** Representations are read from the tree's
 //! id-ordered [`RepArena`] and raw series through [`RawSource`] (see
@@ -40,7 +40,7 @@ use crate::scheme::{Query, Scheme};
 /// How many queries ride in one co-scheduled block by default. Large
 /// enough that shared leaves amortise a fetch across many queries, small
 /// enough that a block's heaps and scratches stay resident next to the
-/// leaf data (the perf harness sweeps 1/4/16).
+/// leaf data.
 pub const DEFAULT_QUERY_BLOCK: usize = 16;
 
 /// One node of a [`BatchTree`], as the driver sees it.

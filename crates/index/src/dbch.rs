@@ -826,8 +826,8 @@ impl DbchTree {
     /// (a block of one through the shared driver in [`crate::batched`]),
     /// same results, the search state's allocations kept warm.
     /// Single-threaded callers looping over many queries benefit the way
-    /// the parallel multi-query engine ([`crate::parallel::knn_batch`])
-    /// does with its one scratch per worker.
+    /// the parallel multi-query engine ([`crate::Engine::knn`]) does with
+    /// its one scratch per worker.
     ///
     /// # Errors
     ///

@@ -8,8 +8,8 @@
 //! its own allocation in a built engine, a view of the retained file
 //! image in one loaded by [`Engine::from_snapshot_file`]), and one or
 //! more index shards. Callers hand
-//! it raw query series (or pre-built [`Query`]s) and get back the same
-//! `(Vec<SearchStats>, BatchStats)` that [`crate::knn_batch`] produces.
+//! it raw query series (or pre-built [`Query`]s) and get back per-query
+//! [`SearchStats`] in query order plus the batch-wide [`BatchStats`].
 //!
 //! # Sharding and determinism
 //!
@@ -22,8 +22,9 @@
 //! `(distance, global id)` — a strict total order, so the merge is
 //! deterministic at every thread count.
 //!
-//! With `shards == 1` the engine is **bit-identical** to the
-//! single-tree [`crate::knn_batch`] path (pinned by proptest). With more
+//! With `shards == 1` the engine is **bit-identical** to a sequential
+//! [`DbchTree::knn`] loop over the sequentially built tree, at every
+//! thread count (pinned by proptest). With more
 //! shards the answer can differ from a single tree — the paper's
 //! node-distance rule is conditional, not a sound lower bound, so
 //! *which* candidates a tree refines depends on tree structure. The
@@ -34,11 +35,10 @@
 use std::sync::Arc;
 
 use sapla_baselines::{reduce_batch_parallel, Reducer};
-use sapla_core::codec::{decode_collection, encode_collection};
-use sapla_core::{Bytes, Error, Representation, Result, TimeSeries};
+use sapla_core::{Error, Representation, Result, TimeSeries};
 use sapla_parallel::par_try_map_init;
 
-use crate::arena::{RawArena, RawSource};
+use crate::arena::RawArena;
 use crate::batched::{knn_query_major, range_search};
 use crate::dbch::{DbchTree, NodeDistRule};
 use crate::knn::{KnnScratch, SearchStats};
@@ -185,9 +185,9 @@ pub struct Engine {
     /// Additive `Dist_LB` slack the strict-invariants audit must allow:
     /// `0.0` for engines built from raw series, the maximum per-record
     /// quantization perturbation for engines loaded from a quantized
-    /// snapshot (see `crate::snapshot`). Survives `reload_from_snapshot`
-    /// because the reps stay perturbed relative to the raw series even
-    /// after a rebuild.
+    /// snapshot (see `crate::snapshot`). An exact re-save of such an
+    /// engine stores it, because the reps stay perturbed relative to the
+    /// raw series whatever format they are written in.
     pub(crate) lb_slack: f64,
 }
 
@@ -218,11 +218,11 @@ impl Engine {
         let _span = sapla_obs::span!("engine.build");
         let scheme: Arc<dyn Scheme> = Arc::from(scheme_for(reducer.name())?);
         let reps = reduce_batch_parallel(reducer.as_ref(), &raws, cfg.m, threads)?;
-        Self::assemble(cfg, scheme, Arc::from(reducer), reps, |g| raws[g].values(), 0.0)
+        Self::assemble(cfg, scheme, Arc::from(reducer), reps, |g| raws[g].values())
     }
 
-    /// Build from already-reduced representations (the snapshot-reload
-    /// path): `reps[g]` must be the reduction of `raws[g]`.
+    /// Build from already-reduced representations: `reps[g]` must be
+    /// the reduction of `raws[g]`.
     ///
     /// # Errors
     ///
@@ -238,7 +238,7 @@ impl Engine {
             return Err(Error::LengthMismatch { left: reps.len(), right: raws.len() });
         }
         let scheme: Arc<dyn Scheme> = Arc::from(scheme_for(reducer.name())?);
-        Self::assemble(cfg, scheme, Arc::from(reducer), reps, |g| raws[g].values(), 0.0)
+        Self::assemble(cfg, scheme, Arc::from(reducer), reps, |g| raws[g].values())
     }
 
     /// Split `reps` round-robin over the shards, build each shard's tree,
@@ -250,7 +250,6 @@ impl Engine {
         reducer: Arc<dyn Reducer>,
         reps: Vec<Representation>,
         raw_of: impl Fn(usize) -> &'a [f64],
-        lb_slack: f64,
     ) -> Result<Engine> {
         let n_shards = cfg.shards.max(1);
         let total = reps.len();
@@ -263,20 +262,13 @@ impl Engine {
         let mut shards = Vec::with_capacity(n_shards);
         for (si, reps) in shard_reps.into_iter().enumerate() {
             let index = match cfg.tree {
-                TreeKind::Dbch => {
-                    let mut tree = DbchTree::build_with_rule(
-                        scheme.as_ref(),
-                        reps,
-                        cfg.min_fill,
-                        cfg.max_fill,
-                        cfg.rule,
-                    )?;
-                    // A quantized-snapshot lineage keeps its audit slack
-                    // across rebuilds (the reps are still perturbed
-                    // relative to the raws).
-                    tree.lb_slack = lb_slack;
-                    ShardIndex::Dbch(tree)
-                }
+                TreeKind::Dbch => ShardIndex::Dbch(DbchTree::build_with_rule(
+                    scheme.as_ref(),
+                    reps,
+                    cfg.min_fill,
+                    cfg.max_fill,
+                    cfg.rule,
+                )?),
                 TreeKind::Rtree => ShardIndex::Rtree(RTree::build(
                     scheme.as_ref(),
                     reps,
@@ -286,7 +278,7 @@ impl Engine {
             };
             shards.push(Shard::new(index, |local| raw_of(local * n_shards + si))?);
         }
-        Ok(Engine { cfg, scheme, reducer, shards, total, lb_slack })
+        Ok(Engine { cfg, scheme, reducer, shards, total, lb_slack: 0.0 })
     }
 
     /// Number of indexed series (over all shards).
@@ -333,7 +325,8 @@ impl Engine {
     /// query-major blocks ([`crate::batched`]), scatter every
     /// `(block, shard)` pair over up to `threads` workers, gather per
     /// query by `(distance, global id)`. With one shard this returns
-    /// bit-for-bit what [`crate::knn_batch`] returns (see module docs).
+    /// bit-for-bit what a sequential [`DbchTree::knn`] loop returns (see
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -440,45 +433,6 @@ impl Engine {
         out
     }
 
-    /// Serialize the indexed representations with [`sapla_core::codec`]
-    /// (the raw series are the caller's to persist — the codec stores
-    /// segments, not samples).
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec encoding failures ([`Error::TooManyRecords`]).
-    pub fn snapshot(&self) -> Result<Bytes> {
-        let _span = sapla_obs::span!("engine.snapshot");
-        encode_collection(&self.reps())
-    }
-
-    /// Rebuild a fresh engine from a codec blob, reusing this engine's
-    /// configuration, scheme, reducer, and raw series. The blob must
-    /// describe the same membership (`len()` records) — the raws are
-    /// keyed by global id. `self` is untouched, so a service can keep
-    /// answering on the old engine until the new one is ready.
-    ///
-    /// # Errors
-    ///
-    /// Codec decode failures, [`Error::LengthMismatch`] on a record
-    /// count change, and tree-build failures.
-    pub fn reload_from_snapshot(&self, blob: &[u8]) -> Result<Engine> {
-        let _span = sapla_obs::span!("engine.reload");
-        let reps = decode_collection(blob)?;
-        if reps.len() != self.total {
-            return Err(Error::LengthMismatch { left: reps.len(), right: self.total });
-        }
-        let raws: Vec<_> = self.shards.iter().map(|shard| shard.raws.view()).collect();
-        Self::assemble(
-            self.cfg,
-            Arc::clone(&self.scheme),
-            Arc::clone(&self.reducer),
-            reps,
-            |g| raws[g % raws.len()].raw(g / raws.len()),
-            self.lb_slack,
-        )
-    }
-
     /// The additive `Dist_LB` slack carried by this engine's trees —
     /// `0.0` unless the engine descends from a quantized snapshot (see
     /// [`Engine::write_snapshot_file`]).
@@ -499,8 +453,10 @@ impl Engine {
     /// # Errors
     ///
     /// [`sapla_core::Error::UnsupportedRepresentation`] when `quantize`
-    /// is combined with an R-tree engine or non-linear representations;
-    /// encoding failures otherwise.
+    /// is combined with an R-tree engine, non-linear representations,
+    /// or an engine that already descends from a quantized snapshot
+    /// ([`Engine::lb_slack`] `> 0`: the new slack would bound only the
+    /// second rounding); encoding failures otherwise.
     pub fn snapshot_image(&self, quantize: Option<f64>) -> Result<Vec<u8>> {
         crate::snapshot::write_image(self, quantize)
     }
@@ -550,7 +506,6 @@ impl Engine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::parallel::{ingest_parallel, knn_batch};
     use sapla_baselines::SaplaReducer;
 
     pub(crate) fn dataset(n_series: usize, len: usize) -> Vec<TimeSeries> {
@@ -573,29 +528,6 @@ pub(crate) mod tests {
     pub(crate) fn engine_with(shards: usize, tree: TreeKind, raws: &[TimeSeries]) -> Engine {
         let cfg = EngineConfig { shards, tree, ..EngineConfig::default() };
         Engine::build(cfg, Box::new(SaplaReducer::new()), raws.to_vec(), 2).unwrap()
-    }
-
-    #[test]
-    fn single_shard_matches_knn_batch_bit_for_bit() {
-        let raws = dataset(48, 64);
-        let reducer = SaplaReducer::new();
-        let scheme = scheme_for("SAPLA").unwrap();
-        let tree =
-            ingest_parallel(scheme.as_ref(), &reducer, &raws, 12, 2, 5, NodeDistRule::Paper, 2)
-                .unwrap();
-        let engine = engine_with(1, TreeKind::Dbch, &raws);
-        let queries = engine.prepare(&raws[..10], 2).unwrap();
-        let (want, want_batch) = knn_batch(&tree, &queries, 5, scheme.as_ref(), &raws, 2).unwrap();
-        for threads in [1usize, 2, 4, 7] {
-            let (got, got_batch) = engine.knn(&queries, 5, threads).unwrap();
-            assert_eq!(got, want, "threads = {threads}");
-            for (g, w) in got.iter().zip(&want) {
-                for (gd, wd) in g.distances.iter().zip(&w.distances) {
-                    assert_eq!(gd.to_bits(), wd.to_bits());
-                }
-            }
-            assert_eq!(got_batch, want_batch, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -686,35 +618,6 @@ pub(crate) mod tests {
                 assert_eq!(got.retrieved, want.retrieved, "shards = {shards}");
             }
         }
-    }
-
-    #[test]
-    fn snapshot_reload_preserves_answers() {
-        let raws = dataset(45, 64);
-        for shards in [1usize, 3] {
-            let engine = engine_with(shards, TreeKind::Dbch, &raws);
-            let queries = engine.prepare(&raws[..6], 2).unwrap();
-            let (want, _) = engine.knn(&queries, 4, 2).unwrap();
-            let blob = engine.snapshot().unwrap();
-            let reloaded = engine.reload_from_snapshot(&blob).unwrap();
-            assert_eq!(reloaded.len(), engine.len());
-            assert_eq!(reloaded.shard_count(), engine.shard_count());
-            let (got, _) = reloaded.knn(&queries, 4, 2).unwrap();
-            assert_eq!(got, want, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn reload_rejects_membership_changes_and_garbage() {
-        let raws = dataset(20, 64);
-        let engine = engine_with(2, TreeKind::Dbch, &raws);
-        let smaller = engine_with(1, TreeKind::Dbch, &raws[..10]);
-        let blob = smaller.snapshot().unwrap();
-        assert_eq!(
-            engine.reload_from_snapshot(&blob).unwrap_err(),
-            Error::LengthMismatch { left: 10, right: 20 }
-        );
-        assert!(engine.reload_from_snapshot(b"not a snapshot").is_err());
     }
 
     #[test]
@@ -814,16 +717,29 @@ pub(crate) mod tests {
 
     #[test]
     fn reload_keeps_quantized_slack() {
-        // An engine descended from a quantized snapshot keeps its audit
-        // slack across codec-blob reloads: the reps stay perturbed
-        // relative to the raws even after the trees are rebuilt.
+        // An engine descended from a quantized snapshot keeps its slack
+        // through an exact re-save and load: the reps stay perturbed
+        // relative to the raws whatever format they are written in.
         let raws = dataset(24, 64);
-        let engine = engine_with(1, TreeKind::Dbch, &raws);
-        let loaded =
-            Engine::from_snapshot_image(&engine.snapshot_image(Some(0.01)).unwrap()).unwrap();
-        let blob = loaded.snapshot().unwrap();
-        let re = loaded.reload_from_snapshot(&blob).unwrap();
-        assert_eq!(re.lb_slack().to_bits(), loaded.lb_slack().to_bits());
+        for shards in [1usize, 3] {
+            let engine = engine_with(shards, TreeKind::Dbch, &raws);
+            let loaded =
+                Engine::from_snapshot_image(&engine.snapshot_image(Some(0.01)).unwrap()).unwrap();
+            assert!(loaded.lb_slack() > 0.0);
+            let re = Engine::from_snapshot_image(&loaded.snapshot_image(None).unwrap()).unwrap();
+            assert_eq!(re.lb_slack().to_bits(), loaded.lb_slack().to_bits());
+            for (a, b) in re.shards.iter().zip(&loaded.shards) {
+                let (ShardIndex::Dbch(a), ShardIndex::Dbch(b)) = (&a.index, &b.index) else {
+                    panic!("quantized engines are DBCH-backed");
+                };
+                assert_eq!(a.lb_slack.to_bits(), b.lb_slack.to_bits(), "shards = {shards}");
+            }
+            // A second rounding's slack would not bound the first's.
+            assert!(matches!(
+                loaded.snapshot_image(Some(0.01)),
+                Err(Error::UnsupportedRepresentation { .. })
+            ));
+        }
     }
 
     #[test]

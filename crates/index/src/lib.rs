@@ -17,8 +17,11 @@
 //!   refinement, plus the linear-scan baseline; pruning power (Eq. 14) and
 //!   accuracy (Eq. 15) metrics.
 //! * [`stats`] — tree-shape statistics for Figs. 15–16.
-//! * [`parallel`] — work-stealing parallel ingest and multi-query k-NN
-//!   over one tree, bit-for-bit equal to the sequential paths.
+//! * [`engine`] — [`Engine`]: parallel build and multi-query k-NN /
+//!   ε-range over one or more shards, bit-for-bit equal to the sequential
+//!   per-tree paths on one shard; snapshot save / load.
+//! * [`parallel`] — what callers share with the engine's batch path:
+//!   parallel query preparation and the batch-wide counters.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -40,10 +43,8 @@ pub use batched::DEFAULT_QUERY_BLOCK;
 pub use dbch::{DbchTree, NodeDistRule};
 pub use engine::{Engine, EngineConfig, TreeKind};
 pub use knn::{KnnScratch, SearchStats};
-pub use linear_scan::{
-    filtered_scan_knn, filtered_scan_knn_batch, linear_scan_knn, linear_scan_range,
-};
-pub use parallel::{ingest_parallel, knn_batch, knn_batch_with_block, prepare_queries, BatchStats};
+pub use linear_scan::{linear_scan_knn, linear_scan_range};
+pub use parallel::{prepare_queries, BatchStats};
 pub use rect::HyperRect;
 pub use rtree::RTree;
 /// The hardware thread count that `threads = 0` resolves to in every

@@ -41,6 +41,7 @@
 //! | [`K_QREP_ENDPOINT_DELTAS`] | `u32` | delta-coded endpoints (lossless) |
 //! | [`K_QREP_SLACK`] | `f64` | per-representation `Dist_LB` slack `δ` |
 //! | [`K_REP_BLOB`] | bytes | hardened-codec fallback for non-linear reps |
+//! | [`K_LINEAGE_SLACK`] | `f64` | one `δ`: the shard's slack in an exact re-save of a quantized-lineage engine; absent otherwise |
 //! | [`K_TREE_NODES`] | `u64` | node records (stride 6 DBCH / 3 R-tree) |
 //! | [`K_CHILD_IDS`] | `u64` | flat child / entry id arena |
 //! | [`K_SHARD_META`] | `u64` | `[root, node count, rep count]` |
@@ -73,6 +74,14 @@
 //! same `δ` also widens the strict-invariants `Dist_LB ≤ exact` audit.
 //! Node hull volumes are recomputed over the dequantized reps at write
 //! time so the stored tree is self-consistent.
+//!
+//! The slack belongs to the representations, not to the file format: an
+//! engine loaded from a quantized snapshot holds `Ĉ~`, and an exact
+//! re-save (`quantize = None`) writes `Ĉ~` bit for bit. Such an image
+//! therefore carries each shard's `δ` in [`K_LINEAGE_SLACK`] and the
+//! loader hands it back to the tree, so save → load never narrows a
+//! prune. Quantizing a second time is refused: the `δ` computed then
+//! would bound only the second rounding.
 
 use std::ops::Range;
 use std::path::Path;
@@ -117,6 +126,9 @@ pub(crate) const K_QREP_ENDPOINT_DELTAS: u32 = 26;
 pub(crate) const K_QREP_SLACK: u32 = 27;
 /// Hardened-codec blob for non-linear representation collections.
 pub(crate) const K_REP_BLOB: u32 = 28;
+/// The shard's `Dist_LB` slack, one `f64`, in an exact-flag image of an
+/// engine that descends from a quantized snapshot; absent when it is 0.
+pub(crate) const K_LINEAGE_SLACK: u32 = 29;
 /// Tree node records, `u64` (stride 6 for DBCH, 3 for the R-tree).
 pub(crate) const K_TREE_NODES: u32 = 30;
 /// Flat child / leaf-entry id arena, `u64`.
@@ -422,6 +434,9 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
             // them over perturbed reps would break MINDIST containment.
             return Err(unsupported("quantized snapshot leaves require the DBCH tree"));
         }
+        if engine.lb_slack > 0.0 {
+            return Err(unsupported("the engine's leaves are already quantized"));
+        }
     }
     let flags = if quantize.is_some() { FLAG_QUANTIZED } else { 0 };
     let mut w = ArenaWriter::new(flags);
@@ -460,6 +475,9 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
             }
             (ShardIndex::Dbch(tree), None) => {
                 push_exact_reps(&mut w, s, reps)?;
+                if tree.lb_slack > 0.0 {
+                    w.push_f64s(K_LINEAGE_SLACK, s, [tree.lb_slack])?;
+                }
                 push_dbch_tree(&mut w, s, tree.root_id(), &tree.raw_nodes(), reps.len(), None)?;
             }
             (ShardIndex::Rtree(tree), _) => {
@@ -588,6 +606,16 @@ fn load_quantized_reps(
         ));
     }
     Ok((reps, shard_slack))
+}
+
+/// The slack an exact-flag image carries for a shard whose reps were
+/// dequantized by an earlier load; `0.0` when the arena is absent.
+fn load_lineage_slack(v: &SnapshotView<'_>, s: u32) -> Result<f64> {
+    let Some(arena) = v.arena_opt(K_LINEAGE_SLACK, s) else { return Ok(0.0) };
+    match view::f64s(arena)? {
+        &[slack] if slack.is_finite() && slack > 0.0 => Ok(slack),
+        _ => Err(corrupt("snapshot lineage slack is not one finite positive value")),
+    }
 }
 
 /// The shard's raw samples as stored — series-concatenated in leaf-walk
@@ -763,7 +791,7 @@ fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<En
         let (reps, shard_slack) = if quantized {
             load_quantized_reps(v, s, n_reps, meta.quant_step)?
         } else {
-            (load_exact_reps(v, s, n_reps)?, 0.0)
+            (load_exact_reps(v, s, n_reps)?, load_lineage_slack(v, s)?)
         };
         lb_slack = lb_slack.max(shard_slack);
         let index = match meta.tree {
@@ -966,7 +994,21 @@ mod tests {
         reseal(&mut v1);
         assert_eq!(refused(&v1, "version 1"), corrupt("unsupported snapshot version"));
 
-        // Without the re-seal, the checksum is what refuses all three.
+        // An exact re-save of a quantized-lineage engine carries each
+        // shard's slack; anything but one finite positive number there
+        // would silently narrow (or disable) every prune.
+        let quantized = engine_with(2, TreeKind::Dbch, &raws).snapshot_image(Some(1e-2)).unwrap();
+        let resaved = load_image(&quantized).unwrap().snapshot_image(None).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            let mut image = resaved.clone();
+            let at = arena_at(&image, K_LINEAGE_SLACK, 1).start;
+            image[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            reseal(&mut image);
+            let err = refused(&image, "lineage slack");
+            assert!(matches!(err, Error::CorruptIndex { .. }), "{bad}: {err}");
+        }
+
+        // Without the re-seal, the checksum is what refuses them all.
         nan[24] ^= 1;
         assert_eq!(refused(&nan, "unsealed"), corrupt("snapshot checksum mismatch"));
     }

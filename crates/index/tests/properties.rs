@@ -6,8 +6,8 @@ use sapla_baselines::{reduce_batch, reduce_batch_parallel, Paa, Pla, Reducer, Sa
 use sapla_core::{Representation, TimeSeries};
 use sapla_index::scheme::AdaptiveLinearScheme;
 use sapla_index::{
-    filtered_scan_knn, ingest_parallel, knn_batch, linear_scan_knn, linear_scan_range,
-    prepare_queries, scheme_for, DbchTree, NodeDistRule, Query, RTree, Scheme,
+    linear_scan_knn, linear_scan_range, scheme_for, DbchTree, Engine, EngineConfig, NodeDistRule,
+    Query, RTree, Scheme,
 };
 
 /// Random small database of regime-style series.
@@ -114,8 +114,8 @@ proptest! {
     /// early-abandoning bound change *how* the filter is computed, never
     /// *what* it answers: with the plan on (abandoning on or off) and
     /// with the plan stripped (the stock re-partitioning path), both
-    /// trees and the filtered scan return bit-identical stats —
-    /// retrieved ids, exact distances, and measured counts.
+    /// trees return bit-identical stats — retrieved ids, exact
+    /// distances, and measured counts.
     #[test]
     fn planned_and_abandoning_searches_are_bit_identical(
         raws in db_strategy(6..25),
@@ -125,7 +125,7 @@ proptest! {
         let reps: Vec<Representation> =
             raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
         let rtree = RTree::build(&AdaptiveLinearScheme::default(), reps.clone(), 2, 5).unwrap();
-        let dbch = DbchTree::build(&AdaptiveLinearScheme::default(), reps.clone(), 2, 5).unwrap();
+        let dbch = DbchTree::build(&AdaptiveLinearScheme::default(), reps, 2, 5).unwrap();
         let planned = Query::new(&raws[0], &reducer, 12).unwrap();
         prop_assert!(planned.plan.is_some(), "SAPLA queries must carry a plan");
         let mut stock = Query::new(&raws[0], &reducer, 12).unwrap();
@@ -143,9 +143,6 @@ proptest! {
             ("rtree", Box::new(|q: &Query, s: &dyn Scheme| rtree.knn(q, k, s, &raws).unwrap())
                 as Box<dyn Fn(&Query, &dyn Scheme) -> sapla_index::SearchStats>),
             ("dbch", Box::new(|q: &Query, s: &dyn Scheme| dbch.knn(q, k, s, &raws).unwrap())),
-            ("scan", Box::new(|q: &Query, s: &dyn Scheme| {
-                filtered_scan_knn(q, &reps, &raws, k, s).unwrap()
-            })),
         ] {
             let want = search(variants[0].0, variants[0].1);
             for &(q, s, name) in &variants[1..] {
@@ -174,37 +171,12 @@ proptest! {
         }
     }
 
-    /// Parallel ingest (work-stealing reduction + sequential build) gives
-    /// a tree whose shape and search results are bit-for-bit those of the
-    /// fully sequential pipeline, for every thread count.
-    #[test]
-    fn parallel_ingest_is_bit_identical(
-        raws in db_strategy(5..25),
-        k in 1usize..5,
-    ) {
-        let scheme = scheme_for("SAPLA").unwrap();
-        let reducer = SaplaReducer::new();
-        let reps: Vec<Representation> =
-            raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
-        let seq = DbchTree::build_with_rule(
-            scheme.as_ref(), reps, 2, 5, NodeDistRule::Paper,
-        ).unwrap();
-        let q = Query::new(&raws[0], &reducer, 12).unwrap();
-        let want = seq.knn(&q, k, scheme.as_ref(), &raws).unwrap();
-        for threads in [1usize, 2, 4, 7] {
-            let tree = ingest_parallel(
-                scheme.as_ref(), &reducer, &raws, 12, 2, 5,
-                NodeDistRule::Paper, threads,
-            ).unwrap();
-            prop_assert_eq!(tree.shape(), seq.shape(), "threads = {}", threads);
-            let got = tree.knn(&q, k, scheme.as_ref(), &raws).unwrap();
-            prop_assert_eq!(&got, &want, "threads = {}", threads);
-        }
-    }
-
-    /// Parallel multi-query k-NN returns, per query, bit-for-bit the
-    /// sequential answer — including exact distances and measured counts —
-    /// and its lock-free aggregate equals the per-query sum.
+    /// The parallel engine — work-stealing reduction + sequential build,
+    /// then `(block, shard)` scatter over the workers — returns, per
+    /// query, bit-for-bit what the fully sequential pipeline returns
+    /// (one reduction after another, the insertion build, a `knn` loop):
+    /// ids, exact distances and measured counts, at every thread count,
+    /// and its batch aggregate equals the per-query sum.
     #[test]
     fn parallel_knn_batch_is_bit_identical(
         raws in db_strategy(6..25),
@@ -215,22 +187,29 @@ proptest! {
         let reducer = SaplaReducer::new();
         let reps: Vec<Representation> =
             raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
-        let tree = DbchTree::build(scheme.as_ref(), reps, 2, 5).unwrap();
-        let n_queries = n_queries.min(raws.len());
-        let queries = prepare_queries(&raws[..n_queries], &reducer, 12, 2).unwrap();
+        let tree = DbchTree::build_with_rule(
+            scheme.as_ref(), reps, 2, 5, NodeDistRule::Paper,
+        ).unwrap();
+        let queries: Vec<Query> = raws[..n_queries.min(raws.len())]
+            .iter()
+            .map(|raw| Query::new(raw, &reducer, 12).unwrap())
+            .collect();
         let seq: Vec<_> = queries
             .iter()
             .map(|q| tree.knn(q, k, scheme.as_ref(), &raws).unwrap())
             .collect();
         for threads in [1usize, 2, 4, 7] {
-            let (got, batch) =
-                knn_batch(&tree, &queries, k, scheme.as_ref(), &raws, threads).unwrap();
+            let engine = Engine::build(
+                EngineConfig::default(), Box::new(SaplaReducer::new()), raws.clone(), threads,
+            ).unwrap();
+            let (got, batch) = engine.knn(&queries, k, threads).unwrap();
             prop_assert_eq!(&got, &seq, "threads = {}", threads);
             for (g, s) in got.iter().zip(&seq) {
                 for (gd, sd) in g.distances.iter().zip(&s.distances) {
                     prop_assert!(gd.to_bits() == sd.to_bits());
                 }
             }
+            prop_assert_eq!(batch.queries, queries.len());
             prop_assert_eq!(
                 batch.measured,
                 seq.iter().map(|s| s.measured).sum::<usize>()

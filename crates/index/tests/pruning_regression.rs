@@ -1,11 +1,11 @@
 //! Regression for the `entries_pruned == 0` / `nodes_pruned == 0` profile
-//! of `BENCH_PR4.json`: on a database big and clustered enough that the
-//! k-th-best threshold must bite, both trees have to *demonstrably* prune
-//! — fewer exact refinements than the database size, and (in an
-//! instrumented build) non-zero entry and node prune counters. Before
-//! the threshold-driven `rep_within` filter and the break-drain
-//! node accounting, the counters stayed zero even though the searches
-//! were doing the work.
+//! PR 4's first instrumented runs recorded: on a database big and
+//! clustered enough that the k-th-best threshold must bite, both trees
+//! have to *demonstrably* prune — fewer exact refinements than the
+//! database size, and (in an instrumented build) non-zero entry and
+//! node prune counters. Before the threshold-driven `rep_within` filter
+//! and the break-drain node accounting, the counters stayed zero even
+//! though the searches were doing the work.
 //!
 //! One `#[test]` function on purpose: the obs registry is process-global
 //! and the default test harness runs tests concurrently, so a single

@@ -192,11 +192,11 @@ proptest! {
 
     /// Every way of making an engine lays its raw series out in the
     /// tree's leaf-walk order (`RawArena`) from a different source:
-    /// `build` and `from_parts` from the caller's series, a snapshot
-    /// load from the file's arena (already in that order),
-    /// `reload_from_snapshot` from the old engine's arena. The layout
-    /// must be invisible: all
-    /// four answer kNN and ε-range bit-identically, sharded or not.
+    /// `build` and `from_parts` from the caller's series,
+    /// `from_snapshot_image` from a copy of the image's arena (already in
+    /// that order), `from_snapshot_file` borrowing it from the image it
+    /// retains. The layout must be invisible: all four answer kNN and
+    /// ε-range bit-identically, sharded or not.
     #[test]
     fn all_four_constructors_answer_bit_identically(
         raws in db_strategy(9..40),
@@ -210,10 +210,14 @@ proptest! {
             let want = answers(&built, &raws, k, eps);
             let parts = Engine::from_parts(cfg, reducer(), built.reps(), raws.clone()).unwrap();
             let loaded = Engine::from_snapshot_image(&built.snapshot_image(None).unwrap()).unwrap();
-            let reloaded = built.reload_from_snapshot(&built.snapshot().unwrap()).unwrap();
-            for (engine, name) in
-                [(&parts, "from_parts"), (&loaded, "from_snapshot_image"), (&reloaded, "reload")]
-            {
+            let file = sapla_core::temp::TempPath::new("sapla-props-constructors", ".snap");
+            built.write_snapshot_file(file.path(), None).unwrap();
+            let from_file = Engine::from_snapshot_file(file.path()).unwrap();
+            for (engine, name) in [
+                (&parts, "from_parts"),
+                (&loaded, "from_snapshot_image"),
+                (&from_file, "from_snapshot_file"),
+            ] {
                 let what = format!("{name}, shards = {shards}");
                 assert_bit_identical(&answers(engine, &raws, k, eps), &want, &what);
             }
@@ -223,9 +227,8 @@ proptest! {
     /// Saving is a fixpoint of loading: an engine loaded from a snapshot
     /// file (raw arenas borrowed from the retained image) or from an
     /// image (copied) writes the very bytes it was loaded from, answers
-    /// like the engine that wrote them, and keeps doing so through a
-    /// codec-blob rebuild and another save/load — the build → snapshot →
-    /// load → mutate → snapshot chain.
+    /// like the engine that wrote them, and keeps doing so through
+    /// another save/load.
     #[test]
     fn loading_then_saving_is_a_fixpoint(
         raws in db_strategy(5..40),
@@ -245,10 +248,8 @@ proptest! {
         for (loaded, name) in [(&from_file, "file"), (&from_image, "image")] {
             prop_assert!(loaded.snapshot_image(None).unwrap() == first, "{} is no fixpoint", name);
             assert_bit_identical(&answers(loaded, &raws, k, eps), &want, name);
-            let rebuilt = loaded.reload_from_snapshot(&loaded.snapshot().unwrap()).unwrap();
-            assert_bit_identical(&answers(&rebuilt, &raws, k, eps), &want, name);
             let again =
-                Engine::from_snapshot_image(&rebuilt.snapshot_image(None).unwrap()).unwrap();
+                Engine::from_snapshot_image(&loaded.snapshot_image(None).unwrap()).unwrap();
             assert_bit_identical(&answers(&again, &raws, k, eps), &want, name);
         }
     }
@@ -257,6 +258,9 @@ proptest! {
     /// unconditional pipeline, so the quantized-loaded engine must match
     /// a brute-force scan rank for rank — which holds only while every
     /// pruning comparison, kNN and range alike, is widened by the slack.
+    /// An exact re-save of the loaded engine writes the dequantized reps,
+    /// so the engine loaded from *that* needs the same slack; quantizing
+    /// a second time is refused.
     #[test]
     fn quantized_engines_keep_the_slack_through_every_constructor(
         raws in db_strategy(9..40),
@@ -270,9 +274,11 @@ proptest! {
             let loaded =
                 Engine::from_snapshot_image(&built.snapshot_image(Some(step)).unwrap()).unwrap();
             prop_assert!(loaded.lb_slack() > 0.0);
-            let reloaded = loaded.reload_from_snapshot(&loaded.snapshot().unwrap()).unwrap();
-            prop_assert_eq!(reloaded.lb_slack().to_bits(), loaded.lb_slack().to_bits());
-            for engine in [&loaded, &reloaded] {
+            let resaved =
+                Engine::from_snapshot_image(&loaded.snapshot_image(None).unwrap()).unwrap();
+            prop_assert_eq!(resaved.lb_slack().to_bits(), loaded.lb_slack().to_bits());
+            prop_assert!(loaded.snapshot_image(Some(step)).is_err());
+            for engine in [&loaded, &resaved] {
                 let queries = engine.prepare(&raws[..raws.len().min(5)], 2).unwrap();
                 let (found, _) = engine.knn(&queries, k, 2).unwrap();
                 for (qi, (q, got)) in queries.iter().zip(&found).enumerate() {

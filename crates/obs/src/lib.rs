@@ -148,7 +148,7 @@ impl Snapshot {
             && self.windows.is_empty()
     }
 
-    /// Hand-rolled JSON export, in the `perf_json` style (no serde).
+    /// Hand-rolled JSON export (no serde).
     /// Always emits the four section keys so consumers can key on them
     /// regardless of feature state.
     #[must_use]

@@ -87,8 +87,10 @@ impl Client {
         Ok(text)
     }
 
-    /// The server's current index snapshot (a `sapla_core::codec`
-    /// collection blob).
+    /// The server's current index as a `sapla-store` image — raw
+    /// series, representations and built trees — that
+    /// `sapla_index::Engine::from_snapshot_image` loads and
+    /// [`Client::reload`] accepts.
     ///
     /// # Errors
     ///
@@ -101,15 +103,17 @@ impl Client {
         Ok(blob)
     }
 
-    /// Atomically swap the served engine for one rebuilt from `blob`
-    /// (pass an empty blob to round-trip the server's own snapshot).
-    /// Returns the record count. In-flight queries finish on the old
-    /// engine.
+    /// Atomically swap the served engine for the one the `sapla-store`
+    /// image `blob` holds (pass an empty blob to re-read the server's
+    /// configured index file). The image is self-contained, so the
+    /// membership may change. Returns the record count. In-flight
+    /// queries finish on the old engine.
     ///
     /// # Errors
     ///
-    /// As for [`Client::knn`]; membership changes and garbage blobs are
-    /// rejected server-side.
+    /// As for [`Client::knn`]; a corrupt image, or an empty blob sent to
+    /// a server without an index file, is rejected server-side and the
+    /// old engine keeps serving.
     pub fn reload(&mut self, blob: &[u8]) -> Result<u64> {
         let payload = self.roundtrip(&wire::encode_reload_request(blob))?;
         let mut r = wire::check_status(&payload).map_err(ServeError::Protocol)?;

@@ -27,7 +27,7 @@
 //! one [`sapla_index::Engine::knn`] call. Because per-query kNN answers
 //! are independent of which cohort they ride in (the engine merges per
 //! query, deterministically), the server is **bit-identical** to the
-//! single-process `knn_batch` path at any `E` — the loopback tests pin
+//! single-process `Engine::knn` path at any `E` — the loopback tests pin
 //! this.
 //!
 //! Reloads swap an `Arc<Engine>` inside an `RwLock`: in-flight queries
@@ -39,15 +39,15 @@
 //! Little-endian, length-prefixed frames on a plain TCP stream:
 //!
 //! ```text
-//! frame    := len:u32 payload[len]                  (len ≤ 256 MiB)
+//! frame    := len:u32 payload[len]                  (len ≤ max_frame ≤ 256 MiB)
 //! request  := opcode:u8 body
 //!   KNN      (0x01) := k:u32 nq:u32 series{nq}      series := n:u32 f64{n}
 //!   RANGE    (0x02) := epsilon:f64 series
 //!   STATS    (0x03) := —
 //!   SNAPSHOT (0x04) := —
-//!   RELOAD   (0x05) := blen:u32 blob[blen]          (blen = 0 ⇒ re-read the
-//!                                                    configured index file,
-//!                                                    else own snapshot)
+//!   RELOAD   (0x05) := blen:u32 blob[blen]          (a sapla-store image;
+//!                                                    blen = 0 ⇒ re-read the
+//!                                                    configured index file)
 //!   SHUTDOWN (0x06) := —
 //!   METRICS  (0x07) := format:u8                    (0 = JSON, 1 = text)
 //! response := status:u8 body
@@ -56,16 +56,18 @@
 //!               batch_measured:u64 batch_candidates:u64
 //!   RANGE ok := n:u32 (id:u64 dist:f64){n} measured:u64
 //!   STATS ok := jlen:u32 utf8[jlen]                 (JSON document)
-//!   SNAPSHOT ok := blen:u32 blob[blen]              (codec collection)
+//!   SNAPSHOT ok := blen:u32 blob[blen]              (sapla-store image)
 //!   RELOAD ok   := records:u64
 //!   SHUTDOWN ok := —
 //!   METRICS ok  := tlen:u32 utf8[tlen]              (JSON or Prometheus-
 //!                                                    style text document)
 //! ```
 //!
-//! Malformed frames, non-finite samples, or engine failures produce an
-//! error *response* on that request; the connection stays usable. Only
-//! a frame the peer never completes (socket death) ends a connection.
+//! Malformed frames, non-finite samples, engine failures, a refused
+//! reload image, or a response larger than [`ServerConfig::max_frame`]
+//! produce an error *response* on that request; the connection stays
+//! usable. Only a frame the peer never completes (socket death) or a
+//! request over the cap ends a connection.
 
 mod client;
 mod metrics;

@@ -11,7 +11,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use bytes::Buf;
 use sapla_core::TimeSeries;
 use sapla_index::{BatchStats, Engine, Query, SearchStats};
 use sapla_obs::recorder::{self, Meta, Stage, TraceDump, TraceId};
@@ -32,16 +31,18 @@ pub struct ServerConfig {
     /// hardware: `1` serves one cohort per core, `0` (or any value
     /// above half the cores) one cohort at a time across all of them.
     pub threads: usize,
-    /// Per-frame byte cap (defaults to [`wire::MAX_FRAME`]).
+    /// Per-frame byte cap (defaults to [`wire::MAX_FRAME`]): a larger
+    /// request ends the connection, a larger response is replaced by an
+    /// error response.
     pub max_frame: usize,
     /// Copy any request slower than this many milliseconds end-to-end
     /// into the slow-query log served by `OP_METRICS` (`None` = off).
     /// Needs the `obs` feature; without it the log stays empty.
     pub slow_ms: Option<u64>,
-    /// On-disk `sapla-store` snapshot backing this instance. When set,
-    /// an empty-blob `reload` request re-reads this file (an O(file
-    /// size) cold-start-style load — membership may change between
-    /// generations) instead of round-tripping the in-memory codec blob.
+    /// On-disk `sapla-store` snapshot backing this instance: the file
+    /// an empty-blob `reload` request re-reads (an O(file size)
+    /// cold-start-style load — membership may change between
+    /// generations). Without it an empty-blob `reload` is refused.
     pub index_file: Option<std::path::PathBuf>,
 }
 
@@ -368,6 +369,18 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>, local: Option<So
             }
             Err(msg) => (wire::err_response(&msg), false),
         };
+        // A response over the cap (a snapshot of a large index) becomes
+        // an error the client can read; `write_frame` refusing it would
+        // drop the connection without a word.
+        let cap = shared.max_frame.min(wire::MAX_FRAME);
+        let response = if response.len() > cap {
+            wire::err_response(&format!(
+                "response of {} bytes exceeds the {cap}-byte frame cap",
+                response.len()
+            ))
+        } else {
+            response
+        };
         let reply_start = sapla_obs::clock::now_ns();
         let write_ok = wire::write_frame(&mut stream, &response).is_ok();
         record_stage(0, trace, Stage::Reply, reply_start, sapla_obs::clock::now_ns());
@@ -394,8 +407,8 @@ fn handle_request(shared: &Arc<Shared>, req: Request, trace: TraceId) -> Vec<u8>
         Request::Knn { k, queries } => handle_knn(shared, k, queries, trace),
         Request::Range { epsilon, query } => handle_range(shared, epsilon, query),
         Request::Stats => wire::ok_text_response(&stats_json(shared)),
-        Request::Snapshot => match shared.current_engine().snapshot() {
-            Ok(blob) => wire::ok_blob_response(blob.chunk()),
+        Request::Snapshot => match shared.current_engine().snapshot_image(None) {
+            Ok(image) => wire::ok_blob_response(&image),
             Err(e) => wire::err_response(&e.to_string()),
         },
         Request::Reload { blob } => handle_reload(shared, blob),
@@ -496,35 +509,21 @@ fn swap_engine(shared: &Arc<Shared>, fresh: Engine) -> Vec<u8> {
     wire::ok_records_response(records)
 }
 
+/// Swap in the engine a `sapla-store` image holds: the request's blob,
+/// or — for an empty blob — the configured index file. Either is the
+/// cold-start load (O(image size), raws, reps and fully-built trees
+/// adopted verbatim), self-contained, so the new generation's membership
+/// may differ from the old one's. A refused image leaves the serving
+/// engine in place.
 fn handle_reload(shared: &Arc<Shared>, blob: Vec<u8>) -> Vec<u8> {
-    let engine = shared.current_engine();
-    if blob.is_empty() {
-        if let Some(path) = &shared.index_file {
-            // Backed by an on-disk snapshot: re-read the file. The file
-            // carries everything (raws, reps, fully-built trees), so
-            // this is the cold-start load — O(file size), and the new
-            // generation's membership may differ from the old one's.
-            return match Engine::from_snapshot_file(path) {
-                Ok(fresh) => swap_engine(shared, fresh),
-                Err(e) => wire::err_response(&e.to_string()),
-            };
+    let fresh = match (blob.is_empty(), &shared.index_file) {
+        (false, _) => Engine::from_snapshot_image(&blob),
+        (true, Some(path)) => Engine::from_snapshot_file(path),
+        (true, None) => {
+            return wire::err_response("an empty reload blob needs a server with an index file");
         }
-    }
-    // Otherwise an empty blob means "rebuild from your own snapshot" —
-    // the round-trip exercises codec + rebuild without shipping bytes.
-    let own: Vec<u8>;
-    let blob: &[u8] = if blob.is_empty() {
-        match engine.snapshot() {
-            Ok(b) => {
-                own = b.chunk().to_vec();
-                &own
-            }
-            Err(e) => return wire::err_response(&e.to_string()),
-        }
-    } else {
-        &blob
     };
-    match engine.reload_from_snapshot(blob) {
+    match fresh {
         Ok(fresh) => swap_engine(shared, fresh),
         Err(e) => wire::err_response(&e.to_string()),
     }

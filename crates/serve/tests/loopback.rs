@@ -6,14 +6,13 @@
 //! [`every_executor_serves_bit_identical_answers`]: whatever cohorts the
 //! server happens to form under concurrency, on however many executors
 //! the host gives it, every query's answer is bit-identical to the
-//! single-process `Engine::knn` (= `knn_batch`) path.
+//! single-process `Engine::knn` path.
 
 mod common;
 
 use std::sync::Arc;
 
 use common::{build_engine, dataset, query_samples, samples, LEN};
-use sapla_core::codec::decode_collection;
 use sapla_core::TimeSeries;
 use sapla_index::{Engine, SearchStats, TreeKind};
 use sapla_serve::{Client, MetricsFormat, Server, ServerConfig};
@@ -359,31 +358,62 @@ fn snapshot_reload_cycle_preserves_answers_and_survives_garbage() {
     let mut client = Client::connect(server.addr()).unwrap();
     let before = client.knn(&queries, 4).unwrap();
 
-    let blob = client.snapshot().unwrap();
-    assert_eq!(decode_collection(&blob).unwrap().len(), raws.len(), "snapshot is a codec blob");
+    // The snapshot is the whole engine: loaded here, it answers as the
+    // server does; sent back, it changes nothing.
+    let image = client.snapshot().unwrap();
+    let local = Engine::from_snapshot_image(&image).unwrap();
+    assert_eq!((local.len(), local.shard_count()), (raws.len(), 2));
+    assert_matches_local(&before, &local_answers(&local, &queries, 4), "snapshot, loaded locally");
+    assert_eq!(client.reload(&image).unwrap(), raws.len() as u64);
+    assert_eq!(client.knn(&queries, 4).unwrap().per_query, before.per_query);
 
-    // Explicit blob, then the empty-blob self-round-trip.
-    assert_eq!(client.reload(&blob).unwrap(), raws.len() as u64);
-    assert_eq!(client.reload(&[]).unwrap(), raws.len() as u64);
-    let after = client.knn(&queries, 4).unwrap();
-    assert_eq!(after.per_query, before.per_query, "reload must not change answers");
+    // An image is self-contained: one of another membership (and shard
+    // count) is adopted as it is.
+    let smaller = build_engine(&raws[..10], 1, TreeKind::Dbch);
+    assert_eq!(client.reload(&smaller.snapshot_image(None).unwrap()).unwrap(), 10);
+    let on_smaller = client.knn(&queries, 4).unwrap();
+    assert_matches_local(&on_smaller, &local_answers(&smaller, &queries, 4), "smaller membership");
 
-    // Garbage and membership changes are rejected; the server keeps
-    // serving on the old engine.
-    assert!(client.reload(b"not a snapshot").is_err());
-    let smaller = build_engine(&raws[..10], 1, TreeKind::Dbch).snapshot().unwrap();
-    let mut smaller_bytes = Vec::new();
-    {
-        use bytes::Buf;
-        smaller_bytes.extend_from_slice(smaller.chunk());
+    // Everything else is refused with an error reply, and the server
+    // keeps serving the generation it has.
+    let mut flipped = image.clone();
+    flipped[image.len() / 2] ^= 0x10;
+    for (bad, what) in [
+        (&b"not a snapshot"[..], "garbage"),
+        (&image[..image.len() - 7], "a truncated image"),
+        (&flipped[..], "a flipped bit"),
+        (&[][..], "an empty blob without an index file"),
+    ] {
+        assert!(client.reload(bad).is_err(), "{what} must be refused");
+        let still = client.knn(&queries, 4).unwrap();
+        assert_eq!(still.per_query, on_smaller.per_query, "after {what}");
     }
-    assert!(client.reload(&smaller_bytes).is_err(), "membership change is rejected");
-    let still = client.knn(&queries, 4).unwrap();
-    assert_eq!(still.per_query, before.per_query);
-
     let stats = client.stats().unwrap();
-    assert!(stats.contains("\"reloads\": 2"), "two successful reloads: {stats}");
-    assert!(stats.contains("\"generation\": 2"), "generation tracks reloads: {stats}");
+    assert_eq!(server_field(&stats, "reloads"), 2, "two successful reloads: {stats}");
+    assert_eq!(server_field(&stats, "generation"), 2, "generation tracks reloads: {stats}");
+    server.stop();
+}
+
+/// A reply over `max_frame` — a snapshot is the one that grows with the
+/// index — is an error reply naming both sizes, not a dropped
+/// connection.
+#[test]
+fn oversize_replies_become_error_replies() {
+    let raws = dataset(40);
+    let queries = query_samples(2);
+    let engine = build_engine(&raws, 1, TreeKind::Dbch);
+    let image_len = engine.snapshot_image(None).unwrap().len();
+    let cfg = ServerConfig { max_frame: 4096, ..ServerConfig::default() };
+    assert!(image_len > cfg.max_frame);
+    let server = Server::start(engine, "127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let want = client.knn(&queries, 3).unwrap();
+
+    let refused = client.snapshot().unwrap_err().to_string();
+    // status byte + length prefix + image
+    assert!(refused.contains(&format!("{} bytes", image_len + 5)), "{refused}");
+    assert!(refused.contains("4096-byte"), "{refused}");
+    assert_eq!(client.knn(&queries, 3).unwrap().per_query, want.per_query);
     server.stop();
 }
 
@@ -402,17 +432,19 @@ fn empty_reload_rereads_the_configured_snapshot_file() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     // Publish a *larger* index to the snapshot file, then reload with an
-    // empty blob: the file is authoritative, so membership may change —
-    // unlike the codec path, which pins the record count.
+    // empty blob: the file is authoritative, so membership may change.
     build_engine(&raws, 2, TreeKind::Dbch).write_snapshot_file(&path, None).unwrap();
     assert_eq!(client.reload(&[]).unwrap(), raws.len() as u64);
     let got = client.knn(&queries, 3).unwrap();
     let want = local_answers(&build_engine(&raws, 2, TreeKind::Dbch), &queries, 3);
     assert_matches_local(&got, &want, "reload-from-file");
 
-    // Non-empty blobs still take the codec round-trip path.
-    let blob = client.snapshot().unwrap();
-    assert_eq!(client.reload(&blob).unwrap(), raws.len() as u64);
+    // A non-empty blob is served in place of the file; the next empty
+    // one goes back to the file.
+    let ten = build_engine(&raws[..10], 1, TreeKind::Dbch).snapshot_image(None).unwrap();
+    assert_eq!(client.reload(&ten).unwrap(), 10);
+    assert_eq!(client.reload(&[]).unwrap(), raws.len() as u64);
+    assert_eq!(client.knn(&queries, 3).unwrap().per_query, got.per_query);
 
     // A vanished file is an error response, not a crash, and the server
     // keeps answering on the generation it already has.

@@ -39,7 +39,6 @@ obs:
     cargo test -q -p sapla-parallel --features obs
     cargo test -q -p sapla-baselines --features obs
     cargo test -q -p sapla-index --features obs
-    cargo test -q -p sapla-bench --lib --features obs
     cargo test -q -p sapla-obs -p sapla-core -p sapla-distance -p sapla-parallel -p sapla-baselines -p sapla-index -p sapla-integration
     cargo test -q -p sapla-cli --test cli profile_json
 
@@ -60,15 +59,13 @@ serve-smoke:
     cargo test -q -p sapla-cli --test cli serve
 
 # Request tracing & metrics exposition: the OP_METRICS / flight
-# recorder / slow-log loopback tests under the instrumented build, the
-# `sapla stats --metrics` subprocess round-trip, and the perf report's
-# obs_overhead section (validated by a Rust test, no jq).
+# recorder / slow-log loopback tests under the instrumented build and
+# the `sapla stats --metrics` subprocess round-trip.
 metrics:
     cargo test -q -p sapla-serve --features obs metrics
     cargo test -q -p sapla-serve --features obs traces_decompose
     cargo test -q -p sapla-serve --features obs slow_query_log
     cargo test -q -p sapla-cli --test cli stats_subcommand
-    cargo test -q -p sapla-bench --lib --features obs quick_grid_runs_and_serialises
 
 # Zero-copy snapshot persistence. The sapla-store container suite:
 # checksum specification / lane-swap / alignment properties, version 1
@@ -100,10 +97,9 @@ persist:
 
 # SIMD dispatch safety net: the whole suite pinned to the scalar
 # kernels through the env override (the bit-identity contract means no
-# result may change), then the quick perf grid with dispatch disabled.
+# result may change).
 simd-off:
     SAPLA_SIMD=off cargo test -q
-    cargo bench -p sapla-bench --bench perf_json -- --quick --no-simd
 
 # Lifecycle benchmark smoke (benchmark/, a workspace of its own): its
 # unit tests, then one whole run — build → kNN/range → snapshot → serve
@@ -124,9 +120,3 @@ bench:
 # Quick thread-sweep of the parallel engine on the catalogue profile.
 sweep:
     cargo bench -p sapla-bench --bench catalogue_profile
-
-# Fast perf smoke: the reduced reduce/ingest/knn grid, JSON to stdout.
-# (`--json <path>` writes a machine-readable report; BENCH_PR2.json holds
-# the committed baseline-vs-optimised pair.)
-bench-quick:
-    cargo bench -p sapla-bench --bench perf_json -- --quick

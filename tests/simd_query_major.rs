@@ -1,7 +1,7 @@
 //! End-to-end pins for the SIMD dispatch and query-major batching:
 //! whatever SIMD level is forced and however queries are blocked, every
-//! search path — DBCH-tree, R-tree, sharded engine, filtered linear
-//! scan — must return bit-for-bit the scalar query-at-a-time answers.
+//! search path — DBCH-tree, R-tree, one-shard and sharded engine — must
+//! return bit-for-bit the scalar query-at-a-time answers.
 //!
 //! Everything runs inside one `#[test]` because `simd::force` is
 //! process-global: parallel test threads would race the dispatch level.
@@ -10,8 +10,8 @@ use sapla_baselines::{Reducer, SaplaReducer};
 use sapla_core::simd::{self, supported_levels, SimdLevel};
 use sapla_core::TimeSeries;
 use sapla_index::{
-    filtered_scan_knn, filtered_scan_knn_batch, knn_batch_with_block, prepare_queries, scheme_for,
-    DbchTree, Engine, EngineConfig, RTree, SearchStats, TreeKind,
+    prepare_queries, scheme_for, DbchTree, Engine, EngineConfig, RTree, SearchStats,
+    DEFAULT_QUERY_BLOCK,
 };
 
 fn dataset(n_series: usize, len: usize) -> Vec<TimeSeries> {
@@ -47,15 +47,15 @@ fn every_simd_level_and_block_size_matches_scalar_query_at_a_time() {
     let scheme = scheme_for("SAPLA").unwrap();
     let reps: Vec<_> = raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
     let dbch = DbchTree::build(scheme.as_ref(), reps.clone(), 2, 5).unwrap();
-    let rtree = RTree::build(scheme.as_ref(), reps.clone(), 2, 5).unwrap();
-    let sharded = Engine::build(
-        EngineConfig { shards: 3, tree: TreeKind::Dbch, ..EngineConfig::default() },
-        Box::new(SaplaReducer::new()),
-        raws.clone(),
-        2,
-    )
-    .unwrap();
-    let queries = prepare_queries(&raws[..11], &reducer, 12, 2).unwrap();
+    let rtree = RTree::build(scheme.as_ref(), reps, 2, 5).unwrap();
+    let engine = |shards| {
+        let cfg = EngineConfig { shards, ..EngineConfig::default() };
+        Engine::build(cfg, Box::new(SaplaReducer::new()), raws.clone(), 2).unwrap()
+    };
+    let (single, sharded) = (engine(1), engine(3));
+    // The engine blocks queries by DEFAULT_QUERY_BLOCK: two full blocks
+    // and a ragged one.
+    let queries = prepare_queries(&raws[..2 * DEFAULT_QUERY_BLOCK + 3], &reducer, 12, 2).unwrap();
 
     // Scalar query-at-a-time references for every path.
     simd::force(SimdLevel::Scalar).unwrap();
@@ -63,10 +63,6 @@ fn every_simd_level_and_block_size_matches_scalar_query_at_a_time() {
         queries.iter().map(|q| dbch.knn(q, 5, scheme.as_ref(), &raws).unwrap()).collect();
     let rtree_ref: Vec<SearchStats> =
         queries.iter().map(|q| rtree.knn(q, 5, scheme.as_ref(), &raws).unwrap()).collect();
-    let scan_ref: Vec<SearchStats> = queries
-        .iter()
-        .map(|q| filtered_scan_knn(q, &reps, &raws, 5, scheme.as_ref()).unwrap())
-        .collect();
     let (sharded_ref, _) = sharded.knn(&queries, 5, 1).unwrap();
 
     for level in supported_levels() {
@@ -76,35 +72,17 @@ fn every_simd_level_and_block_size_matches_scalar_query_at_a_time() {
         let dbch_seq: Vec<SearchStats> =
             queries.iter().map(|q| dbch.knn(q, 5, scheme.as_ref(), &raws).unwrap()).collect();
         assert_bitwise_eq(&dbch_seq, &dbch_ref, name);
-        // Query-major over the DBCH-tree at several block sizes and
-        // thread counts.
-        for block in [1usize, 4, 16] {
-            for threads in [1usize, 2, 4, 7] {
-                let (got, _) = knn_batch_with_block(
-                    &dbch,
-                    &queries,
-                    5,
-                    scheme.as_ref(),
-                    &raws,
-                    threads,
-                    block,
-                )
-                .unwrap();
-                assert_bitwise_eq(&got, &dbch_ref, &format!("{name} block {block} x{threads}"));
-            }
-        }
-        // Query-major over the R-tree (and the sharded merge) via the
-        // engine's scatter path.
-        for threads in [1usize, 2, 4, 7] {
-            let (got, _) = sharded.knn(&queries, 5, threads).unwrap();
-            assert_bitwise_eq(&got, &sharded_ref, &format!("{name} sharded x{threads}"));
-        }
         let rtree_got: Vec<SearchStats> =
             queries.iter().map(|q| rtree.knn(q, 5, scheme.as_ref(), &raws).unwrap()).collect();
         assert_bitwise_eq(&rtree_got, &rtree_ref, name);
-        // Candidate-major filtered scan.
-        let scan_got = filtered_scan_knn_batch(&queries, &reps, &raws, 5, scheme.as_ref()).unwrap();
-        assert_bitwise_eq(&scan_got, &scan_ref, name);
+        // Query-major blocks through the engine's scatter path: one
+        // shard is the sequential DBCH loop, three add the merge.
+        for threads in [1usize, 2, 4, 7] {
+            let (got, _) = single.knn(&queries, 5, threads).unwrap();
+            assert_bitwise_eq(&got, &dbch_ref, &format!("{name} one shard x{threads}"));
+            let (got, _) = sharded.knn(&queries, 5, threads).unwrap();
+            assert_bitwise_eq(&got, &sharded_ref, &format!("{name} sharded x{threads}"));
+        }
     }
     // Leave the process on the auto-detected level for any later tests.
     simd::force(simd::detect()).unwrap();

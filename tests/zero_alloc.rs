@@ -179,7 +179,7 @@ fn warmed_planned_dist_par_allocates_nothing() {
 /// the counting allocator) not a single extra heap allocation from the
 /// macros. The macros expand to `()` in this build, so this test is the
 /// behavioural half of the zero-cost claim (the compiled-code half is
-/// the BENCH_PR4.json before/after timing).
+/// the lifecycle benchmark, which measures the stock `obs`-off build).
 ///
 /// The test self-skips when the feature is on (e.g. the
 /// `--features obs` CI matrix entry) — the instrumented build is
