@@ -9,17 +9,19 @@
 //! `Dist_LB(Q, Ĉ) ≤ Dist(Q, C)` for any series `C` with representation
 //! `Ĉ`.
 
-use sapla_core::{Error, LineFit, PiecewiseLinear, PrefixSums, Result};
+use sapla_core::{Error, LineFit, PrefixSums, Result};
 
 use crate::dist_s::dist_s_sq;
+use crate::par::SegSource;
 
-/// `Dist_LB(Q, Ĉ)` given the raw query's prefix sums.
+/// `Dist_LB(Q, Ĉ)` given the raw query's prefix sums; `Ĉ` is a stored
+/// representation or a [`crate::SoaSegs`] view — same bits.
 ///
 /// # Errors
 ///
 /// [`Error::LengthMismatch`] when the query and representation cover
 /// different lengths.
-pub fn dist_lb(query_sums: &PrefixSums, c: &PiecewiseLinear) -> Result<f64> {
+pub fn dist_lb<C: SegSource>(query_sums: &PrefixSums, c: C) -> Result<f64> {
     dist_lb_sq(query_sums, c).map(f64::sqrt)
 }
 
@@ -29,16 +31,16 @@ pub fn dist_lb(query_sums: &PrefixSums, c: &PiecewiseLinear) -> Result<f64> {
 ///
 /// [`Error::LengthMismatch`] when the query and representation cover
 /// different lengths.
-pub fn dist_lb_sq(query_sums: &PrefixSums, c: &PiecewiseLinear) -> Result<f64> {
+pub fn dist_lb_sq<C: SegSource>(query_sums: &PrefixSums, c: C) -> Result<f64> {
     if query_sums.len() != c.series_len() {
         return Err(Error::LengthMismatch { left: query_sums.len(), right: c.series_len() });
     }
     let mut sum = 0.0;
     let mut start = 0usize;
-    for seg in c.segments() {
-        let end = seg.r + 1;
+    for i in 0..c.count() {
+        let end = c.r(i) + 1;
         let q = LineFit::over_window(query_sums, start, end)?;
-        let term = dist_s_sq(q.a, q.b, seg.a, seg.b, end - start);
+        let term = dist_s_sq(q.a, q.b, c.a(i), c.b(i), end - start);
         #[cfg(feature = "strict-invariants")]
         assert!(
             term.is_finite() && term >= 0.0,

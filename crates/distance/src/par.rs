@@ -12,7 +12,7 @@
 //! Complexity: `O(N_Q + N_C)` — strictly cheaper than the `O(n)` of
 //! `Dist_LB`/`Dist_AE`.
 
-use sapla_core::{Error, LinearSegment, PiecewiseLinear, Result};
+use sapla_core::{Error, PiecewiseLinear, Result};
 
 use crate::dist_s::dist_s_sq;
 
@@ -33,11 +33,14 @@ use crate::dist_s::dist_s_sq;
 /// # Ok::<(), sapla_core::Error>(())
 /// ```
 ///
+/// Either side may be a stored [`PiecewiseLinear`] or a [`SoaSegs`] view
+/// (see [`SegSource`]); the result is bitwise the same.
+///
 /// # Errors
 ///
 /// [`Error::LengthMismatch`] when the two representations cover different
 /// series lengths.
-pub fn dist_par(q: &PiecewiseLinear, c: &PiecewiseLinear) -> Result<f64> {
+pub fn dist_par<Q: SegSource, C: SegSource>(q: Q, c: C) -> Result<f64> {
     dist_par_sq(q, c).map(f64::sqrt)
 }
 
@@ -47,7 +50,7 @@ pub fn dist_par(q: &PiecewiseLinear, c: &PiecewiseLinear) -> Result<f64> {
 ///
 /// [`Error::LengthMismatch`] when the two representations cover different
 /// series lengths.
-pub fn dist_par_sq(q: &PiecewiseLinear, c: &PiecewiseLinear) -> Result<f64> {
+pub fn dist_par_sq<Q: SegSource, C: SegSource>(q: Q, c: C) -> Result<f64> {
     sapla_obs::counter!("dist.par.evals");
     let mut sum = 0.0f64;
     let mut _windows = 0u64;
@@ -96,9 +99,9 @@ impl ParScratch {
 
 /// Contiguous struct-of-arrays view of a linear segmentation: parallel
 /// `slopes`/`intercepts`/`endpoints` slices, one element per segment.
-/// This is the candidate-side layout of the trees' rep arenas in
-/// `sapla-index` — leaf refinement walks cache-linear coefficient arrays
-/// instead of pointer-hopping per-entry [`PiecewiseLinear`] structs.
+/// This is how a tree's representation store in `sapla-index` hands out
+/// one entry — every reader walks cache-linear coefficient arrays instead
+/// of pointer-hopping per-entry [`PiecewiseLinear`] structs.
 #[derive(Debug, Clone, Copy)]
 pub struct SoaSegs<'a> {
     slopes: &'a [f64],
@@ -112,10 +115,11 @@ impl<'a> SoaSegs<'a> {
     /// # Errors
     ///
     /// [`Error::MalformedRepresentation`] when the slices are empty or
-    /// their lengths disagree. (Endpoint monotonicity is the producer's
-    /// contract, as it is for [`PiecewiseLinear::new`]'s inputs; the rep
-    /// arenas in `sapla-index` are flattened from already-validated
-    /// representations.)
+    /// their lengths disagree. (Strictly increasing endpoints are the
+    /// producer's contract, as they are for [`PiecewiseLinear::new`]'s
+    /// inputs: the representation store in `sapla-index` holds only
+    /// coefficients flattened from validated representations or passed
+    /// through its own validation pass on a snapshot load.)
     pub fn new(slopes: &'a [f64], intercepts: &'a [f64], endpoints: &'a [usize]) -> Result<Self> {
         if slopes.is_empty() || slopes.len() != intercepts.len() || slopes.len() != endpoints.len()
         {
@@ -125,49 +129,44 @@ impl<'a> SoaSegs<'a> {
         }
         Ok(SoaSegs { slopes, intercepts, endpoints })
     }
-
-    /// Number of segments in the view.
-    pub fn num_segments(&self) -> usize {
-        self.slopes.len()
-    }
-
-    /// Number of original points the segmentation covers.
-    pub fn series_len(&self) -> usize {
-        self.endpoints[self.endpoints.len() - 1] + 1
-    }
-
-    /// The `i`-th segment as `(slope, intercept, endpoint)` — lets index
-    /// integrity checks compare a SoA view against stored segments.
-    pub fn seg(&self, i: usize) -> (f64, f64, usize) {
-        (self.slopes[i], self.intercepts[i], self.endpoints[i])
-    }
 }
 
-/// Accessor abstraction over a linear segmentation for the endpoint-union
-/// walk: implemented for `&[LinearSegment]` (the stored AoS layout), for
-/// [`SoaSegs`] (rep-arena views), and for the query side of a
-/// [`crate::plan::QueryPlan`]. Every `Dist_PAR` entry point walks windows
-/// through [`walk_windows`] over this trait, so the window sequence —
-/// and therefore the summation order — cannot diverge between layouts.
-pub(crate) trait SegSource: Copy {
+/// A linear segmentation as the distance walkers read it: segment `i` is
+/// the line `a(i)·u + b(i)` ending at the inclusive global index `r(i)`,
+/// endpoints strictly increasing, at least one segment. Implemented for
+/// `&`[`PiecewiseLinear`] (a stored representation), [`SoaSegs`] (a view
+/// into flat coefficient arrays) and `&`[`crate::QueryPlan`]. Every
+/// distance over linear segments (`Dist_PAR`, `Dist_PLA`, `Dist_LB`) is
+/// generic over this trait and does the same arithmetic in the same
+/// order whichever layout it reads — so moving coefficients between
+/// layouts cannot change a result bit.
+pub trait SegSource: Copy {
+    /// Number of segments (never zero).
     fn count(self) -> usize;
+    /// Slope of segment `i`.
     fn a(self, i: usize) -> f64;
+    /// Value of segment `i` at its first point.
     fn b(self, i: usize) -> f64;
+    /// Inclusive global index of segment `i`'s last point.
     fn r(self, i: usize) -> usize;
+    /// Number of original points the segmentation covers.
+    fn series_len(self) -> usize {
+        self.r(self.count() - 1) + 1
+    }
 }
 
-impl SegSource for &[LinearSegment] {
+impl SegSource for &PiecewiseLinear {
     fn count(self) -> usize {
-        self.len()
+        self.num_segments()
     }
     fn a(self, i: usize) -> f64 {
-        self[i].a
+        self.segments()[i].a
     }
     fn b(self, i: usize) -> f64 {
-        self[i].b
+        self.segments()[i].b
     }
     fn r(self, i: usize) -> usize {
-        self[i].r
+        self.segments()[i].r
     }
 }
 
@@ -197,10 +196,10 @@ impl SegSource for SoaSegs<'_> {
 /// [`Error::LengthMismatch`] when the two representations cover different
 /// series lengths.
 // audit: no_alloc — per-worker scratch absorbs all buffering.
-pub fn dist_par_sq_with(
+pub fn dist_par_sq_with<Q: SegSource, C: SegSource>(
     scratch: &mut ParScratch,
-    q: &PiecewiseLinear,
-    c: &PiecewiseLinear,
+    q: Q,
+    c: C,
 ) -> Result<f64> {
     sapla_obs::counter!("dist.par.evals");
     scratch.windows.clear();
@@ -213,46 +212,34 @@ pub fn dist_par_sq_with(
     Ok(sum)
 }
 
-/// Entry-point wrapper over [`walk_windows`] for two stored
-/// representations. Every `Dist_PAR` variant ([`dist_par_sq`],
-/// [`dist_par_sq_with`], and the planned kernels in [`crate::plan`]) goes
-/// through the same generic walker, so their window sequences cannot
-/// diverge.
+/// The whole walk, length-checked. Every `Dist_PAR` variant
+/// ([`dist_par_sq`], [`dist_par_sq_with`], and the planned kernel in
+/// [`crate::plan`]) goes through the same generic walker, so their window
+/// sequences cannot diverge.
 // audit: no_alloc — the window walk must stay allocation-free.
-fn for_each_window(
-    q: &PiecewiseLinear,
-    c: &PiecewiseLinear,
-    visit: impl FnMut(AlignedWindow),
+fn for_each_window<Q: SegSource, C: SegSource>(
+    q: Q,
+    c: C,
+    mut visit: impl FnMut(AlignedWindow),
 ) -> Result<()> {
     if q.series_len() != c.series_len() {
         return Err(Error::LengthMismatch { left: q.series_len(), right: c.series_len() });
     }
-    walk_windows(q.segments(), c.segments(), visit);
+    walk_windows_until(q, c, |w| {
+        visit(w);
+        true
+    });
     Ok(())
 }
 
 /// The single implementation of the endpoint-union walk (Definition 5.1):
 /// visits every aligned window in order without allocating, generic over
-/// the segment layout of either side (AoS slices, SoA blocks, query
-/// plans). Callers must have checked that both sides cover the same
-/// number of points.
-// audit: no_alloc — the window walk must stay allocation-free.
-pub(crate) fn walk_windows<Q: SegSource, C: SegSource>(
-    qs: Q,
-    cs: C,
-    mut visit: impl FnMut(AlignedWindow),
-) {
-    walk_windows_until(qs, cs, |w| {
-        visit(w);
-        true
-    });
-}
-
-/// [`walk_windows`] with an early exit: the walk stops as soon as `visit`
-/// returns `false`. This is the core walker — the windows visited up to
-/// the exit are exactly the prefix of the full walk, which is what lets
-/// the planned kernel's early abandoning stay decision-identical to the
-/// complete evaluation.
+/// the segment layout of either side (stored representations, store
+/// views, query plans), until `visit` returns `false`. Callers must have
+/// checked that both sides cover the same number of points. The windows
+/// visited up to an early exit are exactly the prefix of the full walk,
+/// which is what lets the planned kernel's early abandoning stay
+/// decision-identical to the complete evaluation.
 // audit: no_alloc — the window walk must stay allocation-free.
 // `inline(always)`: the planned kernel's level-specialised wrappers need
 // the walker collapsed into their `#[target_feature]` frame so the packed
@@ -419,6 +406,68 @@ mod tests {
             let buffered = dist_par_sq_with(&mut scratch, &q, &c).unwrap();
             proptest::prop_assert!(
                 buffered.to_bits() == dist_par_sq(&q, &c).unwrap().to_bits()
+            );
+        }
+    }
+
+    /// `rep`'s coefficients as the three flat arrays a [`SoaSegs`] views.
+    fn flatten(rep: &PiecewiseLinear) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
+        let segs = rep.segments();
+        (
+            segs.iter().map(|s| s.a).collect(),
+            segs.iter().map(|s| s.b).collect(),
+            segs.iter().map(|s| s.r).collect(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The reference did not change when its data moved: the
+        /// unplanned walk (streaming and buffered), the pair distance,
+        /// `Dist_PLA` and `Dist_LB` over [`SoaSegs`] views are bitwise
+        /// what they are over the [`PiecewiseLinear`] the views were
+        /// flattened from — on either side and on both.
+        #[test]
+        fn distances_over_soa_views_are_bitwise_the_stored_ones(
+            len in 16usize..96,
+            q_gaps in proptest::collection::vec(1usize..7, 24),
+            c_gaps in proptest::collection::vec(1usize..7, 24),
+            q_coeffs in proptest::collection::vec((-2.0f64..2.0, -5.0f64..5.0), 24),
+            c_coeffs in proptest::collection::vec((-2.0f64..2.0, -5.0f64..5.0), 24),
+            raw in proptest::collection::vec(-4.0f64..4.0, 96),
+        ) {
+            let q = build_pl(len, &q_gaps, &q_coeffs);
+            let c = build_pl(len, &c_gaps, &c_coeffs);
+            let (qa, qb, qr) = flatten(&q);
+            let (ca, cb, cr) = flatten(&c);
+            let qv = SoaSegs::new(&qa, &qb, &qr).unwrap();
+            let cv = SoaSegs::new(&ca, &cb, &cr).unwrap();
+            proptest::prop_assert_eq!((qv.series_len(), cv.count()), (len, c.num_segments()));
+
+            let stored = dist_par_sq(&q, &c).unwrap().to_bits();
+            proptest::prop_assert_eq!(dist_par_sq(&q, cv).unwrap().to_bits(), stored);
+            proptest::prop_assert_eq!(dist_par_sq(qv, &c).unwrap().to_bits(), stored);
+            proptest::prop_assert_eq!(dist_par_sq(qv, cv).unwrap().to_bits(), stored);
+            let mut scratch = ParScratch::default();
+            proptest::prop_assert_eq!(
+                dist_par_sq_with(&mut scratch, &q, cv).unwrap().to_bits(), stored);
+            proptest::prop_assert_eq!(
+                dist_par(qv, cv).unwrap().to_bits(), dist_par(&q, &c).unwrap().to_bits());
+
+            // Dist_PLA needs one segmentation on both sides: `c`'s, under
+            // `q`'s coefficients.
+            let aligned = build_pl(len, &c_gaps, &q_coeffs);
+            let (aa, ab, ar) = flatten(&aligned);
+            let av = SoaSegs::new(&aa, &ab, &ar).unwrap();
+            let pla = crate::dist_pla(&aligned, &c).unwrap().to_bits();
+            proptest::prop_assert_eq!(crate::dist_pla(&aligned, cv).unwrap().to_bits(), pla);
+            proptest::prop_assert_eq!(crate::dist_pla(av, cv).unwrap().to_bits(), pla);
+
+            let sums = TimeSeries::new(raw[..len].to_vec()).unwrap().prefix_sums();
+            proptest::prop_assert_eq!(
+                crate::lb::dist_lb_sq(&sums, cv).unwrap().to_bits(),
+                crate::lb::dist_lb_sq(&sums, &c).unwrap().to_bits()
             );
         }
     }

@@ -1,37 +1,40 @@
 //! `Dist_PLA` — Chen et al.'s lower bound for equal-length linear
 //! representations: the per-segment Eq. 12 sum over identical windows.
 
-use sapla_core::{Error, PiecewiseLinear, Result};
+use sapla_core::{Error, Result};
 
 use crate::dist_s::dist_s_sq;
+use crate::par::SegSource;
 
 /// `Dist_PLA` between two linear representations with identical segment
 /// endpoints (the equal-length PLA case; also the aligned-window primitive
-/// `Dist_PAR` reduces to after partitioning).
+/// `Dist_PAR` reduces to after partitioning). Either side may be a stored
+/// representation or a [`crate::SoaSegs`] view — same bits.
 ///
 /// # Errors
 ///
 /// [`Error::LengthMismatch`] on different series lengths and
 /// [`Error::MalformedRepresentation`] on mismatched endpoints.
-pub fn dist_pla(q: &PiecewiseLinear, c: &PiecewiseLinear) -> Result<f64> {
+pub fn dist_pla<Q: SegSource, C: SegSource>(q: Q, c: C) -> Result<f64> {
     if q.series_len() != c.series_len() {
         return Err(Error::LengthMismatch { left: q.series_len(), right: c.series_len() });
     }
-    if q.num_segments() != c.num_segments() {
+    if q.count() != c.count() {
         return Err(Error::MalformedRepresentation {
             reason: "Dist_PLA requires identical segmentations",
         });
     }
     let mut sum = 0.0;
     let mut start = 0usize;
-    for (qs, cs) in q.segments().iter().zip(c.segments()) {
-        if qs.r != cs.r {
+    for i in 0..q.count() {
+        let r = q.r(i);
+        if r != c.r(i) {
             return Err(Error::MalformedRepresentation {
                 reason: "Dist_PLA requires identical segmentations",
             });
         }
-        sum += dist_s_sq(qs.a, qs.b, cs.a, cs.b, qs.r + 1 - start);
-        start = qs.r + 1;
+        sum += dist_s_sq(q.a(i), q.b(i), c.a(i), c.b(i), r + 1 - start);
+        start = r + 1;
     }
     Ok(sum.sqrt())
 }

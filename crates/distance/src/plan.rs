@@ -27,7 +27,7 @@
 use sapla_core::{Error, PiecewiseLinear, Result};
 
 use crate::dist_s::dist_s_sq_terms;
-use crate::par::{walk_windows_until, ParScratch, SegSource, SoaSegs};
+use crate::par::{walk_windows_until, ParScratch, SegSource};
 
 /// A query's half of the `Dist_PAR` endpoint-union partition, compiled
 /// once per query: per-segment slopes/intercepts/endpoints plus segment
@@ -100,7 +100,9 @@ pub fn safe_sq_bound(threshold: f64) -> f64 {
     f64::from_bits(sq.to_bits() + 2)
 }
 
-/// Planned `Dist_PAR²` against a stored candidate representation.
+/// Planned `Dist_PAR²` against one candidate — a view into a tree's
+/// representation store, or a stored [`PiecewiseLinear`]; the bits do
+/// not depend on which (see [`SegSource`]).
 ///
 /// With `abandon_sq = f64::INFINITY` the result is bit-identical to
 /// [`crate::dist_par_sq`]`(query, cand)`. With a finite bound (from
@@ -114,47 +116,17 @@ pub fn safe_sq_bound(threshold: f64) -> f64 {
 /// [`Error::LengthMismatch`] when plan and candidate cover different
 /// series lengths.
 // audit: no_alloc — a fused walk, nothing buffered.
-pub fn dist_par_sq_planned(
-    plan: &QueryPlan,
-    cand: &PiecewiseLinear,
-    scratch: &mut ParScratch,
-    abandon_sq: f64,
-) -> Result<f64> {
-    if plan.series_len() != cand.series_len() {
-        return Err(Error::LengthMismatch { left: plan.series_len(), right: cand.series_len() });
-    }
-    Ok(planned_eval(plan, cand.segments(), scratch, abandon_sq))
-}
-
-/// [`dist_par_sq_planned`] over an SoA candidate view (rep arenas).
-///
-/// # Errors
-///
-/// [`Error::LengthMismatch`] when plan and candidate cover different
-/// series lengths.
-// audit: no_alloc — a fused walk, nothing buffered.
-pub fn dist_par_sq_planned_soa(
-    plan: &QueryPlan,
-    cand: SoaSegs<'_>,
-    scratch: &mut ParScratch,
-    abandon_sq: f64,
-) -> Result<f64> {
-    if plan.series_len() != cand.series_len() {
-        return Err(Error::LengthMismatch { left: plan.series_len(), right: cand.series_len() });
-    }
-    Ok(planned_eval(plan, cand, scratch, abandon_sq))
-}
-
-/// The merge-walk behind both planned entry points, dispatching on the
-/// process-wide SIMD level (cached in [`sapla_core::simd::active`]).
-// audit: no_alloc — a fused walk over fixed stack arrays.
-fn planned_eval<C: SegSource>(
+pub fn dist_par_sq_planned<C: SegSource>(
     plan: &QueryPlan,
     cand: C,
     scratch: &mut ParScratch,
     abandon_sq: f64,
-) -> f64 {
-    planned_eval_with(sapla_core::simd::active(), plan, cand, scratch, abandon_sq)
+) -> Result<f64> {
+    if plan.series_len() != cand.series_len() {
+        return Err(Error::LengthMismatch { left: plan.series_len(), right: cand.series_len() });
+    }
+    // The process-wide SIMD level, resolved once and cached.
+    Ok(planned_eval_with(sapla_core::simd::active(), plan, cand, scratch, abandon_sq))
 }
 
 /// Windows staged per packed term evaluation. Matches the widest vector
@@ -163,8 +135,8 @@ fn planned_eval<C: SegSource>(
 /// schedule — is identical at every level.
 const GROUP: usize = 4;
 
-/// [`planned_eval`] with the SIMD level pinned — the hook width-sweeping
-/// bit-identity tests drive.
+/// The merge-walk behind [`dist_par_sq_planned`] with the SIMD level
+/// pinned — the hook width-sweeping bit-identity tests drive.
 ///
 /// `Scalar` runs the original fused walk: one pass over the endpoint
 /// union, per-window Eq. 12 term added to a single running sum in walk
@@ -343,7 +315,7 @@ fn staged_walk_neon<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::{dist_par_sq, dist_par_sq_with};
+    use crate::par::{dist_par_sq, dist_par_sq_with, SoaSegs};
     use sapla_core::LinearSegment;
 
     fn pl(segs: &[(f64, f64, usize)]) -> PiecewiseLinear {
@@ -375,7 +347,7 @@ mod tests {
         let view = SoaSegs::new(&slopes, &intercepts, &endpoints).unwrap();
         let mut scratch = ParScratch::default();
         let aos = dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).unwrap();
-        let soa = dist_par_sq_planned_soa(&plan, view, &mut scratch, f64::INFINITY).unwrap();
+        let soa = dist_par_sq_planned(&plan, view, &mut scratch, f64::INFINITY).unwrap();
         assert_eq!(aos.to_bits(), soa.to_bits());
         assert_eq!(aos.to_bits(), dist_par_sq(&q, &c).unwrap().to_bits());
     }
@@ -438,8 +410,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Tier-1 bit-identity pin: the planned kernels (AoS and SoA
-        /// candidate layouts, no abandoning) return the same bits as the
+        /// Tier-1 bit-identity pin: the planned kernel (stored and SoA
+        /// candidate layouts, no abandoning) returns the same bits as the
         /// unplanned streaming and scratch-buffered paths on arbitrary
         /// interleaved segmentations; with an abandon bound, survivors
         /// keep the exact bits and abandoned candidates are exactly the
@@ -467,7 +439,7 @@ mod tests {
             let endpoints: Vec<usize> = c.segments().iter().map(|s| s.r).collect();
             let view = SoaSegs::new(&slopes, &intercepts, &endpoints).unwrap();
             let soa =
-                dist_par_sq_planned_soa(&plan, view, &mut scratch, f64::INFINITY).unwrap();
+                dist_par_sq_planned(&plan, view, &mut scratch, f64::INFINITY).unwrap();
             proptest::prop_assert!(reference.to_bits() == buffered.to_bits());
             proptest::prop_assert!(reference.to_bits() == planned.to_bits());
             proptest::prop_assert!(reference.to_bits() == soa.to_bits());
@@ -506,17 +478,17 @@ mod tests {
             let plan = QueryPlan::new(&q);
             let mut scratch = ParScratch::default();
             let scalar = planned_eval_with(
-                SimdLevel::Scalar, &plan, c.segments(), &mut scratch, f64::INFINITY);
+                SimdLevel::Scalar, &plan, &c, &mut scratch, f64::INFINITY);
             let bound = safe_sq_bound(scalar.sqrt() * frac);
             let scalar_bounded = planned_eval_with(
-                SimdLevel::Scalar, &plan, c.segments(), &mut scratch, bound);
+                SimdLevel::Scalar, &plan, &c, &mut scratch, bound);
             for level in supported_levels() {
                 let full = planned_eval_with(
-                    level, &plan, c.segments(), &mut scratch, f64::INFINITY);
+                    level, &plan, &c, &mut scratch, f64::INFINITY);
                 proptest::prop_assert_eq!(
                     scalar.to_bits(), full.to_bits(), "full, level {}", level.name());
                 let bounded = planned_eval_with(
-                    level, &plan, c.segments(), &mut scratch, bound);
+                    level, &plan, &c, &mut scratch, bound);
                 proptest::prop_assert_eq!(
                     scalar_bounded.to_bits(),
                     bounded.to_bits(),

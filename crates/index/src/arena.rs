@@ -1,16 +1,20 @@
-//! The two flat arenas the search hot path reads (DESIGN.md §"Search
-//! arenas").
+//! Who owns a tree's data (DESIGN.md §"Search arenas").
 //!
-//! * [`RepArena`] — every indexed representation's linear-segment
-//!   coefficients in three contiguous arrays (`slopes[] / intercepts[] /
-//!   endpoints[]`) plus one span per entry, **in entry-id order and
-//!   append-only**. One per tree. DBCH node bounds and the leaf filter of
-//!   both trees feed arena views to the planned `Dist_PAR` kernel; the
-//!   stored [`Representation`]s are walked only by plan-less queries and
-//!   non-linear schemes (the oracle the equivalence tests compare
-//!   against). Insert appends, remove leaves the removed entry's
-//!   coefficients in place as an unreferenced hole, so the arena is
-//!   coherent by construction — there is nothing to refresh.
+//! * [`RepStore`] — the **one** owner of a tree's representations, by
+//!   entry id, append-only. When every representation is linear (SAPLA,
+//!   APLA, PLA) it is a [`RepArena`]: all coefficients in three
+//!   contiguous arrays (`slopes[] / intercepts[] / endpoints[]`) plus one
+//!   offset per entry; otherwise (APCA, PAA, PAALM, CHEBY, SAX) a plain
+//!   `Vec<Representation>`. Either way [`RepStore::rep`] hands out one
+//!   borrowed [`RepRef`], and that is what every reader takes: node
+//!   bounds and the leaf filter (planned or plan-less), DBCH hull
+//!   construction, the strict `Dist_LB` audit, the snapshot writer.
+//!   Insert appends, remove leaves the removed entry's coefficients in
+//!   place as an unreferenced hole. A snapshot load fills the arrays
+//!   straight from the file's arenas ([`RepArena::adopt`], whose one pass
+//!   checks what `PiecewiseLinear::new` checks per series), and a
+//!   snapshot write reads them back out — no per-series allocation on
+//!   either path.
 //! * [`RawArena`] — one engine shard's raw series as one flat run of
 //!   `f64`s at a fixed stride, stored in the tree's **leaf-walk order**
 //!   behind a `slot_of[id]` map, so the candidates of one leaf are
@@ -30,88 +34,256 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use sapla_core::{Error, Representation, Result, TimeSeries};
-use sapla_distance::SoaSegs;
+use sapla_core::{Error, LinearSegment, PiecewiseLinear, Representation, Result, TimeSeries};
+use sapla_distance::{SegSource, SoaSegs};
 use sapla_store::{view, SnapshotBytes};
 
+/// One representation, borrowed: what [`crate::Scheme`]'s distance
+/// methods take as the candidate. A tree hands out views of its store;
+/// a caller with a [`Representation`] of its own passes it as `Stored`.
+#[derive(Debug, Clone, Copy)]
+pub enum RepRef<'a> {
+    /// Linear-segment coefficients in a store's flat arrays.
+    Linear(SoaSegs<'a>),
+    /// A representation held as a value (every non-linear method).
+    Stored(&'a Representation),
+}
+
+impl RepRef<'_> {
+    /// Length of the original series this representation covers.
+    #[must_use]
+    pub fn series_len(self) -> usize {
+        match self {
+            RepRef::Linear(view) => view.series_len(),
+            RepRef::Stored(rep) => rep.series_len(),
+        }
+    }
+
+    /// The representation as a value of its own.
+    #[must_use]
+    pub fn to_representation(self) -> Representation {
+        match self {
+            RepRef::Linear(view) => {
+                let segs = (0..view.count())
+                    .map(|i| LinearSegment { a: view.a(i), b: view.b(i), r: view.r(i) })
+                    .collect();
+                match PiecewiseLinear::new(segs) {
+                    Ok(lin) => Representation::Linear(lin),
+                    // A view is non-empty with strictly increasing
+                    // endpoints: the store's invariant.
+                    Err(_) => unreachable!("a store view is a valid segmentation"),
+                }
+            }
+            RepRef::Stored(rep) => rep.clone(),
+        }
+    }
+}
+
 /// Linear-segment coefficients of every entry of one tree, flattened in
-/// entry-id order (see module docs). Entries without a linear
-/// representation get an empty span and no view.
+/// entry-id order (see module docs). Invariant, kept by [`RepArena::push`]
+/// (from a validated [`PiecewiseLinear`]) and [`RepArena::adopt`] (its
+/// own pass): `offsets` starts with 0 and is strictly increasing — no
+/// entry is empty — ends at the arrays' common length, and within one
+/// entry the endpoints are strictly increasing.
 #[derive(Debug)]
 pub(crate) struct RepArena {
     slopes: Vec<f64>,
     intercepts: Vec<f64>,
     endpoints: Vec<usize>,
-    /// Per entry id: `(first segment, segment count)`.
-    spans: Vec<(usize, usize)>,
+    /// Entry `id` is segments `offsets[id]..offsets[id + 1]`.
+    offsets: Vec<usize>,
 }
 
 impl RepArena {
-    /// Flatten `reps` (entry-id order) in one pass.
-    pub fn from_reps(reps: &[Representation]) -> RepArena {
-        let segments = reps.iter().map(|r| r.as_linear().map_or(0, |l| l.num_segments())).sum();
-        let mut arena = RepArena {
-            slopes: Vec::with_capacity(segments),
-            intercepts: Vec::with_capacity(segments),
-            endpoints: Vec::with_capacity(segments),
-            spans: Vec::with_capacity(reps.len()),
-        };
-        for rep in reps {
-            arena.push(rep);
+    /// Append the next entry id's coefficients.
+    fn push(&mut self, rep: &PiecewiseLinear) {
+        for seg in rep.segments() {
+            self.slopes.push(seg.a);
+            self.intercepts.push(seg.b);
+            self.endpoints.push(seg.r);
         }
-        arena
+        self.offsets.push(self.slopes.len());
     }
 
-    /// Append the next entry id's coefficients.
-    pub fn push(&mut self, rep: &Representation) {
-        let start = self.slopes.len();
-        if let Some(lin) = rep.as_linear() {
-            for seg in lin.segments() {
-                self.slopes.push(seg.a);
-                self.intercepts.push(seg.b);
-                self.endpoints.push(seg.r);
+    /// Take over coefficient arrays as a snapshot stores them —
+    /// `counts[id]` segments per entry, `slopes` / `intercepts`
+    /// segment-concatenated, and one endpoint `word` per segment: the
+    /// endpoint itself, or with `delta_coded` its distance from the
+    /// entry's previous endpoint (the entry's first word is always the
+    /// endpoint itself) — after the one pass that does for the whole
+    /// arena what `PiecewiseLinear::new` does per series.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::CorruptIndex`] when the counts do not sum to the arrays'
+    /// common length, an entry has no segment, an endpoint does not
+    /// exceed the one before it in its entry, or a value overflows.
+    pub fn adopt(
+        counts: &[u64],
+        slopes: Vec<f64>,
+        intercepts: Vec<f64>,
+        mut words: impl ExactSizeIterator<Item = u64>,
+        delta_coded: bool,
+    ) -> Result<RepArena> {
+        fn corrupt(reason: &'static str) -> Error {
+            Error::CorruptIndex { reason }
+        }
+        if intercepts.len() != slopes.len() || words.len() != slopes.len() {
+            return Err(corrupt("snapshot coefficient arenas disagree in length"));
+        }
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut end = 0usize;
+        offsets.push(end);
+        for &count in counts {
+            if count == 0 {
+                return Err(corrupt("snapshot representation has no segments"));
+            }
+            end = usize::try_from(count)
+                .ok()
+                .and_then(|count| end.checked_add(count))
+                .filter(|&end| end <= slopes.len())
+                .ok_or_else(|| {
+                    corrupt("snapshot coefficient arenas disagree with the rep spans")
+                })?;
+            offsets.push(end);
+        }
+        if end != slopes.len() {
+            return Err(corrupt("snapshot coefficient arenas disagree with the rep spans"));
+        }
+        let mut endpoints = Vec::with_capacity(slopes.len());
+        for span in offsets.windows(2) {
+            let mut prev: Option<u64> = None;
+            for word in words.by_ref().take(span[1] - span[0]) {
+                let r = match prev {
+                    Some(prev) if delta_coded => prev
+                        .checked_add(word)
+                        .ok_or_else(|| corrupt("snapshot segment endpoint overflows"))?,
+                    _ => word,
+                };
+                if prev.is_some_and(|prev| r <= prev) {
+                    return Err(corrupt("snapshot representation has malformed segment endpoints"));
+                }
+                prev = Some(r);
+                endpoints.push(
+                    usize::try_from(r)
+                        .map_err(|_| corrupt("snapshot segment endpoint overflows"))?,
+                );
             }
         }
-        self.spans.push((start, self.slopes.len() - start));
+        Ok(RepArena { slopes, intercepts, endpoints, offsets })
     }
 
     /// Number of entry ids the arena covers (holes included).
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.offsets.len() - 1
     }
 
-    /// SoA view of entry `id`; `None` for a non-linear entry.
+    /// Segment count of every entry, in id order — a snapshot's span arena.
+    pub fn counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.offsets.windows(2).map(|w| (w[1] - w[0]) as u64)
+    }
+
+    /// Every slope, segment-concatenated in entry-id order.
+    pub fn slopes(&self) -> &[f64] {
+        &self.slopes
+    }
+
+    /// Every intercept, as [`RepArena::slopes`].
+    pub fn intercepts(&self) -> &[f64] {
+        &self.intercepts
+    }
+
+    /// Every inclusive right endpoint, as [`RepArena::slopes`].
+    pub fn endpoints(&self) -> &[usize] {
+        &self.endpoints
+    }
+
+    /// SoA view of entry `id`.
     #[inline]
-    pub fn view(&self, id: usize) -> Option<SoaSegs<'_>> {
-        let (start, len) = self.spans[id];
-        let end = start + len;
-        // An empty span fails the view's shape check: no view.
-        SoaSegs::new(
+    pub fn view(&self, id: usize) -> SoaSegs<'_> {
+        let (start, end) = (self.offsets[id], self.offsets[id + 1]);
+        match SoaSegs::new(
             &self.slopes[start..end],
             &self.intercepts[start..end],
             &self.endpoints[start..end],
-        )
-        .ok()
+        ) {
+            Ok(view) => view,
+            // Equal-length slices of a non-empty span: the invariant.
+            Err(_) => unreachable!("arena entries are never empty"),
+        }
+    }
+}
+
+/// The representations of one tree, by entry id (see module docs): flat
+/// coefficient arrays while every one of them is linear, the values
+/// themselves from the first that is not.
+#[derive(Debug)]
+pub(crate) enum RepStore {
+    /// Every entry is piecewise linear.
+    Linear(RepArena),
+    /// At least one entry is not.
+    Stored(Vec<Representation>),
+}
+
+impl RepStore {
+    /// Take ownership of `reps`, entry-id order; linear ones are
+    /// flattened into arrays sized once, in one pass.
+    pub fn from_reps(reps: Vec<Representation>) -> RepStore {
+        let segments = reps.iter().map(|rep| rep.as_linear().map(PiecewiseLinear::num_segments));
+        let Some(segments) = segments.sum::<Option<usize>>() else {
+            return RepStore::Stored(reps);
+        };
+        let mut arena = RepArena {
+            slopes: Vec::with_capacity(segments),
+            intercepts: Vec::with_capacity(segments),
+            endpoints: Vec::with_capacity(segments),
+            offsets: Vec::with_capacity(reps.len() + 1),
+        };
+        arena.offsets.push(0);
+        for rep in reps.iter().filter_map(Representation::as_linear) {
+            arena.push(rep);
+        }
+        RepStore::Linear(arena)
     }
 
-    /// Whether entry `id`'s view mirrors `rep` coefficient for
-    /// coefficient (bitwise) — the integrity check behind the trees'
-    /// `validate`.
-    pub fn mirrors(&self, id: usize, rep: &Representation) -> bool {
-        let Some(&(_, len)) = self.spans.get(id) else { return false };
-        match (rep.as_linear(), self.view(id)) {
-            (None, _) => len == 0,
-            (Some(_), None) => false,
-            (Some(lin), Some(view)) => {
-                view.num_segments() == lin.num_segments()
-                    && lin.segments().iter().enumerate().all(|(i, seg)| {
-                        let (a, b, r) = view.seg(i);
-                        a.to_bits() == seg.a.to_bits()
-                            && b.to_bits() == seg.b.to_bits()
-                            && r == seg.r
-                    })
+    /// Append the next entry id's representation. A linear store that
+    /// meets its first non-linear representation turns into a stored one.
+    pub fn push(&mut self, rep: Representation) {
+        match (&mut *self, rep) {
+            (RepStore::Linear(arena), Representation::Linear(lin)) => arena.push(&lin),
+            (RepStore::Linear(arena), other) => {
+                let mut reps: Vec<Representation> = (0..arena.len())
+                    .map(|id| RepRef::Linear(arena.view(id)).to_representation())
+                    .collect();
+                reps.push(other);
+                *self = RepStore::Stored(reps);
             }
+            (RepStore::Stored(reps), rep) => reps.push(rep),
         }
+    }
+
+    /// Number of entry ids the store covers (holes included).
+    pub fn len(&self) -> usize {
+        match self {
+            RepStore::Linear(arena) => arena.len(),
+            RepStore::Stored(reps) => reps.len(),
+        }
+    }
+
+    /// Entry `id`, borrowed.
+    #[inline]
+    pub fn rep(&self, id: usize) -> RepRef<'_> {
+        match self {
+            RepStore::Linear(arena) => RepRef::Linear(arena.view(id)),
+            RepStore::Stored(reps) => RepRef::Stored(&reps[id]),
+        }
+    }
+
+    /// `None` when every representation covers `stride` points, as a
+    /// shard's fixed-stride raw arena requires; otherwise the length the
+    /// first one that does not covers.
+    pub fn length_mismatch(&self, stride: usize) -> Option<usize> {
+        (0..self.len()).map(|id| self.rep(id).series_len()).find(|&len| len != stride)
     }
 }
 
@@ -327,30 +499,158 @@ mod tests {
         )
     }
 
+    /// Bitwise equality of two representations (`==` on `f64` would let
+    /// `-0.0` pass for `0.0`).
+    fn same_bits(a: &Representation, b: &Representation) -> bool {
+        match (a, b) {
+            (Representation::Linear(a), Representation::Linear(b)) => {
+                a.num_segments() == b.num_segments()
+                    && a.segments().iter().zip(b.segments()).all(|(x, y)| {
+                        (x.a.to_bits(), x.b.to_bits(), x.r) == (y.a.to_bits(), y.b.to_bits(), y.r)
+                    })
+            }
+            _ => a == b,
+        }
+    }
+
+    fn holds(store: &RepStore, reps: &[Representation]) -> bool {
+        store.len() == reps.len()
+            && reps.iter().enumerate().all(|(id, rep)| {
+                let got = store.rep(id);
+                got.series_len() == rep.series_len() && same_bits(&got.to_representation(), rep)
+            })
+    }
+
     #[test]
     fn rep_arena_views_follow_entry_ids_and_appends() {
-        let reps = vec![
-            lin(&[(1.0, 0.0, 3), (0.0, 4.0, 7)]),
-            Representation::Constant(
-                PiecewiseConstant::new(vec![ConstantSegment { v: 1.0, r: 7 }]).unwrap(),
-            ),
+        let linear = vec![
+            lin(&[(1.0, 0.0, 3), (-0.0, 4.0, 7)]),
             lin(&[(-1.0, 2.0, 2), (2.0, 0.0, 5), (0.0, 1.0, 7)]),
         ];
-        let mut arena = RepArena::from_reps(&reps);
-        assert_eq!(arena.len(), 3);
-        assert_eq!(arena.view(0).unwrap().num_segments(), 2);
-        assert!(arena.view(1).is_none(), "non-linear entries have no view");
-        let v2 = arena.view(2).unwrap();
-        assert_eq!((v2.num_segments(), v2.series_len()), (3, 8));
-        assert!(reps.iter().enumerate().all(|(id, rep)| arena.mirrors(id, rep)));
-        assert!(!arena.mirrors(0, &reps[2]));
-        assert!(!arena.mirrors(1, &reps[0]));
-        assert!(!arena.mirrors(3, &reps[0]), "ids past the arena mirror nothing");
+        let mut store = RepStore::from_reps(linear.clone());
+        let RepStore::Linear(arena) = &store else { panic!("every rep is linear") };
+        assert_eq!(arena.len(), 2);
+        assert_eq!(arena.view(0).count(), 2);
+        assert_eq!((arena.view(1).count(), arena.view(1).series_len()), (3, 8));
+        assert_eq!(arena.counts().collect::<Vec<_>>(), [2, 3]);
+        assert!(holds(&store, &linear));
+        assert_eq!(store.length_mismatch(8), None);
+        assert_eq!(store.length_mismatch(7), Some(8));
 
-        let extra = lin(&[(0.5, 1.0, 7)]);
-        arena.push(&extra);
-        assert!(arena.mirrors(3, &extra));
-        assert!(arena.mirrors(0, &reps[0]), "appending never moves earlier entries");
+        let mut all = linear;
+        all.push(lin(&[(0.5, 1.0, 7)]));
+        store.push(all[2].clone());
+        assert!(matches!(store, RepStore::Linear(_)));
+        assert!(holds(&store, &all), "appending never moves earlier entries");
+
+        // The first non-linear entry turns the arena into stored values,
+        // every earlier entry intact.
+        all.push(Representation::Constant(
+            PiecewiseConstant::new(vec![ConstantSegment { v: 1.0, r: 6 }]).unwrap(),
+        ));
+        store.push(all[3].clone());
+        assert!(matches!(store, RepStore::Stored(_)));
+        all.push(lin(&[(0.0, 0.0, 7)]));
+        store.push(all[4].clone());
+        assert!(holds(&store, &all));
+        assert_eq!(store.length_mismatch(8), Some(7));
+        assert!(matches!(RepStore::from_reps(all), RepStore::Stored(_)));
+        assert!(matches!(RepStore::from_reps(vec![]), RepStore::Linear(_)));
+    }
+
+    #[test]
+    fn store_returns_what_every_reducer_produced_built_appended_or_adopted() {
+        let series: Vec<TimeSeries> = (0..7)
+            .map(|i| {
+                let values = (0..48).map(|t| ((t * (i + 2)) as f64 * 0.23).sin() * 2.0 - i as f64);
+                TimeSeries::new(values.collect()).unwrap()
+            })
+            .collect();
+        for reducer in sapla_baselines::all_reducers() {
+            let reps: Vec<Representation> = series
+                .iter()
+                .enumerate()
+                .map(|(i, s)| reducer.reduce(s, 6 + 6 * (i % 3)).unwrap())
+                .collect();
+            let built = RepStore::from_reps(reps.clone());
+            assert!(holds(&built, &reps), "{}", reducer.name());
+            assert_eq!(built.length_mismatch(48), None, "{}", reducer.name());
+            let mut appended = RepStore::from_reps(reps[..3].to_vec());
+            for rep in &reps[3..] {
+                appended.push(rep.clone());
+            }
+            assert!(holds(&appended, &reps), "{} after appends", reducer.name());
+
+            // A linear store written to snapshot arrays and adopted back
+            // — endpoints as they are, or delta-coded — has the views of
+            // the one flattened from the reps.
+            let RepStore::Linear(arena) = &built else {
+                assert!(reps.iter().all(|rep| rep.as_linear().is_none()), "{}", reducer.name());
+                continue;
+            };
+            let counts: Vec<u64> = arena.counts().collect();
+            let absolute: Vec<u64> = arena.endpoints().iter().map(|&r| r as u64).collect();
+            let deltas: Vec<u64> = (0..arena.len())
+                .flat_map(|id| {
+                    let view = arena.view(id);
+                    (0..view.count()).map(move |i| {
+                        if i == 0 {
+                            view.r(0)
+                        } else {
+                            view.r(i) - view.r(i - 1)
+                        }
+                    })
+                })
+                .map(|d| d as u64)
+                .collect();
+            for (words, delta_coded) in [(absolute, false), (deltas, true)] {
+                let adopted = RepArena::adopt(
+                    &counts,
+                    arena.slopes().to_vec(),
+                    arena.intercepts().to_vec(),
+                    words.into_iter(),
+                    delta_coded,
+                )
+                .unwrap();
+                assert!(holds(&RepStore::Linear(adopted), &reps), "{}", reducer.name());
+            }
+        }
+    }
+
+    #[test]
+    fn adoption_refuses_what_piecewise_linear_new_refuses() {
+        let adopt = |counts: &[u64], coeffs: usize, words: &[u64], delta_coded: bool| {
+            let (slopes, intercepts) = (vec![0.5; coeffs], vec![1.0; coeffs]);
+            RepArena::adopt(counts, slopes, intercepts, words.iter().copied(), delta_coded)
+                .map(|arena| arena.len())
+        };
+        assert_eq!(adopt(&[2, 1], 3, &[3, 7, 7], false), Ok(2));
+        assert_eq!(adopt(&[2, 1], 3, &[3, 4, 7], true), Ok(2));
+        assert_eq!(adopt(&[], 0, &[], false), Ok(0));
+        let refused = |counts: &[u64], coeffs: usize, words: &[u64], delta_coded: bool| {
+            assert!(
+                matches!(
+                    adopt(counts, coeffs, words, delta_coded),
+                    Err(Error::CorruptIndex { .. })
+                ),
+                "{counts:?} over {coeffs} coefficients, endpoints {words:?}"
+            );
+        };
+        // Spans that do not sum to the arrays, in either direction.
+        refused(&[2, 2], 3, &[3, 7, 7], false);
+        refused(&[2], 3, &[3, 7, 7], false);
+        refused(&[u64::MAX, 2], 3, &[3, 7, 7], false);
+        refused(&[], 1, &[3], false);
+        // An endpoint array of another length than the coefficients.
+        refused(&[2, 1], 3, &[3, 7], false);
+        // A representation without a segment.
+        refused(&[3, 0], 3, &[3, 5, 7], false);
+        // Endpoints that do not increase inside one representation.
+        refused(&[2, 1], 3, &[7, 7, 7], false);
+        refused(&[3], 3, &[3, 7, 5], false);
+        refused(&[2, 1], 3, &[3, 0, 7], true);
+        // A delta chain past `u64`.
+        refused(&[2], 2, &[u64::MAX, 1], true);
     }
 
     #[test]

@@ -22,18 +22,18 @@
 //! block-size and engine regression tests pin this bitwise over the
 //! DBCH-tree and the R-tree at several thread counts.
 //!
-//! **One memory layout.** Representations are read from the tree's
-//! id-ordered [`RepArena`] and raw series through [`RawSource`] (see
-//! [`crate::arena`]); [`rep_within`] is the single place that chooses
-//! between the planned SoA kernel on an arena view and the stored
-//! [`Representation`] walk (plan-less queries, non-linear schemes).
+//! **One owner per kind of data.** Representations are read from the
+//! tree's [`RepStore`], one borrowed entry at a time, and raw series
+//! through [`RawSource`] (see [`crate::arena`]). The driver does not know
+//! what a store holds or whether a query carries a plan: it hands
+//! `store.rep(id)` to the [`Scheme`], which alone picks the kernel.
 
 use std::cmp::Reverse;
 
-use sapla_core::{Error, OrdF64, Representation, Result};
+use sapla_core::{Error, OrdF64, Result};
 use sapla_distance::{euclidean_early_abandon_slices, safe_sq_bound, ParScratch};
 
-use crate::arena::{RawSource, RepArena};
+use crate::arena::{RawSource, RepStore};
 use crate::knn::{HullMemo, KnnHeap, KnnScratch, QueryScratch, SearchStats, SearchTally};
 use crate::scheme::{Query, Scheme};
 
@@ -59,23 +59,19 @@ pub(crate) trait BatchTree {
     fn root(&self) -> usize;
     /// `true` iff the tree holds no entries.
     fn is_empty(&self) -> bool;
-    /// Stored representations, entry-id order.
-    fn reps(&self) -> &[Representation];
-    /// The same representations' coefficients, flat, entry-id order.
-    fn arena(&self) -> &RepArena;
+    /// The tree's representations, by entry id.
+    fn reps(&self) -> &RepStore;
     /// Children of an internal node / entries of a leaf.
     fn node_view(&self, nid: usize) -> NodeView<'_>;
-    /// Query-to-node bound (hull rule / MINDIST). `planned` says whether
-    /// the query may use the planned SoA kernel (see [`planned`]). The
-    /// DBCH-tree records the squared hull-representative distances it
-    /// computes in `memo` for bitwise replay at the leaf filter; the
-    /// R-tree's MINDIST has nothing to memoise and leaves it untouched.
+    /// Query-to-node bound (hull rule / MINDIST). The DBCH-tree records
+    /// the squared hull-representative distances it computes in `memo`
+    /// for bitwise replay at the leaf filter; the R-tree's MINDIST has
+    /// nothing to memoise and leaves it untouched.
     fn node_bound(
         &self,
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
-        planned: bool,
         dist: &mut ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64>;
@@ -92,25 +88,16 @@ pub(crate) trait BatchTree {
     }
 }
 
-/// Whether `q` runs the planned SoA kernel under `scheme`: the scheme
-/// has one and the query carries a plan. Everything else — plan-stripped
-/// oracle queries, non-linear schemes — walks the stored representations.
-pub(crate) fn planned(scheme: &dyn Scheme, q: &Query) -> bool {
-    scheme.supports_par_plan() && q.plan.is_some()
-}
-
 /// The leaf filter for one entry: does its representation distance stay
 /// within `prune_at`? A hull representative this query already evaluated
 /// fully during node bounding replays the memoised square (the identical
-/// decision, see [`HullMemo`]); otherwise a planned query runs the SoA
-/// kernel on the entry's arena view.
-#[allow(clippy::too_many_arguments)] // one entry's slice of the search state
+/// decision, see [`HullMemo`]); otherwise the scheme evaluates the
+/// entry as the store hands it out.
 #[inline]
 fn rep_within(
     q: &Query,
     scheme: &dyn Scheme,
-    reps: &[Representation],
-    arena: Option<&RepArena>,
+    reps: &RepStore,
     e: usize,
     prune_at: f64,
     dist: &mut ParScratch,
@@ -120,22 +107,17 @@ fn rep_within(
         sapla_obs::counter!("index.hull_memo.hits");
         return Ok(keep);
     }
-    match arena.and_then(|a| a.view(e)) {
-        Some(view) => scheme.rep_within_soa(q, view, prune_at, dist),
-        None => scheme.rep_within(q, &reps[e], prune_at, dist),
-    }
+    scheme.rep_within(q, reps.rep(e), prune_at, dist)
 }
 
 /// Evaluate one leaf's entries for one k-NN query: representation filter
-/// ([`rep_within`]; `arena` is `Some` iff the query is [`planned`]) then
-/// early-abandoning exact refinement.
+/// ([`rep_within`]) then early-abandoning exact refinement.
 #[allow(clippy::too_many_arguments)] // the flattened per-query search state
 fn eval_leaf_entries<R: RawSource + ?Sized>(
     q: &Query,
     scheme: &dyn Scheme,
     raws: &R,
-    reps: &[Representation],
-    arena: Option<&RepArena>,
+    reps: &RepStore,
     entries: &[usize],
     results: &mut KnnHeap,
     dist: &mut ParScratch,
@@ -160,7 +142,7 @@ fn eval_leaf_entries<R: RawSource + ?Sized>(
         // Strict-invariants builds still evaluate it to keep the
         // lb ≤ exact audit on every candidate.
         let skip_filter = threshold.is_infinite() && !cfg!(feature = "strict-invariants");
-        if skip_filter || rep_within(q, scheme, reps, arena, e, prune_at, dist, memo)? {
+        if skip_filter || rep_within(q, scheme, reps, e, prune_at, dist, memo)? {
             tally.measure();
             // Early-abandoning refinement: an abandoned candidate has
             // exact > threshold *strictly* (the safe_sq_bound slack
@@ -171,7 +153,7 @@ fn eval_leaf_entries<R: RawSource + ?Sized>(
             match euclidean_early_abandon_slices(q.raw.values(), raws.raw(e), bound)? {
                 Some(exact) => {
                     #[cfg(feature = "strict-invariants")]
-                    crate::scheme::assert_lb_le_exact(q, &reps[e], exact, lb_slack)?;
+                    crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact, lb_slack)?;
                     results.push(exact, e);
                 }
                 // The invariant lb ≤ exact holds here by construction:
@@ -213,7 +195,6 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     // distance by up to this much; every pruning comparison below is
     // widened by it (bitwise no-op for exact trees, slack 0.0).
     let slack = tree.lb_slack();
-    let scheme_planned = scheme.supports_par_plan();
     if scratches.len() < queries.len() {
         scratches.resize_with(queries.len(), QueryScratch::default);
     }
@@ -230,8 +211,7 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
             done[qi] = true;
             continue;
         }
-        let planned = scheme_planned && q.plan.is_some();
-        match tree.node_bound(q, scheme, tree.root(), planned, &mut s.dist, &mut s.hull) {
+        match tree.node_bound(q, scheme, tree.root(), &mut s.dist, &mut s.hull) {
             Ok(d) => s.nodes.push(Reverse((OrdF64::new(d), tree.root(), 0))),
             Err(e) => {
                 done[qi] = true;
@@ -250,7 +230,6 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
             }
             let s = &mut scratches[qi];
             let tally = &mut tallies[qi];
-            let planned = scheme_planned && q.plan.is_some();
             loop {
                 let Some(Reverse((d, nid, depth))) = s.nodes.pop() else {
                     done[qi] = true;
@@ -270,7 +249,7 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                         tree.count_fanout(depth, children.len());
                         let mut failed = false;
                         for &c in children {
-                            match tree.node_bound(q, scheme, c, planned, &mut s.dist, &mut s.hull) {
+                            match tree.node_bound(q, scheme, c, &mut s.dist, &mut s.hull) {
                                 Ok(node_d) => {
                                     if node_d <= s.results.threshold() + slack {
                                         s.nodes.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
@@ -323,13 +302,11 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
             for &(_, qi) in &pending[i..end] {
                 let q = &queries[qi];
                 let s = &mut scratches[qi];
-                let arena = (scheme_planned && q.plan.is_some()).then(|| tree.arena());
                 if let Err(e) = eval_leaf_entries(
                     q,
                     scheme,
                     raws,
                     tree.reps(),
-                    arena,
                     entries,
                     &mut s.results,
                     &mut s.dist,
@@ -398,8 +375,6 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     let mut tally = SearchTally::default();
     let mut dist = ParScratch::default();
     let mut memo = HullMemo::default();
-    let planned = planned(scheme, q);
-    let arena = planned.then(|| tree.arena());
     let reps = tree.reps();
     let slack = tree.lb_slack();
     // Quantized-lineage bounds can overshoot the true distance by up to
@@ -409,7 +384,7 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     let prune_at = epsilon + slack;
     let mut stack = if tree.is_empty() { Vec::new() } else { vec![tree.root()] };
     while let Some(nid) = stack.pop() {
-        if tree.node_bound(q, scheme, nid, planned, &mut dist, &mut memo)? > prune_at {
+        if tree.node_bound(q, scheme, nid, &mut dist, &mut memo)? > prune_at {
             tally.prune_node();
             continue;
         }
@@ -419,7 +394,7 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
             NodeView::Leaf(entries) => {
                 tally.consider(entries.len());
                 for &e in entries {
-                    if !rep_within(q, scheme, reps, arena, e, prune_at, &mut dist, &memo)? {
+                    if !rep_within(q, scheme, reps, e, prune_at, &mut dist, &memo)? {
                         tally.prune();
                         continue;
                     }
@@ -431,7 +406,7 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                         euclidean_early_abandon_slices(q.raw.values(), raws.raw(e), bound)?
                     {
                         #[cfg(feature = "strict-invariants")]
-                        crate::scheme::assert_lb_le_exact(q, &reps[e], exact, slack)?;
+                        crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact, slack)?;
                         if exact <= epsilon {
                             hits.push((exact, e));
                         }

@@ -12,7 +12,7 @@
 
 use sapla_core::{Representation, Result, TimeSeries};
 
-use crate::arena::RepArena;
+use crate::arena::RepStore;
 use crate::knn::{HullMemo, KnnScratch, SearchStats};
 use crate::scheme::{Query, Scheme};
 use crate::stats::TreeShape;
@@ -77,11 +77,10 @@ pub struct DbchTree {
     max_fill: usize,
     root: usize,
     nodes: Vec<Node>,
-    reps: Vec<Representation>,
-    /// `reps`' coefficients, flat, in entry-id order: what planned
-    /// queries read for hull bounds and the leaf filter. Append-only —
-    /// a removed entry stays behind as an unreferenced hole.
-    arena: RepArena,
+    /// The indexed representations by entry id — what hull construction,
+    /// hull bounds and the leaf filter read. Append-only: a removed
+    /// entry stays behind as an unreferenced hole, so ids are stable.
+    reps: RepStore,
     rule: NodeDistRule,
     /// Additive `Dist_LB` slack for the strict-invariants audit: `0.0`
     /// for built trees, the maximum per-record quantization perturbation
@@ -145,8 +144,7 @@ impl DbchTree {
                 hull: Hull { u: 0, l: 0, volume: 0.0 },
                 kind: NodeKind::Leaf(vec![]),
             }],
-            arena: RepArena::from_reps(&reps),
-            reps,
+            reps: RepStore::from_reps(reps),
             rule,
             lb_slack: 0.0,
         };
@@ -163,13 +161,7 @@ impl DbchTree {
 
     /// `true` iff no series are indexed.
     pub fn is_empty(&self) -> bool {
-        self.reps.is_empty()
-    }
-
-    /// The indexed representations, by entry id (removed entries keep
-    /// their slot — ids are stable).
-    pub fn reps(&self) -> &[Representation] {
-        &self.reps
+        self.reps.len() == 0
     }
 
     /// Insert one more representation, returning its entry id.
@@ -179,7 +171,6 @@ impl DbchTree {
     /// Propagates representation-distance failures from the scheme.
     pub fn insert(&mut self, scheme: &dyn Scheme, rep: Representation) -> Result<usize> {
         let id = self.reps.len();
-        self.arena.push(&rep);
         self.reps.push(rep);
         self.insert_entry(id, scheme)?;
         Ok(id)
@@ -274,8 +265,10 @@ impl DbchTree {
 
     /// Reassemble a tree from persisted parts without re-running the
     /// O(n log n) insertion build: the node arena is adopted verbatim
-    /// after a structural walk, then the rep arena is flattened in one
-    /// linear pass. Every malformed input is an `Err`, never a panic.
+    /// after a structural walk, and `reps` — which the caller has already
+    /// validated ([`crate::arena::RepArena::adopt`]) — becomes the
+    /// tree's store as it is. Every malformed input is an `Err`, never a
+    /// panic.
     ///
     /// Validated here: fill-factor sanity, root in range, the graph
     /// under `root` is a tree (no node visited twice) covering the whole
@@ -294,7 +287,7 @@ impl DbchTree {
         rule: NodeDistRule,
         root: usize,
         raw: Vec<RawDbchNode>,
-        reps: Vec<Representation>,
+        reps: RepStore,
         lb_slack: f64,
     ) -> Result<DbchTree> {
         fn corrupt(reason: &'static str) -> sapla_core::Error {
@@ -357,8 +350,7 @@ impl DbchTree {
                 kind: if n.is_leaf { NodeKind::Leaf(n.ids) } else { NodeKind::Internal(n.ids) },
             })
             .collect::<Vec<_>>();
-        let arena = RepArena::from_reps(&reps);
-        Ok(DbchTree { min_fill, max_fill, root, nodes, reps, arena, rule, lb_slack })
+        Ok(DbchTree { min_fill, max_fill, root, nodes, reps, rule, lb_slack })
     }
 
     /// Full structural integrity check, for stress tests and post-reload
@@ -369,11 +361,11 @@ impl DbchTree {
     /// * each node's hull endpoints are reachable members of its subtree
     ///   and the stored volume equals `Dist_PAR(u, l)` **bitwise**,
     /// * each hull's volume equals a fresh recomputation over the node's
-    ///   current membership (bitwise — hulls may not go stale),
-    /// * the rep arena covers exactly the entry ids and its view of
-    ///   every live entry mirrors the stored representation
-    ///   coefficient-for-coefficient (removed entries are holes: still
-    ///   in the arena, referenced by no leaf).
+    ///   current membership (bitwise — hulls may not go stale).
+    ///
+    /// Both hull checks read the store the searches read — there is no
+    /// second copy of a representation to compare it with (removed
+    /// entries are holes: still in the store, referenced by no leaf).
     ///
     /// # Errors
     ///
@@ -382,9 +374,6 @@ impl DbchTree {
     pub fn validate(&self, scheme: &dyn Scheme) -> Result<()> {
         fn corrupt(reason: &'static str) -> sapla_core::Error {
             sapla_core::Error::CorruptIndex { reason }
-        }
-        if self.arena.len() != self.reps.len() {
-            return Err(corrupt("rep arena does not cover the entry ids"));
         }
         let mut seen = Vec::new();
         self.validate_rec(self.root, scheme, &mut seen)?;
@@ -428,9 +417,6 @@ impl DbchTree {
                 }
                 if self.leaf_hull(scheme, entries)?.volume.to_bits() != h.volume.to_bits() {
                     return Err(corrupt("stale leaf hull volume"));
-                }
-                if !entries.iter().all(|&e| self.arena.mirrors(e, &self.reps[e])) {
-                    return Err(corrupt("rep arena out of sync with a live entry"));
                 }
                 seen.extend_from_slice(entries);
                 Ok(())
@@ -554,7 +540,7 @@ impl DbchTree {
     }
 
     fn pair(&self, scheme: &dyn Scheme, a: usize, b: usize) -> Result<f64> {
-        scheme.pair_dist(&self.reps[a], &self.reps[b])
+        scheme.pair_dist(self.reps.rep(a), self.reps.rep(b))
     }
 
     fn insert_entry(&mut self, id: usize, scheme: &dyn Scheme) -> Result<()> {
@@ -744,16 +730,12 @@ impl DbchTree {
     /// hull's are drawn from its children's) and reappear as ordinary
     /// leaf entries, so the squared distance is cached on first
     /// evaluation and every re-use is `sq.sqrt()` — bitwise the fresh
-    /// evaluation (see [`HullMemo`]). A miss of a `planned` query runs
-    /// the planned SoA kernel on the entry's arena view; the stored
-    /// representation is walked only for plan-less queries and
-    /// non-linear schemes (same bits either way).
+    /// evaluation (see [`HullMemo`]).
     fn hull_rep_dist(
         &self,
         q: &Query,
         scheme: &dyn Scheme,
         entry: usize,
-        planned: bool,
         dist: &mut sapla_distance::ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64> {
@@ -762,13 +744,7 @@ impl DbchTree {
             return Ok(sq.sqrt());
         }
         memo.count_eval();
-        let view = if planned { self.arena.view(entry) } else { None };
-        if let Some(view) = view {
-            let sq = scheme.rep_dist_sq_soa(q, view, dist)?;
-            memo.insert(entry, sq);
-            return Ok(sq.sqrt());
-        }
-        let (d, sq) = scheme.rep_dist_sq_with(q, &self.reps[entry], dist)?;
+        let (d, sq) = scheme.rep_dist_sq_with(q, self.reps.rep(entry), dist)?;
         if let Some(sq) = sq {
             memo.insert(entry, sq);
         }
@@ -781,13 +757,12 @@ impl DbchTree {
         q: &Query,
         scheme: &dyn Scheme,
         node: usize,
-        planned: bool,
         dist: &mut sapla_distance::ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64> {
         let h = self.nodes[node].hull;
-        let du = self.hull_rep_dist(q, scheme, h.u, planned, dist, memo)?;
-        let dl = self.hull_rep_dist(q, scheme, h.l, planned, dist, memo)?;
+        let du = self.hull_rep_dist(q, scheme, h.u, dist, memo)?;
+        let dl = self.hull_rep_dist(q, scheme, h.l, dist, memo)?;
         Ok(match self.rule {
             NodeDistRule::Paper => {
                 if du < h.volume && dl < h.volume {
@@ -868,11 +843,8 @@ impl crate::batched::BatchTree for DbchTree {
     fn is_empty(&self) -> bool {
         DbchTree::is_empty(self)
     }
-    fn reps(&self) -> &[Representation] {
+    fn reps(&self) -> &RepStore {
         &self.reps
-    }
-    fn arena(&self) -> &RepArena {
-        &self.arena
     }
     fn node_view(&self, nid: usize) -> crate::batched::NodeView<'_> {
         match &self.nodes[nid].kind {
@@ -885,11 +857,10 @@ impl crate::batched::BatchTree for DbchTree {
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
-        planned: bool,
         dist: &mut sapla_distance::ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64> {
-        self.node_dist(q, scheme, nid, planned, dist, memo)
+        self.node_dist(q, scheme, nid, dist, memo)
     }
     fn count_fanout(&self, depth: usize, children: usize) {
         let (_depth, _children) = (depth, children);
@@ -980,17 +951,6 @@ mod tests {
         bad.nodes[leaf].hull.volume += 1.0;
         match bad.validate(scheme.as_ref()).unwrap_err() {
             Error::CorruptIndex { reason } => assert!(reason.contains("hull"), "{reason}"),
-            other => panic!("unexpected error: {other:?}"),
-        }
-
-        // Plant a desynchronised rep arena (another entry's coefficients
-        // under every id).
-        let (mut bad, scheme) = build_sapla(&raws, 12);
-        let mut rotated = bad.reps.clone();
-        rotated.rotate_left(1);
-        bad.arena = RepArena::from_reps(&rotated);
-        match bad.validate(scheme.as_ref()).unwrap_err() {
-            Error::CorruptIndex { reason } => assert!(reason.contains("arena"), "{reason}"),
             other => panic!("unexpected error: {other:?}"),
         }
 

@@ -38,8 +38,8 @@ use sapla_baselines::{reduce_batch_parallel, Reducer};
 use sapla_core::{Error, Representation, Result, TimeSeries};
 use sapla_parallel::par_try_map_init;
 
-use crate::arena::RawArena;
-use crate::batched::{knn_query_major, range_search};
+use crate::arena::{RawArena, RepStore};
+use crate::batched::{knn_query_major, range_search, BatchTree};
 use crate::dbch::{DbchTree, NodeDistRule};
 use crate::knn::{KnnScratch, SearchStats};
 use crate::parallel::{prepare_queries, BatchStats};
@@ -118,7 +118,7 @@ pub(crate) enum ShardIndex {
 }
 
 impl ShardIndex {
-    pub(crate) fn reps(&self) -> &[Representation] {
+    pub(crate) fn reps(&self) -> &RepStore {
         match self {
             ShardIndex::Dbch(t) => t.reps(),
             ShardIndex::Rtree(t) => t.reps(),
@@ -144,8 +144,17 @@ pub(crate) struct Shard {
 impl Shard {
     /// Pair a built tree with its raw series: `raw_of(local id)` is
     /// copied once, into leaf-walk order.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::LengthMismatch`] when the series differ in length, or a
+    /// representation covers another length than the series do — every
+    /// search of such a shard would fail on it.
     fn new<'a>(index: ShardIndex, raw_of: impl Fn(usize) -> &'a [f64]) -> Result<Shard> {
         let raws = RawArena::gather(&index.leaf_walk(), raw_of)?;
+        if let Some(len) = index.reps().length_mismatch(raws.stride()) {
+            return Err(Error::LengthMismatch { left: raws.stride(), right: len });
+        }
         Ok(Shard { index, raws })
     }
 
@@ -227,7 +236,8 @@ impl Engine {
     /// # Errors
     ///
     /// [`Error::LengthMismatch`] when `reps` and `raws` disagree in
-    /// length; otherwise scheme-resolution / tree-build failures.
+    /// length, or a representation and the series in the length they
+    /// cover; otherwise scheme-resolution / tree-build failures.
     pub fn from_parts(
         cfg: EngineConfig,
         reducer: Box<dyn Reducer>,
@@ -428,7 +438,7 @@ impl Engine {
         let n_shards = self.shards.len();
         let mut out = Vec::with_capacity(self.total);
         for g in 0..self.total {
-            out.push(self.shards[g % n_shards].index.reps()[g / n_shards].clone());
+            out.push(self.shards[g % n_shards].index.reps().rep(g / n_shards).to_representation());
         }
         out
     }
@@ -739,6 +749,26 @@ pub(crate) mod tests {
                 loaded.snapshot_image(Some(0.01)),
                 Err(Error::UnsupportedRepresentation { .. })
             ));
+        }
+    }
+
+    #[test]
+    fn from_parts_refuses_reps_that_cover_another_length_than_the_series() {
+        // Such an engine would build and then fail every search.
+        let raws = dataset(12, 64);
+        let reducer = SaplaReducer::new();
+        let reps: Vec<_> =
+            dataset(12, 100).iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
+        for (shards, tree) in [(1usize, TreeKind::Dbch), (3, TreeKind::Dbch), (2, TreeKind::Rtree)]
+        {
+            let cfg = EngineConfig { shards, tree, ..EngineConfig::default() };
+            let built =
+                Engine::from_parts(cfg, Box::new(reducer.clone()), reps.clone(), raws.clone());
+            assert_eq!(
+                built.map(|_| ()).unwrap_err(),
+                Error::LengthMismatch { left: 64, right: 100 },
+                "shards = {shards}"
+            );
         }
     }
 

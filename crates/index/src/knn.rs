@@ -234,7 +234,7 @@ impl Default for KnnHeap {
 
 /// Per-query memo of squared hull-representative distances, keyed by
 /// entry id — the same id that addresses the tree's
-/// [`crate::arena::RepArena`], so a memo lookup and the coefficients a
+/// [`crate::arena::RepStore`], so a memo lookup and the coefficients a
 /// miss goes on to read are found by one index. DBCH node bounds fully
 /// evaluate the representation distance against the two hull
 /// representatives of every node they score, and the same entries recur

@@ -39,6 +39,7 @@ pub mod scheme;
 pub(crate) mod snapshot;
 pub mod stats;
 
+pub use arena::RepRef;
 pub use batched::DEFAULT_QUERY_BLOCK;
 pub use dbch::{DbchTree, NodeDistRule};
 pub use engine::{Engine, EngineConfig, TreeKind};

@@ -9,7 +9,7 @@
 
 use sapla_core::{Representation, Result, TimeSeries};
 
-use crate::arena::RepArena;
+use crate::arena::RepStore;
 use crate::knn::{KnnScratch, SearchStats};
 use crate::rect::HyperRect;
 use crate::scheme::{Query, Scheme};
@@ -68,13 +68,11 @@ pub struct RTree {
     max_fill: usize,
     root: usize,
     nodes: Vec<Node>,
-    reps: Vec<Representation>,
+    /// The indexed representations by entry id — what the leaf filter
+    /// reads. Append-only: a removed entry stays behind as an
+    /// unreferenced hole, so ids are stable.
+    reps: RepStore,
     features: Vec<Vec<f64>>,
-    /// `reps`' coefficients, flat, in entry-id order (append-only; a
-    /// removed entry stays behind as an unreferenced hole). Read by the
-    /// leaf filter when the scheme supports the planned `Dist_PAR`
-    /// kernels and the query carries a plan.
-    arena: RepArena,
 }
 
 impl RTree {
@@ -104,8 +102,7 @@ impl RTree {
                 rect: HyperRect { lo: vec![], hi: vec![] },
                 kind: NodeKind::Leaf(vec![]),
             }],
-            arena: RepArena::from_reps(&reps),
-            reps,
+            reps: RepStore::from_reps(reps),
             features,
         };
         for id in 0..tree.reps.len() {
@@ -142,11 +139,10 @@ impl RTree {
                 rect: HyperRect { lo: vec![], hi: vec![] },
                 kind: NodeKind::Leaf(vec![]),
             }],
-            arena: RepArena::from_reps(&reps),
-            reps,
+            reps: RepStore::from_reps(reps),
             features,
         };
-        if tree.reps.is_empty() {
+        if tree.is_empty() {
             return Ok(tree);
         }
         tree.nodes.clear();
@@ -202,13 +198,7 @@ impl RTree {
 
     /// `true` iff no series are indexed.
     pub fn is_empty(&self) -> bool {
-        self.reps.is_empty()
-    }
-
-    /// The indexed representations, by entry id (removed entries keep
-    /// their slot — ids are stable).
-    pub fn reps(&self) -> &[Representation] {
-        &self.reps
+        self.reps.len() == 0
     }
 
     /// Insert one more representation, returning its entry id.
@@ -219,7 +209,6 @@ impl RTree {
     pub fn insert(&mut self, scheme: &dyn Scheme, rep: Representation) -> Result<usize> {
         let id = self.reps.len();
         self.features.push(scheme.feature(&rep)?);
-        self.arena.push(&rep);
         self.reps.push(rep);
         self.insert_entry(id);
         Ok(id)
@@ -331,9 +320,10 @@ impl RTree {
 
     /// Reassemble a tree from persisted parts without re-running the
     /// insertion build *or* feature extraction: nodes, rectangles and
-    /// feature vectors are adopted verbatim after a structural walk,
-    /// then the rep arena is flattened in one linear pass. Every
-    /// malformed input is an `Err`, never a panic.
+    /// feature vectors are adopted verbatim after a structural walk, and
+    /// `reps` — which the caller has already validated
+    /// ([`crate::arena::RepArena::adopt`]) — becomes the tree's store as
+    /// it is. Every malformed input is an `Err`, never a panic.
     ///
     /// Validated here: fill-factor sanity, root in range, the graph
     /// under `root` is a tree covering the whole arena, internal fanout
@@ -351,7 +341,7 @@ impl RTree {
         max_fill: usize,
         root: usize,
         raw: Vec<RawRtreeNode>,
-        reps: Vec<Representation>,
+        reps: RepStore,
         features: Vec<Vec<f64>>,
     ) -> Result<RTree> {
         fn corrupt(reason: &'static str) -> sapla_core::Error {
@@ -416,8 +406,7 @@ impl RTree {
                 kind: if n.is_leaf { NodeKind::Leaf(n.ids) } else { NodeKind::Internal(n.ids) },
             })
             .collect::<Vec<_>>();
-        let arena = RepArena::from_reps(&reps);
-        Ok(RTree { min_fill, max_fill, root, nodes, reps, features, arena })
+        Ok(RTree { min_fill, max_fill, root, nodes, reps, features })
     }
 
     /// Structural integrity check, for stress tests and post-reload
@@ -427,10 +416,8 @@ impl RTree {
     /// * every entry id is unique and within the rep arena,
     /// * each node's rectangle covers its children's rectangles / its
     ///   entries' feature points (what MINDIST pruning relies on),
-    /// * the rep arena covers exactly the entry ids and its view of
-    ///   every live entry mirrors the stored representation
-    ///   coefficient-for-coefficient (removed entries are holes: still
-    ///   in the arena, referenced by no leaf).
+    /// * there is one feature vector per entry id (removed entries are
+    ///   holes: still in the store, referenced by no leaf).
     ///
     /// # Errors
     ///
@@ -445,8 +432,8 @@ impl RTree {
                 && outer.lo.iter().zip(&inner.lo).all(|(o, i)| o <= i)
                 && outer.hi.iter().zip(&inner.hi).all(|(o, i)| o >= i)
         }
-        if self.arena.len() != self.reps.len() || self.features.len() != self.reps.len() {
-            return Err(corrupt("rep arena or feature arena does not cover the entry ids"));
+        if self.features.len() != self.reps.len() {
+            return Err(corrupt("feature arena does not cover the entry ids"));
         }
         let mut seen = vec![false; self.reps.len()];
         let mut stack = vec![self.root];
@@ -492,9 +479,6 @@ impl RTree {
                         }
                         if !covers(&node.rect, &self.entry_rect(e)) {
                             return Err(corrupt("leaf rectangle does not cover an entry"));
-                        }
-                        if !self.arena.mirrors(e, &self.reps[e]) {
-                            return Err(corrupt("rep arena out of sync with a live entry"));
                         }
                     }
                 }
@@ -775,11 +759,8 @@ impl crate::batched::BatchTree for RTree {
     fn is_empty(&self) -> bool {
         RTree::is_empty(self)
     }
-    fn reps(&self) -> &[Representation] {
+    fn reps(&self) -> &RepStore {
         &self.reps
-    }
-    fn arena(&self) -> &RepArena {
-        &self.arena
     }
     fn node_view(&self, nid: usize) -> crate::batched::NodeView<'_> {
         match &self.nodes[nid].kind {
@@ -792,7 +773,6 @@ impl crate::batched::BatchTree for RTree {
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
-        _planned: bool,
         _dist: &mut sapla_distance::ParScratch,
         // MINDIST bounds come from rectangles, not entry distances —
         // nothing to memoise; the memo stays empty and the leaf filter

@@ -11,10 +11,11 @@ use sapla_baselines::sax::gaussian_breakpoints;
 use sapla_baselines::{ReduceScratch, Reducer};
 use sapla_core::{Error, PrefixSums, Representation, Result, TimeSeries};
 use sapla_distance::{
-    dist_paa, dist_par, dist_par_sq_planned, dist_par_sq_planned_soa, dist_par_sq_with, dist_pla,
-    dist_s_sq, mindist, rep_distance, safe_sq_bound, QueryPlan, SoaSegs,
+    dist_paa, dist_par, dist_par_sq_planned, dist_par_sq_with, dist_pla, dist_s_sq, mindist,
+    rep_distance, safe_sq_bound, ParScratch, QueryPlan, SegSource,
 };
 
+use crate::arena::RepRef;
 use crate::rect::HyperRect;
 
 /// A query prepared for index search: raw series, its prefix sums, its
@@ -29,8 +30,8 @@ pub struct Query {
     /// The query's own reduced representation.
     pub rep: Representation,
     /// Query-compiled `Dist_PAR` plan (linear representations only).
-    /// `None` disables the planned kernels — search falls back to the
-    /// unplanned reference path with identical results; the equivalence
+    /// `None` disables the planned kernel — the scheme falls back to the
+    /// unplanned reference walk with identical results; the equivalence
     /// proptests strip this field to pin that.
     pub plan: Option<QueryPlan>,
 }
@@ -79,20 +80,17 @@ impl Query {
 /// projects onto the *same* subspace). Exact trees pass `0.0` and keep
 /// the original unconditional contract.
 #[cfg(feature = "strict-invariants")]
-pub(crate) fn assert_lb_le_exact(
-    q: &Query,
-    rep: &Representation,
-    exact: f64,
-    slack: f64,
-) -> Result<()> {
-    if let Some(linear) = rep.as_linear() {
-        let lb = sapla_distance::dist_lb(&q.sums, linear)?;
-        assert!(
-            lb <= exact + slack + 1e-6 * (1.0 + exact),
-            "strict-invariants: Dist_LB = {lb} exceeds the exact Euclidean distance {exact} \
-             (+ quantization slack {slack}); the lower-bound contract is broken"
-        );
-    }
+pub(crate) fn assert_lb_le_exact(q: &Query, rep: RepRef<'_>, exact: f64, slack: f64) -> Result<()> {
+    let lb = match rep {
+        RepRef::Linear(view) => sapla_distance::dist_lb(&q.sums, view)?,
+        RepRef::Stored(Representation::Linear(linear)) => sapla_distance::dist_lb(&q.sums, linear)?,
+        RepRef::Stored(_) => return Ok(()),
+    };
+    assert!(
+        lb <= exact + slack + 1e-6 * (1.0 + exact),
+        "strict-invariants: Dist_LB = {lb} exceeds the exact Euclidean distance {exact} \
+         (+ quantization slack {slack}); the lower-bound contract is broken"
+    );
     Ok(())
 }
 
@@ -109,96 +107,56 @@ pub trait Scheme: Send + Sync {
     fn mindist(&self, q: &Query, rect: &HyperRect) -> Result<f64>;
 
     /// Distance estimate from the query to a candidate's representation
-    /// (the leaf-level filter; `Dist_PAR` for the adaptive methods).
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64>;
+    /// (the leaf-level filter; `Dist_PAR` for the adaptive methods). The
+    /// candidate is one borrowed [`RepRef`] — a view into a tree's store
+    /// or a [`Representation`] of the caller's — and the result does not
+    /// depend on which.
+    fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64>;
 
-    /// [`Scheme::rep_dist`] with a reusable partition buffer. The result
-    /// is **identical** to `rep_dist` — schemes whose distance allocates
-    /// (the adaptive `Dist_PAR`) override this to reuse `scratch` in hot
-    /// multi-query loops; the default ignores it.
-    fn rep_dist_with(
-        &self,
-        q: &Query,
-        rep: &Representation,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<f64> {
-        let _ = scratch;
-        self.rep_dist(q, rep)
-    }
-
-    /// [`Scheme::rep_dist_with`] plus its memoisable squared form.
+    /// [`Scheme::rep_dist`] — the **identical** value, computed with a
+    /// reusable partition buffer — plus its memoisable squared form.
     /// Schemes that compute the distance as `sq.sqrt()` over an exact
     /// squared accumulation return `(sq.sqrt(), Some(sq))` and promise
-    /// that **every** filter decision ([`Scheme::rep_within`] /
-    /// [`Scheme::rep_within_soa`]) is equivalent to
-    /// `sq.sqrt() <= threshold` — that lets callers cache `sq` per
-    /// (query, entry) and replay later evaluations of the same pair
-    /// bitwise (the DBCH hull memo in [`crate::knn`]). The default
+    /// that **every** filter decision ([`Scheme::rep_within`]) is
+    /// equivalent to `sq.sqrt() <= threshold` — that lets callers cache
+    /// `sq` per (query, entry) and replay later evaluations of the same
+    /// pair bitwise (the DBCH hull memo in [`crate::knn`]). The default
     /// returns no square, which disables such caching.
     fn rep_dist_sq_with(
         &self,
         q: &Query,
-        rep: &Representation,
-        scratch: &mut sapla_distance::ParScratch,
+        rep: RepRef<'_>,
+        scratch: &mut ParScratch,
     ) -> Result<(f64, Option<f64>)> {
-        Ok((self.rep_dist_with(q, rep, scratch)?, None))
-    }
-
-    /// Whether this scheme can run the query-compiled `Dist_PAR` kernels
-    /// over SoA views of a tree's rep arena (when the query carries a
-    /// plan). Trees consult this before taking the
-    /// [`Scheme::rep_dist_sq_soa`] / [`Scheme::rep_within_soa`] path.
-    fn supports_par_plan(&self) -> bool {
-        false
-    }
-
-    /// The square behind [`Scheme::rep_dist_sq_with`], evaluated over an
-    /// SoA arena view: bitwise the same value. Only called when
-    /// [`Scheme::supports_par_plan`] is true and the query carries a
-    /// plan; the default therefore errors.
-    fn rep_dist_sq_soa(
-        &self,
-        q: &Query,
-        cand: SoaSegs<'_>,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<f64> {
-        let _ = (q, cand, scratch);
-        Err(Error::UnsupportedRepresentation { operation: "SoA representation distance" })
+        let _ = scratch;
+        Ok((self.rep_dist(q, rep)?, None))
     }
 
     /// Threshold-aware leaf filter: whether the candidate passes. The
     /// contract is exact agreement with
-    /// `rep_dist_with(..) <= threshold` — schemes may early-abandon the
+    /// `rep_dist(..) <= threshold` — schemes may early-abandon the
     /// distance computation as long as that holds. The default computes
     /// the full distance and compares.
     fn rep_within(
         &self,
         q: &Query,
-        rep: &Representation,
+        rep: RepRef<'_>,
         threshold: f64,
-        scratch: &mut sapla_distance::ParScratch,
+        scratch: &mut ParScratch,
     ) -> Result<bool> {
-        Ok(self.rep_dist_with(q, rep, scratch)? <= threshold)
+        Ok(self.rep_dist_sq_with(q, rep, scratch)?.0 <= threshold)
     }
 
-    /// [`Scheme::rep_within`] over an SoA view from a tree's rep arena.
-    /// Only called when [`Scheme::supports_par_plan`] is true and the
-    /// query carries a plan; the default therefore errors.
-    fn rep_within_soa(
-        &self,
-        q: &Query,
-        cand: SoaSegs<'_>,
-        threshold: f64,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<bool> {
-        let _ = (q, cand, threshold, scratch);
-        Err(Error::UnsupportedRepresentation { operation: "SoA leaf filter" })
-    }
-
-    /// Distance between two representations (DBCH hull construction and
-    /// node volumes).
-    fn pair_dist(&self, a: &Representation, b: &Representation) -> Result<f64> {
-        rep_distance(a, b)
+    /// Distance between two representations of one tree (DBCH hull
+    /// construction and node volumes): `Dist_PAR` between linear ones,
+    /// [`rep_distance`] otherwise.
+    fn pair_dist(&self, a: RepRef<'_>, b: RepRef<'_>) -> Result<f64> {
+        match (a, b) {
+            (RepRef::Linear(a), RepRef::Linear(b)) => dist_par(a, b),
+            (RepRef::Stored(a), RepRef::Stored(b)) => rep_distance(a, b),
+            (RepRef::Linear(a), RepRef::Stored(b)) => dist_par(a, expect_linear(b)?),
+            (RepRef::Stored(a), RepRef::Linear(b)) => dist_par(expect_linear(a)?, b),
+        }
     }
 }
 
@@ -221,6 +179,14 @@ pub fn scheme_for(name: &str) -> Result<Box<dyn Scheme>> {
 
 fn expect_linear(rep: &Representation) -> Result<&sapla_core::PiecewiseLinear> {
     rep.as_linear().ok_or(Error::UnsupportedRepresentation { operation: "linear scheme" })
+}
+
+/// The candidate of a non-linear scheme: never a view into a linear store.
+fn expect_stored<'a>(rep: RepRef<'a>, operation: &'static str) -> Result<&'a Representation> {
+    match rep {
+        RepRef::Stored(rep) => Ok(rep),
+        RepRef::Linear(_) => Err(Error::UnsupportedRepresentation { operation }),
+    }
 }
 
 /// Interval distance squared from a point to `[lo, hi]`.
@@ -318,98 +284,62 @@ impl Scheme for AdaptiveLinearScheme {
         Ok(region_mindist(&regions, q.raw.values()))
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        dist_par(expect_linear(&q.rep)?, expect_linear(rep)?)
+    fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64> {
+        self.rep_dist_sq_with(q, rep, &mut ParScratch::default()).map(|(d, _)| d)
     }
 
-    fn rep_dist_with(
-        &self,
-        q: &Query,
-        rep: &Representation,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<f64> {
-        self.rep_dist_sq_with(q, rep, scratch).map(|(d, _)| d)
-    }
-
-    // `Dist_PAR` is `sq.sqrt()` in every path, the planned filters
-    // decide via `within` (abandon ⟺ full square > bound, by the
+    // `Dist_PAR` is `sq.sqrt()` in every path, the planned filter
+    // decides via `within` (abandon ⟺ full square > bound, by the
     // monotone ≥ 0 Eq. 12 terms), and the unplanned filter compares
     // `sq.sqrt() <= threshold` directly — so the square is memoisable
     // per the trait contract.
     fn rep_dist_sq_with(
         &self,
         q: &Query,
-        rep: &Representation,
-        scratch: &mut sapla_distance::ParScratch,
+        rep: RepRef<'_>,
+        scratch: &mut ParScratch,
     ) -> Result<(f64, Option<f64>)> {
-        let cand = expect_linear(rep)?;
-        let sq = match &q.plan {
-            // Planned, no abandoning: bit-identical to the unplanned walk.
-            Some(plan) => dist_par_sq_planned(plan, cand, scratch, f64::INFINITY)?,
-            None => dist_par_sq_with(scratch, expect_linear(&q.rep)?, cand)?,
-        };
+        let sq = par_sq(q, rep, scratch, f64::INFINITY)?;
         Ok((sq.sqrt(), Some(sq)))
-    }
-
-    fn supports_par_plan(&self) -> bool {
-        true
-    }
-
-    fn rep_dist_sq_soa(
-        &self,
-        q: &Query,
-        cand: SoaSegs<'_>,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<f64> {
-        dist_par_sq_planned_soa(expect_plan(q)?, cand, scratch, f64::INFINITY)
     }
 
     fn rep_within(
         &self,
         q: &Query,
-        rep: &Representation,
+        rep: RepRef<'_>,
         threshold: f64,
-        scratch: &mut sapla_distance::ParScratch,
+        scratch: &mut ParScratch,
     ) -> Result<bool> {
-        let Some(plan) = &q.plan else {
-            return Ok(self.rep_dist_with(q, rep, scratch)? <= threshold);
-        };
-        let sq =
-            dist_par_sq_planned(plan, expect_linear(rep)?, scratch, self.abandon_at(threshold))?;
-        Ok(within(sq, threshold))
-    }
-
-    fn rep_within_soa(
-        &self,
-        q: &Query,
-        cand: SoaSegs<'_>,
-        threshold: f64,
-        scratch: &mut sapla_distance::ParScratch,
-    ) -> Result<bool> {
-        let sq =
-            dist_par_sq_planned_soa(expect_plan(q)?, cand, scratch, self.abandon_at(threshold))?;
-        Ok(within(sq, threshold))
+        let abandon_at = if self.abandon { safe_sq_bound(threshold) } else { f64::INFINITY };
+        Ok(within(par_sq(q, rep, scratch, abandon_at)?, threshold))
     }
 }
 
-impl AdaptiveLinearScheme {
-    /// The planned filters' early-abandon bound for `threshold`.
-    fn abandon_at(&self, threshold: f64) -> f64 {
-        if self.abandon {
-            safe_sq_bound(threshold)
-        } else {
-            f64::INFINITY
-        }
+/// `Dist_PAR²` from the query to a linear candidate, in whichever layout
+/// it comes.
+fn par_sq(q: &Query, rep: RepRef<'_>, scratch: &mut ParScratch, abandon_at: f64) -> Result<f64> {
+    match rep {
+        RepRef::Linear(view) => par_sq_over(q, view, scratch, abandon_at),
+        RepRef::Stored(rep) => par_sq_over(q, expect_linear(rep)?, scratch, abandon_at),
     }
 }
 
-fn expect_plan(q: &Query) -> Result<&QueryPlan> {
-    q.plan.as_ref().ok_or(Error::UnsupportedRepresentation {
-        operation: "SoA representation distance without a query plan",
-    })
+/// The planned kernel when the query carries a plan — abandoning beyond
+/// `abandon_at`, bit-identical to the unplanned walk when it does not
+/// abandon — else the unplanned reference walk, which never abandons.
+fn par_sq_over<C: SegSource>(
+    q: &Query,
+    cand: C,
+    scratch: &mut ParScratch,
+    abandon_at: f64,
+) -> Result<f64> {
+    match &q.plan {
+        Some(plan) => dist_par_sq_planned(plan, cand, scratch, abandon_at),
+        None => dist_par_sq_with(scratch, expect_linear(&q.rep)?, cand),
+    }
 }
 
-/// Turn a (possibly abandoned) planned `Dist_PAR²` into the leaf-filter
+/// Turn a (possibly abandoned) `Dist_PAR²` into the leaf-filter
 /// decision. The `f64::INFINITY` abandon sentinel only arises under a
 /// finite threshold, which it fails — as the reference comparison on the
 /// full square would; under `threshold = +∞` abandoning is disabled, so
@@ -462,8 +392,8 @@ impl Scheme for ApcaScheme {
         Ok(region_mindist(&regions, q.raw.values()))
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        rep_distance(&q.rep, rep)
+    fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64> {
+        rep_distance(&q.rep, expect_stored(rep, "APCA scheme")?)
     }
 }
 
@@ -542,8 +472,12 @@ impl Scheme for PlaScheme {
         Ok(sum.sqrt())
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        dist_pla(expect_linear(&q.rep)?, expect_linear(rep)?)
+    fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64> {
+        let q = expect_linear(&q.rep)?;
+        match rep {
+            RepRef::Linear(view) => dist_pla(q, view),
+            RepRef::Stored(rep) => dist_pla(q, expect_linear(rep)?),
+        }
     }
 }
 
@@ -588,12 +522,12 @@ impl Scheme for PaaScheme {
         Ok(sum.sqrt())
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
+    fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64> {
         let qcon = q
             .rep
             .as_constant()
             .ok_or(Error::UnsupportedRepresentation { operation: "PAA scheme" })?;
-        let ccon = rep
+        let ccon = expect_stored(rep, "PAA scheme")?
             .as_constant()
             .ok_or(Error::UnsupportedRepresentation { operation: "PAA scheme" })?;
         dist_paa(qcon, ccon)
@@ -630,8 +564,8 @@ impl Scheme for ChebyScheme {
         Ok(rect.min_sq_dist_point(&qc).sqrt())
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
-        rep_distance(&q.rep, rep)
+    fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64> {
+        rep_distance(&q.rep, expect_stored(rep, "CHEBY scheme")?)
     }
 }
 
@@ -687,9 +621,11 @@ impl Scheme for SaxScheme {
         Ok((qw.n as f64 / w).sqrt() * sum.sqrt())
     }
 
-    fn rep_dist(&self, q: &Query, rep: &Representation) -> Result<f64> {
+    fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64> {
         match (&q.rep, rep) {
-            (Representation::Symbolic(a), Representation::Symbolic(b)) => mindist(a, b),
+            (Representation::Symbolic(a), RepRef::Stored(Representation::Symbolic(b))) => {
+                mindist(a, b)
+            }
             _ => Err(Error::UnsupportedRepresentation { operation: "SAX scheme" }),
         }
     }
@@ -721,7 +657,7 @@ mod tests {
             let feat = scheme.feature(&rep).unwrap();
             assert!(!feat.is_empty(), "{}", reducer.name());
             let q = Query::new(&qr, reducer.as_ref(), m).unwrap();
-            let d = scheme.rep_dist(&q, &rep).unwrap();
+            let d = scheme.rep_dist(&q, RepRef::Stored(&rep)).unwrap();
             assert!(d.is_finite() && d >= 0.0, "{}", reducer.name());
             let rect = HyperRect::point(&feat);
             let md = scheme.mindist(&q, &rect).unwrap();
@@ -750,7 +686,7 @@ mod tests {
             let q = Query::new(&qr, reducer.as_ref(), m).unwrap();
             let rect = HyperRect::point(&scheme.feature(&rep).unwrap());
             let md = scheme.mindist(&q, &rect).unwrap();
-            let rd = scheme.rep_dist(&q, &rep).unwrap();
+            let rd = scheme.rep_dist(&q, RepRef::Stored(&rep)).unwrap();
             assert!(md <= rd + 1e-6, "{name}: mindist {md} > rep_dist {rd}");
         }
     }
@@ -810,8 +746,10 @@ mod tests {
             }
             let q = Query::new(&q_raw, reducer.as_ref(), m).unwrap();
             let md = scheme.mindist(&q, &rect).unwrap();
-            let min_rep =
-                reps.iter().map(|r| scheme.rep_dist(&q, r).unwrap()).fold(f64::INFINITY, f64::min);
+            let min_rep = reps
+                .iter()
+                .map(|r| scheme.rep_dist(&q, RepRef::Stored(r)).unwrap())
+                .fold(f64::INFINITY, f64::min);
             // Adaptive schemes bound the *raw* query against reconstruction
             // regions rather than the rep distance, so give them headroom;
             // the equal-length schemes must hold exactly.

@@ -8,8 +8,9 @@
 //! (`sapla_store::view`), and the trees are adopted verbatim through
 //! `from_raw_parts` structural validation — no reduction, no O(n log n)
 //! insertion build. The engine's in-memory search layout is the file's
-//! (DESIGN.md §"Search arenas"): the coefficient arenas fill the tree's
-//! id-ordered `RepArena` in one pass, and [`K_RAW_DATA`] *is* the
+//! (DESIGN.md §"Search arenas"): the coefficient arenas become the
+//! tree's representation store in one validating pass — no per-series
+//! value is built on a load or a save — and [`K_RAW_DATA`] *is* the
 //! shard's leaf-ordered `RawArena` buffer, byte for byte.
 //!
 //! # Who owns the image
@@ -24,7 +25,8 @@
 //! it copies each raw arena once, in bulk, into an allocation the arena
 //! owns. Both run the same checks: the whole-file checksum before any
 //! arena is read, the adopted tree's leaf walk a permutation of the
-//! entry ids, every raw sample finite.
+//! entry ids, every raw sample finite, every representation a valid
+//! segmentation of exactly as many points as the raw series have.
 //!
 //! # Arena schema (consumer side of the container)
 //!
@@ -89,13 +91,13 @@ use std::sync::Arc;
 
 use sapla_baselines::{all_reducers, Reducer};
 use sapla_core::codec::{decode_collection, encode_collection};
-use sapla_core::repr::{LinearSegment, PiecewiseLinear};
-use sapla_core::{Error, Representation, Result};
+use sapla_core::{Error, Result};
+use sapla_distance::SegSource;
 use sapla_store::{
     put_f64s, put_i32s, put_u32s, put_u64s, view, ArenaWriter, SnapshotBytes, SnapshotView,
 };
 
-use crate::arena::RawArena;
+use crate::arena::{RawArena, RepArena, RepRef, RepStore};
 use crate::dbch::{DbchTree, NodeDistRule, RawDbchNode};
 use crate::engine::{Engine, EngineConfig, Shard, ShardIndex, TreeKind};
 use crate::rtree::{RTree, RawRtreeNode};
@@ -303,73 +305,74 @@ fn quantize_coeff(x: f64, step: f64) -> Result<i32> {
 
 /// Per-shard quantized rep arenas plus the data the tree writer needs.
 struct QuantizedReps {
-    spans: Vec<u8>,
     slopes: Vec<u8>,
     intercepts: Vec<u8>,
     deltas: Vec<u8>,
     slack: Vec<u8>,
-    /// Dequantized reps (what a loader will materialize) — hull volumes
+    /// Dequantized reps, adopted the way a loader will — hull volumes
     /// are recomputed over these so the stored tree is self-consistent.
-    dequantized: Vec<Representation>,
+    dequantized: RepArena,
 }
 
-fn quantize_reps(reps: &[Representation], step: f64) -> Result<QuantizedReps> {
-    let mut out = QuantizedReps {
-        spans: Vec::new(),
-        slopes: Vec::new(),
-        intercepts: Vec::new(),
-        deltas: Vec::new(),
-        slack: Vec::new(),
-        dequantized: Vec::with_capacity(reps.len()),
+fn quantize_reps(reps: &RepStore, step: f64) -> Result<QuantizedReps> {
+    let RepStore::Linear(arena) = reps else {
+        return Err(unsupported(
+            "quantized snapshot leaves require piecewise-linear representations",
+        ));
     };
-    for rep in reps {
-        let lin = rep.as_linear().ok_or_else(|| {
-            unsupported("quantized snapshot leaves require piecewise-linear representations")
-        })?;
-        put_u64s(&mut out.spans, [lin.num_segments() as u64]);
+    let segments = arena.slopes().len();
+    let (mut slopes, mut intercepts, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
+    let mut slack = Vec::with_capacity(8 * arena.len());
+    let (mut dq_slopes, mut dq_intercepts) =
+        (Vec::with_capacity(segments), Vec::with_capacity(segments));
+    for id in 0..arena.len() {
+        let view = arena.view(id);
         let mut acc = 0.0f64;
-        let mut prev_r: Option<usize> = None;
-        let mut dq_segs = Vec::with_capacity(lin.num_segments());
-        for (j, seg) in lin.segments().iter().enumerate() {
-            let qa = quantize_coeff(seg.a, step)?;
-            let qb = quantize_coeff(seg.b, step)?;
+        // One past the previous endpoint: the segment's first point.
+        let mut start = 0usize;
+        for i in 0..view.count() {
+            let (a, b, r) = (view.a(i), view.b(i), view.r(i));
+            let qa = quantize_coeff(a, step)?;
+            let qb = quantize_coeff(b, step)?;
             let da = f64::from(qa) * step;
             let db = f64::from(qb) * step;
             // The exact perturbation this segment contributes to
             // ‖recon(C) − recon(Ĉ~)‖²: both lines live on the same
             // window because endpoints are preserved losslessly.
-            acc += sapla_distance::dist_s_sq(seg.a, seg.b, da, db, lin.seg_len(j));
-            let delta = match prev_r {
-                None => seg.r,
-                Some(p) => seg.r - p,
-            };
+            acc += sapla_distance::dist_s_sq(a, b, da, db, r + 1 - start);
+            // First delta is `r_0` itself, later ones `r_i − r_{i−1}`.
+            let delta = if i == 0 { r } else { r + 1 - start };
             let delta = u32::try_from(delta).map_err(|_| {
                 unsupported("segment endpoint exceeds the quantized snapshot's delta range")
             })?;
-            put_i32s(&mut out.slopes, [qa]);
-            put_i32s(&mut out.intercepts, [qb]);
-            put_u32s(&mut out.deltas, [delta]);
-            prev_r = Some(seg.r);
-            dq_segs.push(LinearSegment { a: da, b: db, r: seg.r });
+            put_i32s(&mut slopes, [qa]);
+            put_i32s(&mut intercepts, [qb]);
+            put_u32s(&mut deltas, [delta]);
+            dq_slopes.push(da);
+            dq_intercepts.push(db);
+            start = r + 1;
         }
-        put_f64s(&mut out.slack, [acc.sqrt()]);
-        out.dequantized.push(Representation::Linear(PiecewiseLinear::new(dq_segs)?));
+        put_f64s(&mut slack, [acc.sqrt()]);
     }
-    Ok(out)
+    let counts: Vec<u64> = arena.counts().collect();
+    let endpoints = arena.endpoints().iter().map(|&r| r as u64);
+    let dequantized = RepArena::adopt(&counts, dq_slopes, dq_intercepts, endpoints, false)?;
+    Ok(QuantizedReps { slopes, intercepts, deltas, slack, dequantized })
 }
 
 /// Exact rep arenas: the four SoA arenas (bit-preserving — coefficients
-/// round-trip as raw `f64` bits) when every rep is linear, the
-/// hardened-codec blob otherwise.
-fn push_exact_reps(w: &mut ArenaWriter, s: u32, reps: &[Representation]) -> Result<()> {
-    let Some(lins) = reps.iter().map(Representation::as_linear).collect::<Option<Vec<_>>>() else {
-        return w.push_arena(K_REP_BLOB, s, &encode_collection(reps)?);
-    };
-    let segments = || lins.iter().flat_map(|lin| lin.segments());
-    w.push_u64s(K_REP_SPANS, s, lins.iter().map(|lin| lin.num_segments() as u64))?;
-    w.push_f64s(K_REP_SLOPES, s, segments().map(|seg| seg.a))?;
-    w.push_f64s(K_REP_INTERCEPTS, s, segments().map(|seg| seg.b))?;
-    w.push_u64s(K_REP_ENDPOINTS, s, segments().map(|seg| seg.r as u64))
+/// round-trip as raw `f64` bits) of a linear store, the hardened-codec
+/// blob of any other.
+fn push_exact_reps(w: &mut ArenaWriter, s: u32, reps: &RepStore) -> Result<()> {
+    match reps {
+        RepStore::Stored(reps) => w.push_arena(K_REP_BLOB, s, &encode_collection(reps)?),
+        RepStore::Linear(arena) => {
+            w.push_u64s(K_REP_SPANS, s, arena.counts())?;
+            w.push_f64s(K_REP_SLOPES, s, arena.slopes().iter().copied())?;
+            w.push_f64s(K_REP_INTERCEPTS, s, arena.intercepts().iter().copied())?;
+            w.push_u64s(K_REP_ENDPOINTS, s, arena.endpoints().iter().map(|&r| r as u64))
+        }
+    }
 }
 
 /// Node child / entry ids, node-concatenated: the flat id arena the
@@ -452,7 +455,7 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
         match (&shard.index, quantize) {
             (ShardIndex::Dbch(tree), Some(step)) => {
                 let q = quantize_reps(reps, step)?;
-                w.push_arena(K_REP_SPANS, s, &q.spans)?;
+                w.push_u64s(K_REP_SPANS, s, q.dequantized.counts())?;
                 w.push_arena(K_QREP_SLOPES, s, &q.slopes)?;
                 w.push_arena(K_QREP_INTERCEPTS, s, &q.intercepts)?;
                 w.push_arena(K_QREP_ENDPOINT_DELTAS, s, &q.deltas)?;
@@ -463,12 +466,13 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
                 let raw = tree.raw_nodes();
                 let mut volumes = Vec::with_capacity(raw.len());
                 for n in &raw {
-                    volumes.push(if q.dequantized.is_empty() {
+                    volumes.push(if q.dequantized.len() == 0 {
                         n.volume
                     } else {
-                        engine
-                            .scheme
-                            .pair_dist(&q.dequantized[n.hull_u], &q.dequantized[n.hull_l])?
+                        engine.scheme.pair_dist(
+                            RepRef::Linear(q.dequantized.view(n.hull_u)),
+                            RepRef::Linear(q.dequantized.view(n.hull_l)),
+                        )?
                     });
                 }
                 push_dbch_tree(&mut w, s, tree.root_id(), &raw, reps.len(), Some(&volumes))?;
@@ -511,41 +515,22 @@ fn checked_total(spans: &[u64], have: usize, what: &'static str) -> Result<usize
     Ok(total)
 }
 
-fn load_exact_reps(v: &SnapshotView<'_>, s: u32, n_reps: usize) -> Result<Vec<Representation>> {
+fn load_exact_reps(v: &SnapshotView<'_>, s: u32) -> Result<RepStore> {
     if let Some(blob) = v.arena_opt(K_REP_BLOB, s) {
-        let reps = decode_collection(blob)?;
-        if reps.len() != n_reps {
-            return Err(corrupt("snapshot rep blob disagrees with the shard record count"));
-        }
-        return Ok(reps);
+        return Ok(RepStore::from_reps(decode_collection(blob)?));
     }
     let spans = view::u64s(v.arena(K_REP_SPANS, s)?)?;
-    if spans.len() != n_reps {
-        return Err(corrupt("snapshot rep spans disagree with the shard record count"));
-    }
     let slopes = view::f64s(v.arena(K_REP_SLOPES, s)?)?;
     let intercepts = view::f64s(v.arena(K_REP_INTERCEPTS, s)?)?;
     let endpoints = view::u64s(v.arena(K_REP_ENDPOINTS, s)?)?;
-    checked_total(spans, slopes.len(), "snapshot slope arena disagrees with the rep spans")?;
-    if intercepts.len() != slopes.len() || endpoints.len() != slopes.len() {
-        return Err(corrupt("snapshot coefficient arenas disagree in length"));
-    }
-    let mut reps = Vec::with_capacity(n_reps);
-    let mut at = 0usize;
-    for &span in spans {
-        let span = to_usize(span, "snapshot rep span overflows")?;
-        let mut segs = Vec::with_capacity(span);
-        for j in at..at + span {
-            let r = to_usize(endpoints[j], "snapshot segment endpoint overflows")?;
-            segs.push(LinearSegment { a: slopes[j], b: intercepts[j], r });
-        }
-        at += span;
-        reps.push(Representation::Linear(
-            PiecewiseLinear::new(segs)
-                .map_err(|_| corrupt("snapshot representation has malformed segment endpoints"))?,
-        ));
-    }
-    Ok(reps)
+    let arena = RepArena::adopt(
+        spans,
+        slopes.to_vec(),
+        intercepts.to_vec(),
+        endpoints.iter().copied(),
+        false,
+    )?;
+    Ok(RepStore::Linear(arena))
 }
 
 /// Returns the dequantized reps plus the shard's `Dist_LB` slack (the
@@ -555,26 +540,18 @@ fn load_quantized_reps(
     s: u32,
     n_reps: usize,
     step: f64,
-) -> Result<(Vec<Representation>, f64)> {
+) -> Result<(RepStore, f64)> {
     if !step.is_finite() || step <= 0.0 {
         return Err(corrupt("quantized snapshot has a non-positive quantization step"));
     }
     let spans = view::u64s(v.arena(K_REP_SPANS, s)?)?;
-    if spans.len() != n_reps {
-        return Err(corrupt("snapshot rep spans disagree with the shard record count"));
-    }
     let slopes = view::i32s(v.arena(K_QREP_SLOPES, s)?)?;
     let intercepts = view::i32s(v.arena(K_QREP_INTERCEPTS, s)?)?;
     let deltas = view::u32s(v.arena(K_QREP_ENDPOINT_DELTAS, s)?)?;
     let slack = view::f64s(v.arena(K_QREP_SLACK, s)?)?;
-    checked_total(spans, slopes.len(), "snapshot slope arena disagrees with the rep spans")?;
-    if intercepts.len() != slopes.len() || deltas.len() != slopes.len() {
-        return Err(corrupt("snapshot coefficient arenas disagree in length"));
-    }
     if slack.len() != n_reps {
         return Err(corrupt("snapshot slack arena disagrees with the shard record count"));
     }
-    let mut reps = Vec::with_capacity(n_reps);
     let mut shard_slack = 0.0f64;
     for &d in slack {
         if !d.is_finite() || d < 0.0 {
@@ -582,30 +559,15 @@ fn load_quantized_reps(
         }
         shard_slack = shard_slack.max(d);
     }
-    let mut at = 0usize;
-    for &span in spans {
-        let span = to_usize(span, "snapshot rep span overflows")?;
-        let mut segs = Vec::with_capacity(span);
-        let mut r = 0u64;
-        for j in at..at + span {
-            // First delta is r_0 itself; later deltas must be ≥ 1 for
-            // strictly increasing endpoints (PiecewiseLinear re-checks).
-            r = r
-                .checked_add(u64::from(deltas[j]))
-                .ok_or_else(|| corrupt("snapshot segment endpoint overflows"))?;
-            segs.push(LinearSegment {
-                a: f64::from(slopes[j]) * step,
-                b: f64::from(intercepts[j]) * step,
-                r: to_usize(r, "snapshot segment endpoint overflows")?,
-            });
-        }
-        at += span;
-        reps.push(Representation::Linear(
-            PiecewiseLinear::new(segs)
-                .map_err(|_| corrupt("snapshot representation has malformed segment endpoints"))?,
-        ));
-    }
-    Ok((reps, shard_slack))
+    let dequantize = |q: &[i32]| q.iter().map(|&q| f64::from(q) * step).collect();
+    let arena = RepArena::adopt(
+        spans,
+        dequantize(slopes),
+        dequantize(intercepts),
+        deltas.iter().map(|&d| u64::from(d)),
+        true,
+    )?;
+    Ok((RepStore::Linear(arena), shard_slack))
 }
 
 /// The slack an exact-flag image carries for a shard whose reps were
@@ -791,9 +753,17 @@ fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<En
         let (reps, shard_slack) = if quantized {
             load_quantized_reps(v, s, n_reps, meta.quant_step)?
         } else {
-            (load_exact_reps(v, s, n_reps)?, load_lineage_slack(v, s)?)
+            (load_exact_reps(v, s)?, load_lineage_slack(v, s)?)
         };
+        if reps.len() != n_reps {
+            return Err(corrupt("snapshot representations disagree with the shard record count"));
+        }
         lb_slack = lb_slack.max(shard_slack);
+        // A rep of another length than the raw series would be adopted
+        // and then fail every search that reaches it.
+        if reps.length_mismatch(stored.stride).is_some() {
+            return Err(corrupt("snapshot representation and raw series differ in length"));
+        }
         let index = match meta.tree {
             TreeKind::Dbch => {
                 let raw = load_dbch_nodes(v, s, n_nodes)?;
@@ -1006,6 +976,49 @@ mod tests {
             reseal(&mut image);
             let err = refused(&image, "lineage slack");
             assert!(matches!(err, Error::CorruptIndex { .. }), "{bad}: {err}");
+        }
+
+        // What the store's validation pass owns, on an exact image and on
+        // a quantized one (whose endpoints are delta-coded `u32`s). Every
+        // series here has 64 points and, at `m = 12`, four segments.
+        let get = |image: &[u8], from: usize, width: usize| {
+            let mut value = [0u8; 8];
+            value[..width].copy_from_slice(&image[from..from + width]);
+            u64::from_le_bytes(value)
+        };
+        let put = |image: &mut [u8], from: usize, width: usize, value: u64| {
+            image[from..from + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        };
+        for (image, endpoints, width) in
+            [(&image, K_REP_ENDPOINTS, 8), (&quantized, K_QREP_ENDPOINT_DELTAS, 4)]
+        {
+            let spans = arena_at(image, K_REP_SPANS, 0).start;
+            let ends = arena_at(image, endpoints, 0).start;
+            assert_eq!(get(image, spans, 8), 4, "rep 0 has four segments");
+            let corrupt_index = |mutate: &dyn Fn(&mut [u8]), what: &str| {
+                let mut image = image.clone();
+                mutate(&mut image);
+                reseal(&mut image);
+                let err = refused(&image, what);
+                assert!(matches!(err, Error::CorruptIndex { .. }), "{what}: {err}");
+            };
+            // Rep 0 ends at point 99, not 63: adopted, it would fail every
+            // search that reaches it with a `LengthMismatch`.
+            let longer = get(image, ends + 3 * width, width) + 36;
+            corrupt_index(&|image| put(image, ends + 3 * width, width, longer), "rep / raw length");
+            // A representation without a segment, the total unchanged.
+            corrupt_index(
+                &|image| {
+                    put(image, spans, 8, 0);
+                    put(image, spans + 8, 8, 8);
+                },
+                "zero-length span",
+            );
+            // An endpoint that does not exceed the one before it.
+            let stuck = if width == 8 { get(image, ends, width) } else { 0 };
+            corrupt_index(&|image| put(image, ends + width, width, stuck), "stuck endpoint");
+            // Spans that do not sum to the coefficient arenas.
+            corrupt_index(&|image| put(image, spans, 8, 5), "span total");
         }
 
         // Without the re-seal, the checksum is what refuses them all.

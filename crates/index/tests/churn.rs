@@ -7,8 +7,8 @@
 //! full structural contract:
 //!
 //! * `DbchTree::validate` — hulls bitwise-consistent with current
-//!   membership, the rep arena in sync with every live entry, entry
-//!   bookkeeping sound;
+//!   membership as recomputed from the tree's one representation store,
+//!   entry bookkeeping sound;
 //! * membership equals the ground-truth live set;
 //! * full-enumeration kNN (`k = |live|`, so the candidate heap never
 //!   fills and nothing is pruned) is **bit-identical** to a freshly
@@ -200,11 +200,12 @@ fn churn_down_to_empty_and_back_up() {
 }
 
 mod planned_vs_plan_stripped {
-    //! After long churn a tree's rep arena holds appended entries and
-    //! unreferenced holes. Planned queries read it (hull bounds and leaf
-    //! filter through the SoA kernel); a plan-stripped query walks the
-    //! stored representations instead and is the oracle: both must give
-    //! the same answer, bit for bit, counts included.
+    //! After long churn a tree's rep store holds appended entries and
+    //! unreferenced holes. Planned queries read it through the planned
+    //! kernel (hull bounds and leaf filter); a plan-stripped query reads
+    //! the same store through the plan-less reference walk and is the
+    //! oracle: both must give the same answer, bit for bit, counts
+    //! included.
 
     use super::*;
     use proptest::prelude::*;

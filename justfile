@@ -72,17 +72,23 @@ metrics:
 # refusal, atomic write, then the fuzz tests (truncation / bit-flip /
 # misalignment — every failure an Err, never a panic). The engine
 # snapshot tests (`--lib snapshot`: more shards than series, re-sealed
-# NaN / repeated-leaf-entry / version 1 images refused by both loaders,
-# an engine outliving its file; `--lib arena`: owned vs borrowed raw
-# arenas) and the bit-identity / load-save fixpoint /
-# quantization-bound property tests, stock and under strict-invariants
-# (which re-proves `Dist_LB ≤ exact + slack` inside every refinement
-# the snapshot-loaded trees perform). The instrumented load (phase
-# spans, `raw_bytes_copied` 0 from a file). The daemon's reload tests
-# (reloads racing index-file rewrites, a generation outliving its file
+# NaN / repeated-leaf-entry / version 1 / rep-vs-raw-length /
+# empty-span / stuck-endpoint / span-total images, exact and quantized,
+# refused by both loaders, an engine outliving its file; `--lib arena`:
+# the representation store — every reducer's reps returned bitwise
+# whether built, appended or adopted from snapshot arrays, the adoption
+# pass's refusals — and owned vs borrowed raw arenas) and the
+# bit-identity / load-save fixpoint / quantization-bound property
+# tests, stock and under strict-invariants (which re-proves
+# `Dist_LB ≤ exact + slack` inside every refinement the snapshot-loaded
+# trees perform). The instrumented load (phase spans,
+# `raw_bytes_copied` 0 from a file). The daemon's reload tests (reloads
+# racing index-file rewrites, a generation outliving its file
 # mid-cohort). And one `long-narrow` lifecycle run — the workload whose
 # load is raw-dominated — whose loaded engine and served replies must
-# equal the built engine's.
+# equal the built engine's; `--locked`, like every build of
+# `benchmark/`, so a dependency-list change that would rewrite
+# `benchmark/Cargo.lock` fails here instead of passing silently.
 persist:
     cargo test -q -p sapla-store
     cargo test -q -p sapla-index --lib snapshot
@@ -93,7 +99,7 @@ persist:
     cargo test -q -p sapla-index --features strict-invariants --test snapshot_props
     cargo test -q -p sapla-index --features obs --test obs_counters
     cargo test -q -p sapla-serve --test loopback reload
-    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --workload long-narrow --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
+    cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- run --workload long-narrow --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
 
 # SIMD dispatch safety net: the whole suite pinned to the scalar
 # kernels through the env override (the bit-identity contract means no
@@ -107,8 +113,8 @@ simd-off:
 # check passed and no operation failed. Numbers are not judged here;
 # `benchmark/run.sh` + `compare` do that.
 bench-smoke-lifecycle:
-    cargo test --offline --manifest-path benchmark/Cargo.toml
-    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --workload short-wide --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
+    cargo test --offline --locked --manifest-path benchmark/Cargo.toml
+    cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- run --workload short-wide --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
 
 # The full pre-merge gate.
 ci: tier1 lint audit audit-model-serve obs serve-smoke metrics persist simd-off bench-smoke-lifecycle

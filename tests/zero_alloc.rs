@@ -108,14 +108,12 @@ fn warmed_reduce_into_allocates_nothing() {
 /// compiled, per-candidate evaluation is a fused walk that buffers
 /// nothing and is allocation-free — the property the per-worker scratch
 /// reuse in the parallel k-NN engine depends on.
-/// Exercised through both entry points (stored representation and SoA
-/// view) with the abandon bound both infinite and finite.
+/// Exercised over both candidate layouts (stored representation and
+/// store view) with the abandon bound both infinite and finite.
 #[test]
 fn warmed_planned_dist_par_allocates_nothing() {
     use sapla_core::sapla::Sapla;
-    use sapla_distance::{
-        dist_par_sq_planned, dist_par_sq_planned_soa, safe_sq_bound, ParScratch, QueryPlan, SoaSegs,
-    };
+    use sapla_distance::{dist_par_sq_planned, safe_sq_bound, ParScratch, QueryPlan, SoaSegs};
 
     let series: Vec<TimeSeries> = (0..6)
         .map(|i| {
@@ -129,7 +127,7 @@ fn warmed_planned_dist_par_allocates_nothing() {
     let reps: Vec<_> = series.iter().map(|s| sapla.reduce(s).unwrap()).collect();
     let cands: Vec<_> = reps[1..].to_vec();
     let plan = QueryPlan::new(&reps[0]);
-    // Flattened SoA mirror of the candidates, like a leaf block.
+    // The candidates' coefficients flat, as a tree's store holds them.
     let flat: Vec<(Vec<f64>, Vec<f64>, Vec<usize>)> = cands
         .iter()
         .map(|c| {
@@ -148,7 +146,7 @@ fn warmed_planned_dist_par_allocates_nothing() {
         for (c, (a, b, r)) in cands.iter().zip(&flat) {
             acc += dist_par_sq_planned(&plan, c, scratch, f64::INFINITY).unwrap();
             let view = SoaSegs::new(a, b, r).unwrap();
-            acc += dist_par_sq_planned_soa(&plan, view, scratch, f64::INFINITY).unwrap();
+            acc += dist_par_sq_planned(&plan, view, scratch, f64::INFINITY).unwrap();
             // Finite abandon bound: tight enough to trigger on some
             // candidates, exercising the sentinel path too.
             acc += dist_par_sq_planned(&plan, c, scratch, safe_sq_bound(4.0)).unwrap();
