@@ -56,9 +56,7 @@ pub use euclidean::{
 };
 pub use lb::dist_lb;
 pub use paa::dist_paa;
-pub use par::{
-    dist_par, dist_par_sq, dist_par_sq_with, AlignedWindow, ParScratch, SegSource, SoaSegs,
-};
+pub use par::{dist_par, dist_par_sq, AlignedWindow, SegSource, SoaSegs};
 pub use pla::dist_pla;
 pub use plan::{dist_par_sq_planned, safe_sq_bound, QueryPlan};
 pub use sax::mindist;

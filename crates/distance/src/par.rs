@@ -50,6 +50,7 @@ pub fn dist_par<Q: SegSource, C: SegSource>(q: Q, c: C) -> Result<f64> {
 ///
 /// [`Error::LengthMismatch`] when the two representations cover different
 /// series lengths.
+// audit: no_alloc — the windows are streamed into the sum, none buffered.
 pub fn dist_par_sq<Q: SegSource, C: SegSource>(q: Q, c: C) -> Result<f64> {
     sapla_obs::counter!("dist.par.evals");
     let mut sum = 0.0f64;
@@ -76,25 +77,6 @@ pub struct AlignedWindow {
     pub cb: f64,
     /// Window length in points.
     pub len: usize,
-}
-
-/// Reusable buffer for the materialised partition, for callers that
-/// evaluate many candidate distances in a row (e.g. per-worker scratch
-/// in parallel k-NN): the window `Vec` keeps its capacity across calls,
-/// so steady-state distance evaluation allocates nothing. (The planned
-/// kernel in [`crate::plan`] fuses accumulation into the walk and needs
-/// no buffering at all; it takes the scratch only so every `Dist_PAR`
-/// entry point shares one calling convention.)
-#[derive(Debug, Clone, Default)]
-pub struct ParScratch {
-    windows: Vec<AlignedWindow>,
-}
-
-impl ParScratch {
-    /// The partition materialised by the last [`dist_par_sq_with`] call.
-    pub fn windows(&self) -> &[AlignedWindow] {
-        &self.windows
-    }
 }
 
 /// Contiguous struct-of-arrays view of a linear segmentation: parallel
@@ -185,37 +167,10 @@ impl SegSource for SoaSegs<'_> {
     }
 }
 
-/// [`dist_par_sq`] materialising the partition into `scratch` instead of
-/// streaming it. Returns a value **bit-for-bit identical** to
-/// [`dist_par_sq`]: the windows and the summation order are the same,
-/// only the buffering differs — which is what lets the parallel search
-/// engine reuse per-worker buffers without perturbing results.
-///
-/// # Errors
-///
-/// [`Error::LengthMismatch`] when the two representations cover different
-/// series lengths.
-// audit: no_alloc — per-worker scratch absorbs all buffering.
-pub fn dist_par_sq_with<Q: SegSource, C: SegSource>(
-    scratch: &mut ParScratch,
-    q: Q,
-    c: C,
-) -> Result<f64> {
-    sapla_obs::counter!("dist.par.evals");
-    scratch.windows.clear();
-    for_each_window(q, c, |w| scratch.windows.push(w))?;
-    sapla_obs::hist!("dist.par.windows", scratch.windows.len() as u64);
-    let mut sum = 0.0f64;
-    for w in &scratch.windows {
-        sum += dist_s_sq(w.qa, w.qb, w.ca, w.cb, w.len);
-    }
-    Ok(sum)
-}
-
 /// The whole walk, length-checked. Every `Dist_PAR` variant
-/// ([`dist_par_sq`], [`dist_par_sq_with`], and the planned kernel in
-/// [`crate::plan`]) goes through the same generic walker, so their window
-/// sequences cannot diverge.
+/// ([`dist_par_sq`] and the planned kernel in [`crate::plan`]) goes
+/// through the same generic walker, so their window sequences cannot
+/// diverge.
 // audit: no_alloc — the window walk must stay allocation-free.
 fn for_each_window<Q: SegSource, C: SegSource>(
     q: Q,
@@ -343,22 +298,22 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_is_bit_identical_and_reusable() {
+    fn windows_tile_the_series_in_either_operand_order() {
         let q = pl(&[(1.0, 0.0, 1), (0.0, 2.0, 6), (2.0, 2.0, 9), (0.0, 8.0, 15)]);
         let c = pl(&[(0.0, 1.0, 3), (1.0, 1.0, 10), (-1.0, 8.0, 15)]);
-        let mut scratch = ParScratch::default();
-        // Same scratch reused across calls and operand orders.
-        for _ in 0..3 {
-            let streaming = dist_par_sq(&q, &c).unwrap();
-            let buffered = dist_par_sq_with(&mut scratch, &q, &c).unwrap();
-            assert_eq!(streaming.to_bits(), buffered.to_bits());
-            assert!(!scratch.windows().is_empty());
-            let swapped = dist_par_sq_with(&mut scratch, &c, &q).unwrap();
-            assert_eq!(dist_par_sq(&c, &q).unwrap().to_bits(), swapped.to_bits());
+        let mut forward = Vec::new();
+        for_each_window(&q, &c, |w| forward.push(w)).unwrap();
+        let mut swapped = Vec::new();
+        for_each_window(&c, &q, |w| swapped.push(w)).unwrap();
+        // The endpoint union is 1, 3, 6, 9, 10, 15 whichever side leads,
+        // and the windows tile the series exactly.
+        let lens = |windows: &[AlignedWindow]| windows.iter().map(|w| w.len).collect::<Vec<_>>();
+        assert_eq!(lens(&forward), vec![2, 2, 3, 3, 1, 5]);
+        assert_eq!(lens(&swapped), lens(&forward));
+        assert_eq!(lens(&forward).iter().sum::<usize>(), q.series_len());
+        for (f, s) in forward.iter().zip(&swapped) {
+            assert_eq!((f.qa, f.qb, f.ca, f.cb), (s.ca, s.cb, s.qa, s.qb));
         }
-        // Windows tile the series exactly.
-        let total: usize = scratch.windows().iter().map(|w| w.len).sum();
-        assert_eq!(total, q.series_len());
     }
 
     /// Build a representation covering exactly `len` points from cyclic
@@ -401,12 +356,6 @@ mod tests {
                 "dist_par {} vs reconstruction {} (len {}, {} vs {} segments)",
                 d, reference, len, q.num_segments(), c.num_segments()
             );
-            // The scratch-buffered variant is bit-for-bit the streaming one.
-            let mut scratch = ParScratch::default();
-            let buffered = dist_par_sq_with(&mut scratch, &q, &c).unwrap();
-            proptest::prop_assert!(
-                buffered.to_bits() == dist_par_sq(&q, &c).unwrap().to_bits()
-            );
         }
     }
 
@@ -424,7 +373,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// The reference did not change when its data moved: the
-        /// unplanned walk (streaming and buffered), the pair distance,
+        /// unplanned walk, the pair distance,
         /// `Dist_PLA` and `Dist_LB` over [`SoaSegs`] views are bitwise
         /// what they are over the [`PiecewiseLinear`] the views were
         /// flattened from — on either side and on both.
@@ -449,9 +398,6 @@ mod tests {
             proptest::prop_assert_eq!(dist_par_sq(&q, cv).unwrap().to_bits(), stored);
             proptest::prop_assert_eq!(dist_par_sq(qv, &c).unwrap().to_bits(), stored);
             proptest::prop_assert_eq!(dist_par_sq(qv, cv).unwrap().to_bits(), stored);
-            let mut scratch = ParScratch::default();
-            proptest::prop_assert_eq!(
-                dist_par_sq_with(&mut scratch, &q, cv).unwrap().to_bits(), stored);
             proptest::prop_assert_eq!(
                 dist_par(qv, cv).unwrap().to_bits(), dist_par(&q, &c).unwrap().to_bits());
 

@@ -27,7 +27,7 @@
 use sapla_core::{Error, PiecewiseLinear, Result};
 
 use crate::dist_s::dist_s_sq_terms;
-use crate::par::{walk_windows_until, ParScratch, SegSource};
+use crate::par::{walk_windows_until, SegSource};
 
 /// A query's half of the `Dist_PAR` endpoint-union partition, compiled
 /// once per query: per-segment slopes/intercepts/endpoints plus segment
@@ -119,14 +119,13 @@ pub fn safe_sq_bound(threshold: f64) -> f64 {
 pub fn dist_par_sq_planned<C: SegSource>(
     plan: &QueryPlan,
     cand: C,
-    scratch: &mut ParScratch,
     abandon_sq: f64,
 ) -> Result<f64> {
     if plan.series_len() != cand.series_len() {
         return Err(Error::LengthMismatch { left: plan.series_len(), right: cand.series_len() });
     }
     // The process-wide SIMD level, resolved once and cached.
-    Ok(planned_eval_with(sapla_core::simd::active(), plan, cand, scratch, abandon_sq))
+    Ok(planned_eval_with(sapla_core::simd::active(), plan, cand, abandon_sq))
 }
 
 /// Windows staged per packed term evaluation. Matches the widest vector
@@ -160,10 +159,8 @@ pub(crate) fn planned_eval_with<C: SegSource>(
     level: sapla_core::SimdLevel,
     plan: &QueryPlan,
     cand: C,
-    scratch: &mut ParScratch,
     abandon_sq: f64,
 ) -> f64 {
-    let _ = scratch;
     sapla_obs::counter!("dist.par.evals");
     sapla_obs::counter!("dist.par.plan_hits");
     // Each arm is a whole-walk function compiled under its own target
@@ -315,7 +312,7 @@ fn staged_walk_neon<C: SegSource>(plan: &QueryPlan, cand: C, abandon_sq: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::{dist_par_sq, dist_par_sq_with, SoaSegs};
+    use crate::par::{dist_par_sq, SoaSegs};
     use sapla_core::LinearSegment;
 
     fn pl(segs: &[(f64, f64, usize)]) -> PiecewiseLinear {
@@ -328,10 +325,9 @@ mod tests {
         let q = pl(&[(1.0, 0.0, 1), (0.0, 2.0, 6), (2.0, 2.0, 9), (0.0, 8.0, 15)]);
         let c = pl(&[(0.0, 1.0, 3), (1.0, 1.0, 10), (-1.0, 8.0, 15)]);
         let plan = QueryPlan::new(&q);
-        let mut scratch = ParScratch::default();
         for _ in 0..3 {
             let reference = dist_par_sq(&q, &c).unwrap();
-            let planned = dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).unwrap();
+            let planned = dist_par_sq_planned(&plan, &c, f64::INFINITY).unwrap();
             assert_eq!(reference.to_bits(), planned.to_bits());
         }
     }
@@ -345,9 +341,8 @@ mod tests {
         let intercepts: Vec<f64> = c.segments().iter().map(|s| s.b).collect();
         let endpoints: Vec<usize> = c.segments().iter().map(|s| s.r).collect();
         let view = SoaSegs::new(&slopes, &intercepts, &endpoints).unwrap();
-        let mut scratch = ParScratch::default();
-        let aos = dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).unwrap();
-        let soa = dist_par_sq_planned(&plan, view, &mut scratch, f64::INFINITY).unwrap();
+        let aos = dist_par_sq_planned(&plan, &c, f64::INFINITY).unwrap();
+        let soa = dist_par_sq_planned(&plan, view, f64::INFINITY).unwrap();
         assert_eq!(aos.to_bits(), soa.to_bits());
         assert_eq!(aos.to_bits(), dist_par_sq(&q, &c).unwrap().to_bits());
     }
@@ -357,19 +352,18 @@ mod tests {
         let q = pl(&[(1.0, 0.0, 7), (0.0, 8.0, 15)]);
         let c = pl(&[(0.0, 3.0, 15)]);
         let plan = QueryPlan::new(&q);
-        let mut scratch = ParScratch::default();
-        let full = dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).unwrap();
+        let full = dist_par_sq_planned(&plan, &c, f64::INFINITY).unwrap();
         let d = full.sqrt();
         // Threshold below the true distance: abandoned or naturally
         // above-threshold — either way the caller prunes, as the
         // reference would.
         let tight = d * 0.5;
-        let sq = dist_par_sq_planned(&plan, &c, &mut scratch, safe_sq_bound(tight)).unwrap();
+        let sq = dist_par_sq_planned(&plan, &c, safe_sq_bound(tight)).unwrap();
         assert!(sq.is_infinite() || sq.sqrt() > tight);
         // Threshold above the true distance: must not abandon, and must
         // return the exact bit pattern.
         let loose = d * 2.0;
-        let sq = dist_par_sq_planned(&plan, &c, &mut scratch, safe_sq_bound(loose)).unwrap();
+        let sq = dist_par_sq_planned(&plan, &c, safe_sq_bound(loose)).unwrap();
         assert_eq!(sq.to_bits(), full.to_bits());
     }
 
@@ -387,8 +381,7 @@ mod tests {
     fn planned_rejects_length_mismatch() {
         let plan = QueryPlan::new(&pl(&[(0.0, 0.0, 3)]));
         let c = pl(&[(0.0, 0.0, 4)]);
-        let mut scratch = ParScratch::default();
-        assert!(dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).is_err());
+        assert!(dist_par_sq_planned(&plan, &c, f64::INFINITY).is_err());
     }
 
     /// Build a representation covering exactly `len` points from cyclic
@@ -412,7 +405,7 @@ mod tests {
 
         /// Tier-1 bit-identity pin: the planned kernel (stored and SoA
         /// candidate layouts, no abandoning) returns the same bits as the
-        /// unplanned streaming and scratch-buffered paths on arbitrary
+        /// unplanned streaming walk on arbitrary
         /// interleaved segmentations; with an abandon bound, survivors
         /// keep the exact bits and abandoned candidates are exactly the
         /// ones the reference comparison would prune.
@@ -428,26 +421,23 @@ mod tests {
             let q = build_pl(len, &q_gaps, &q_coeffs);
             let c = build_pl(len, &c_gaps, &c_coeffs);
             let plan = QueryPlan::new(&q);
-            let mut scratch = ParScratch::default();
 
             let reference = dist_par_sq(&q, &c).unwrap();
-            let buffered = dist_par_sq_with(&mut scratch, &q, &c).unwrap();
             let planned =
-                dist_par_sq_planned(&plan, &c, &mut scratch, f64::INFINITY).unwrap();
+                dist_par_sq_planned(&plan, &c, f64::INFINITY).unwrap();
             let slopes: Vec<f64> = c.segments().iter().map(|s| s.a).collect();
             let intercepts: Vec<f64> = c.segments().iter().map(|s| s.b).collect();
             let endpoints: Vec<usize> = c.segments().iter().map(|s| s.r).collect();
             let view = SoaSegs::new(&slopes, &intercepts, &endpoints).unwrap();
             let soa =
-                dist_par_sq_planned(&plan, view, &mut scratch, f64::INFINITY).unwrap();
-            proptest::prop_assert!(reference.to_bits() == buffered.to_bits());
+                dist_par_sq_planned(&plan, view, f64::INFINITY).unwrap();
             proptest::prop_assert!(reference.to_bits() == planned.to_bits());
             proptest::prop_assert!(reference.to_bits() == soa.to_bits());
 
             // Abandoning agreement: prune iff the reference would prune.
             let threshold = reference.sqrt() * frac;
             let bounded =
-                dist_par_sq_planned(&plan, &c, &mut scratch, safe_sq_bound(threshold)).unwrap();
+                dist_par_sq_planned(&plan, &c, safe_sq_bound(threshold)).unwrap();
             let ref_keep = reference.sqrt() <= threshold;
             if bounded.is_finite() {
                 proptest::prop_assert!(bounded.to_bits() == reference.to_bits());
@@ -476,19 +466,18 @@ mod tests {
             let q = build_pl(len, &q_gaps, &q_coeffs);
             let c = build_pl(len, &c_gaps, &c_coeffs);
             let plan = QueryPlan::new(&q);
-            let mut scratch = ParScratch::default();
-            let scalar = planned_eval_with(
-                SimdLevel::Scalar, &plan, &c, &mut scratch, f64::INFINITY);
+                let scalar = planned_eval_with(
+                SimdLevel::Scalar, &plan, &c, f64::INFINITY);
             let bound = safe_sq_bound(scalar.sqrt() * frac);
             let scalar_bounded = planned_eval_with(
-                SimdLevel::Scalar, &plan, &c, &mut scratch, bound);
+                SimdLevel::Scalar, &plan, &c, bound);
             for level in supported_levels() {
                 let full = planned_eval_with(
-                    level, &plan, &c, &mut scratch, f64::INFINITY);
+                    level, &plan, &c, f64::INFINITY);
                 proptest::prop_assert_eq!(
                     scalar.to_bits(), full.to_bits(), "full, level {}", level.name());
                 let bounded = planned_eval_with(
-                    level, &plan, &c, &mut scratch, bound);
+                    level, &plan, &c, bound);
                 proptest::prop_assert_eq!(
                     scalar_bounded.to_bits(),
                     bounded.to_bits(),

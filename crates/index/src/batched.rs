@@ -22,7 +22,10 @@
 //! block-size and engine regression tests pin this bitwise over the
 //! DBCH-tree and the R-tree at several thread counts.
 //!
-//! **One owner per kind of data.** Representations are read from the
+//! **One owner per kind of data.** The shape the driver walks — root,
+//! children, leaf entries, node ids — is the tree's [`Topology`], the
+//! same type under both trees; only [`BatchTree::node_bound`] knows what
+//! a node's bound is. Representations are read from the
 //! tree's [`RepStore`], one borrowed entry at a time, and raw series
 //! through [`RawSource`] (see [`crate::arena`]). The driver does not know
 //! what a store holds or whether a query carries a plan: it hands
@@ -31,11 +34,12 @@
 use std::cmp::Reverse;
 
 use sapla_core::{Error, OrdF64, Result};
-use sapla_distance::{euclidean_early_abandon_slices, safe_sq_bound, ParScratch};
+use sapla_distance::{euclidean_early_abandon_slices, safe_sq_bound};
 
 use crate::arena::{RawSource, RepStore};
 use crate::knn::{HullMemo, KnnHeap, KnnScratch, QueryScratch, SearchStats, SearchTally};
 use crate::scheme::{Query, Scheme};
+use crate::topology::{NodeView, Topology};
 
 /// How many queries ride in one co-scheduled block by default. Large
 /// enough that shared leaves amortise a fetch across many queries, small
@@ -43,26 +47,18 @@ use crate::scheme::{Query, Scheme};
 /// leaf data.
 pub const DEFAULT_QUERY_BLOCK: usize = 16;
 
-/// One node of a [`BatchTree`], as the driver sees it.
-pub(crate) enum NodeView<'a> {
-    /// Child node ids.
-    Internal(&'a [usize]),
-    /// Entry ids held by a leaf.
-    Leaf(&'a [usize]),
-}
-
-/// The tree shape the driver walks — implemented by
+/// What the driver needs of a tree — implemented by
 /// [`crate::dbch::DbchTree`] (hull bounds) and [`crate::rtree::RTree`]
-/// (MINDIST bounds).
+/// (MINDIST bounds). The shape it walks is the tree's [`Topology`]; only
+/// the bound is the tree's own.
 pub(crate) trait BatchTree {
-    /// Root node id (meaningless when [`BatchTree::is_empty`]).
-    fn root(&self) -> usize;
-    /// `true` iff the tree holds no entries.
-    fn is_empty(&self) -> bool;
+    /// What bounds a node of this tree.
+    type Bound;
+    /// Nodes, root and ids (the root is meaningless while
+    /// [`BatchTree::reps`] is empty).
+    fn topology(&self) -> &Topology<Self::Bound>;
     /// The tree's representations, by entry id.
     fn reps(&self) -> &RepStore;
-    /// Children of an internal node / entries of a leaf.
-    fn node_view(&self, nid: usize) -> NodeView<'_>;
     /// Query-to-node bound (hull rule / MINDIST). The DBCH-tree records
     /// the squared hull-representative distances it computes in `memo`
     /// for bitwise replay at the leaf filter; the R-tree's MINDIST has
@@ -72,7 +68,6 @@ pub(crate) trait BatchTree {
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
-        dist: &mut ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64>;
     /// Per-level fanout accounting hook (the DBCH-tree's lane counter;
@@ -100,14 +95,13 @@ fn rep_within(
     reps: &RepStore,
     e: usize,
     prune_at: f64,
-    dist: &mut ParScratch,
     memo: &HullMemo,
 ) -> Result<bool> {
     if let Some(keep) = memo.within(e, prune_at) {
         sapla_obs::counter!("index.hull_memo.hits");
         return Ok(keep);
     }
-    scheme.rep_within(q, reps.rep(e), prune_at, dist)
+    scheme.rep_within(q, reps.rep(e), prune_at)
 }
 
 /// Evaluate one leaf's entries for one k-NN query: representation filter
@@ -120,7 +114,6 @@ fn eval_leaf_entries<R: RawSource + ?Sized>(
     reps: &RepStore,
     entries: &[usize],
     results: &mut KnnHeap,
-    dist: &mut ParScratch,
     memo: &HullMemo,
     tally: &mut SearchTally,
     lb_slack: f64,
@@ -142,7 +135,7 @@ fn eval_leaf_entries<R: RawSource + ?Sized>(
         // Strict-invariants builds still evaluate it to keep the
         // lb ≤ exact audit on every candidate.
         let skip_filter = threshold.is_infinite() && !cfg!(feature = "strict-invariants");
-        if skip_filter || rep_within(q, scheme, reps, e, prune_at, dist, memo)? {
+        if skip_filter || rep_within(q, scheme, reps, e, prune_at, memo)? {
             tally.measure();
             // Early-abandoning refinement: an abandoned candidate has
             // exact > threshold *strictly* (the safe_sq_bound slack
@@ -203,16 +196,18 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     done.clear();
     done.resize(queries.len(), false);
     let mut first_err: Option<(usize, Error)> = None;
+    let topology = tree.topology();
+    let root = topology.root();
 
     // Seed every query's frontier with the root, in query order.
     for (qi, q) in queries.iter().enumerate() {
         let s = scratches[qi].reset(k);
-        if tree.is_empty() {
+        if tree.reps().len() == 0 {
             done[qi] = true;
             continue;
         }
-        match tree.node_bound(q, scheme, tree.root(), &mut s.dist, &mut s.hull) {
-            Ok(d) => s.nodes.push(Reverse((OrdF64::new(d), tree.root(), 0))),
+        match tree.node_bound(q, scheme, root, &mut s.hull) {
+            Ok(d) => s.nodes.push(Reverse((OrdF64::new(d), root, 0))),
             Err(e) => {
                 done[qi] = true;
                 note_err(&mut first_err, qi, e);
@@ -244,12 +239,12 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                     break;
                 }
                 tally.visit_node();
-                match tree.node_view(nid) {
+                match topology.node_view(nid) {
                     NodeView::Internal(children) => {
                         tree.count_fanout(depth, children.len());
                         let mut failed = false;
                         for &c in children {
-                            match tree.node_bound(q, scheme, c, &mut s.dist, &mut s.hull) {
+                            match tree.node_bound(q, scheme, c, &mut s.hull) {
                                 Ok(node_d) => {
                                     if node_d <= s.results.threshold() + slack {
                                         s.nodes.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
@@ -294,7 +289,7 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
             }
             sapla_obs::counter!("sapla.knn.leaf_batches");
             sapla_obs::hist!("sapla.knn.query_block", (end - i) as u64);
-            let entries = match tree.node_view(nid) {
+            let entries = match topology.node_view(nid) {
                 NodeView::Leaf(entries) => entries,
                 // Only leaves are ever pushed to `pending`.
                 NodeView::Internal(_) => unreachable!(),
@@ -309,7 +304,6 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                     tree.reps(),
                     entries,
                     &mut s.results,
-                    &mut s.dist,
                     &s.hull,
                     &mut tallies[qi],
                     slack,
@@ -373,8 +367,8 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
 ) -> Result<SearchStats> {
     let mut hits: Vec<(f64, usize)> = Vec::new();
     let mut tally = SearchTally::default();
-    let mut dist = ParScratch::default();
     let mut memo = HullMemo::default();
+    let topology = tree.topology();
     let reps = tree.reps();
     let slack = tree.lb_slack();
     // Quantized-lineage bounds can overshoot the true distance by up to
@@ -382,19 +376,19 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     // hits are still gated on `exact <= epsilon` below). Exact trees
     // have slack 0.0 — bitwise no-op.
     let prune_at = epsilon + slack;
-    let mut stack = if tree.is_empty() { Vec::new() } else { vec![tree.root()] };
+    let mut stack = if reps.len() == 0 { Vec::new() } else { vec![topology.root()] };
     while let Some(nid) = stack.pop() {
-        if tree.node_bound(q, scheme, nid, &mut dist, &mut memo)? > prune_at {
+        if tree.node_bound(q, scheme, nid, &mut memo)? > prune_at {
             tally.prune_node();
             continue;
         }
         tally.visit_node();
-        match tree.node_view(nid) {
+        match topology.node_view(nid) {
             NodeView::Internal(children) => stack.extend_from_slice(children),
             NodeView::Leaf(entries) => {
                 tally.consider(entries.len());
                 for &e in entries {
-                    if !rep_within(q, scheme, reps, e, prune_at, &mut dist, &memo)? {
+                    if !rep_within(q, scheme, reps, e, prune_at, &memo)? {
                         tally.prune();
                         continue;
                     }

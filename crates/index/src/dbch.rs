@@ -9,13 +9,22 @@
 //! distances (Section 5.3). All of it runs on the representation distance
 //! (`Dist_PAR` for adaptive methods), which is what fixes the APCA-MBR
 //! overlap problem.
+//!
+//! Those three — the bound ([`Hull`] and its construction, `Hulls`), the
+//! branch pick and the split — and the Section-5.3 query-to-node rule
+//! are all this module holds. The hierarchy they are applied to is the
+//! R-tree's, and it lives once, in [`crate::topology`]: a [`DbchTree`] is
+//! a `Topology<Hull>` (nodes, ids, walks, condense-after-remove,
+//! structural validation, snapshot adoption) plus the tree's
+//! [`RepStore`], its rule and its slack.
 
-use sapla_core::{Representation, Result, TimeSeries};
+use sapla_core::{Error, Representation, Result, TimeSeries};
 
 use crate::arena::RepStore;
 use crate::knn::{HullMemo, KnnScratch, SearchStats};
 use crate::scheme::{Query, Scheme};
 use crate::stats::TreeShape;
+use crate::topology::{NodeView, Topology};
 
 /// How the query-to-node distance of Section 5.3 is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,26 +39,20 @@ pub enum NodeDistRule {
     Triangle,
 }
 
+/// A node's bound: the two member representations farthest apart.
 #[derive(Debug, Clone, Copy)]
-struct Hull {
+pub(crate) struct Hull {
     /// Entry id of one hull end ("upper bound" in the paper's wording).
-    u: usize,
+    pub(crate) u: usize,
     /// Entry id of the other hull end ("lower bound").
-    l: usize,
+    pub(crate) l: usize,
     /// `Dist_PAR(u, l)` — the node volume.
-    volume: f64,
+    pub(crate) volume: f64,
 }
 
-#[derive(Debug, Clone)]
-enum NodeKind {
-    Internal(Vec<usize>),
-    Leaf(Vec<usize>),
-}
-
-#[derive(Debug, Clone)]
-struct Node {
-    hull: Hull,
-    kind: NodeKind,
+impl Hull {
+    /// The hull of a node without members (an empty root leaf).
+    const EMPTY: Hull = Hull { u: 0, l: 0, volume: 0.0 };
 }
 
 /// A DBCH-tree over reduced representations.
@@ -73,10 +76,8 @@ struct Node {
 /// # Ok::<(), sapla_core::Error>(())
 /// ```
 pub struct DbchTree {
-    min_fill: usize,
-    max_fill: usize,
-    root: usize,
-    nodes: Vec<Node>,
+    /// Nodes, ids and fill factors; each node's bound is its [`Hull`].
+    topology: Topology<Hull>,
     /// The indexed representations by entry id — what hull construction,
     /// hull bounds and the leaf filter read. Append-only: a removed
     /// entry stays behind as an unreferenced hole, so ids are stable.
@@ -89,23 +90,72 @@ pub struct DbchTree {
     pub(crate) lb_slack: f64,
 }
 
-/// One node of a [`DbchTree`] in exported, layout-stable form — the
-/// unit the snapshot writer persists and [`DbchTree::from_raw_parts`]
-/// consumes. Node ids are positions in the exported arena, preserved
-/// verbatim so a reloaded tree replays searches bit-for-bit (heap
-/// tie-breaking orders on node id).
-#[derive(Debug, Clone)]
-pub(crate) struct RawDbchNode {
-    /// Leaf (entry ids) or internal (child node ids)?
-    pub is_leaf: bool,
-    /// Children ids (internal) or entry ids (leaf).
-    pub ids: Vec<usize>,
-    /// Hull endpoint entry id ("upper").
-    pub hull_u: usize,
-    /// Hull endpoint entry id ("lower").
-    pub hull_l: usize,
-    /// Stored hull volume (`Dist_PAR(u, l)` under the tree's reps).
-    pub volume: f64,
+/// Hull construction over one tree's nodes and store — the DBCH-tree's
+/// bound policy, borrowed apart from the tree so that
+/// [`Topology::remove_entry`] can call it while it holds the nodes.
+struct Hulls<'a> {
+    topology: &'a Topology<Hull>,
+    reps: &'a RepStore,
+    scheme: &'a dyn Scheme,
+}
+
+impl Hulls<'_> {
+    fn pair(&self, a: usize, b: usize) -> Result<f64> {
+        self.scheme.pair_dist(self.reps.rep(a), self.reps.rep(b))
+    }
+
+    /// Hull of a leaf: the entry pair with maximum distance.
+    fn of_entries(&self, entries: &[usize]) -> Result<Hull> {
+        match *entries {
+            [] => return Ok(Hull::EMPTY),
+            [only] => return Ok(Hull { u: only, l: only, volume: 0.0 }),
+            _ => {}
+        }
+        let mut best = Hull { u: entries[0], l: entries[1], volume: f64::NEG_INFINITY };
+        for (i, &a) in entries.iter().enumerate() {
+            for &b in &entries[i + 1..] {
+                let d = self.pair(a, b)?;
+                if d > best.volume {
+                    best = Hull { u: a, l: b, volume: d };
+                }
+            }
+        }
+        Ok(best)
+    }
+
+    /// Hull of an internal node: the paper computes only pairs among the
+    /// children's hull endpoints.
+    fn of_children(&self, children: &[usize]) -> Result<Hull> {
+        let mut candidates: Vec<usize> = Vec::with_capacity(2 * children.len());
+        for &c in children {
+            let h = self.topology.bound(c);
+            candidates.push(h.u);
+            if h.l != h.u {
+                candidates.push(h.l);
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        self.of_entries(&candidates)
+    }
+
+    /// Hull of `members`, the entries of a leaf or the children of an
+    /// internal node.
+    fn of_members(&self, is_leaf: bool, members: &[usize]) -> Result<Hull> {
+        if is_leaf {
+            self.of_entries(members)
+        } else {
+            self.of_children(members)
+        }
+    }
+
+    /// Hull of node `nid` over its current members.
+    fn of_node(&self, nid: usize) -> Result<Hull> {
+        match self.topology.node_view(nid) {
+            NodeView::Leaf(entries) => self.of_entries(entries),
+            NodeView::Internal(children) => self.of_children(children),
+        }
+    }
 }
 
 impl DbchTree {
@@ -135,15 +185,8 @@ impl DbchTree {
         max_fill: usize,
         rule: NodeDistRule,
     ) -> Result<DbchTree> {
-        assert!(min_fill >= 1 && max_fill >= 2 * min_fill, "invalid fill factors");
         let mut tree = DbchTree {
-            min_fill,
-            max_fill,
-            root: 0,
-            nodes: vec![Node {
-                hull: Hull { u: 0, l: 0, volume: 0.0 },
-                kind: NodeKind::Leaf(vec![]),
-            }],
+            topology: Topology::new(min_fill, max_fill, Hull::EMPTY),
             reps: RepStore::from_reps(reps),
             rule,
             lb_slack: 0.0,
@@ -207,22 +250,15 @@ impl DbchTree {
         if id >= self.reps.len() {
             return Ok(false);
         }
-        let mut orphans = Vec::new();
-        let (found, root_empty) = self.remove_rec(self.root, id, &mut orphans, scheme)?;
-        if !found {
-            return Ok(false);
-        }
-        if root_empty {
-            self.nodes[self.root].kind = NodeKind::Leaf(vec![]);
-            self.nodes[self.root].hull = Hull { u: 0, l: 0, volume: 0.0 };
-        }
-        loop {
-            let next = match &self.nodes[self.root].kind {
-                NodeKind::Internal(c) if c.len() == 1 => c[0],
-                _ => break,
-            };
-            self.root = next;
-        }
+        // A hull does not say which subtree holds an entry: every branch
+        // is searched.
+        let reps = &self.reps;
+        let removed = self.topology.remove_entry(
+            id,
+            |_| true,
+            |topology, nid| Hulls { topology, reps, scheme }.of_node(nid),
+        )?;
+        let Some(orphans) = removed else { return Ok(false) };
         for e in orphans {
             self.insert_entry(e, scheme)?;
         }
@@ -231,137 +267,53 @@ impl DbchTree {
 
     /// Ids currently stored in leaves (sorted).
     pub fn entry_ids(&self) -> Vec<usize> {
-        let mut out = self.leaf_walk();
-        out.sort_unstable();
-        out
-    }
-
-    /// Root node id, for the snapshot writer.
-    pub(crate) fn root_id(&self) -> usize {
-        self.root
-    }
-
-    /// Export the node arena verbatim — same slot order, same ids — so a
-    /// tree reconstructed from the export replays best-first searches
-    /// bit-for-bit (the traversal heap tie-breaks on node id).
-    pub(crate) fn raw_nodes(&self) -> Vec<RawDbchNode> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let (is_leaf, ids) = match &n.kind {
-                    NodeKind::Internal(c) => (false, c.clone()),
-                    NodeKind::Leaf(e) => (true, e.clone()),
-                };
-                RawDbchNode {
-                    is_leaf,
-                    ids,
-                    hull_u: n.hull.u,
-                    hull_l: n.hull.l,
-                    volume: n.hull.volume,
-                }
-            })
-            .collect()
+        self.topology.entry_ids()
     }
 
     /// Reassemble a tree from persisted parts without re-running the
-    /// O(n log n) insertion build: the node arena is adopted verbatim
-    /// after a structural walk, and `reps` — which the caller has already
-    /// validated ([`crate::arena::RepArena::adopt`]) — becomes the
-    /// tree's store as it is. Every malformed input is an `Err`, never a
-    /// panic.
-    ///
-    /// Validated here: fill-factor sanity, root in range, the graph
-    /// under `root` is a tree (no node visited twice) covering the whole
-    /// arena (no detached slots), internal fanout non-empty, leaf entry
-    /// ids unique / in range / covering `reps` exactly, hull endpoints
-    /// in range and volumes finite. Semantic hull tightness is *not*
-    /// re-derived here — exact-leaf loads can run [`Self::validate`] on
-    /// top, quantized loads intentionally keep the written volumes.
+    /// O(n log n) insertion build: `topology` has passed the structural
+    /// adoption walk ([`Topology::adopt`]) and `reps` the store's
+    /// validation ([`crate::arena::RepArena::adopt`]); what is left to
+    /// check is the DBCH-tree's own — hull endpoints inside the store,
+    /// volumes and the slack finite and non-negative. Semantic hull
+    /// tightness is *not* re-derived here — exact-leaf loads can run
+    /// [`Self::validate`] on top, quantized loads intentionally keep the
+    /// written volumes.
     ///
     /// # Errors
     ///
-    /// [`sapla_core::Error::CorruptIndex`] naming the violated invariant.
-    pub(crate) fn from_raw_parts(
-        min_fill: usize,
-        max_fill: usize,
-        rule: NodeDistRule,
-        root: usize,
-        raw: Vec<RawDbchNode>,
+    /// [`sapla_core::Error::CorruptIndex`] naming the violated invariant;
+    /// never a panic.
+    pub(crate) fn adopt(
+        topology: Topology<Hull>,
         reps: RepStore,
+        rule: NodeDistRule,
         lb_slack: f64,
     ) -> Result<DbchTree> {
-        fn corrupt(reason: &'static str) -> sapla_core::Error {
-            sapla_core::Error::CorruptIndex { reason }
-        }
-        if min_fill < 1 || max_fill < 2 * min_fill {
-            return Err(corrupt("snapshot fill factors violate min/max constraints"));
-        }
         if !lb_slack.is_finite() || lb_slack < 0.0 {
             return Err(corrupt("snapshot lb slack is not a finite non-negative value"));
         }
-        if root >= raw.len() {
-            return Err(corrupt("snapshot root id outside the node arena"));
-        }
-        let mut visited = vec![false; raw.len()];
-        let mut seen_entry = vec![false; reps.len()];
-        let mut n_entries = 0usize;
-        // Iterative walk (adversarial inputs could nest deeper than the
-        // call stack tolerates).
-        let mut stack = vec![root];
-        while let Some(nid) = stack.pop() {
-            let node =
-                raw.get(nid).ok_or_else(|| corrupt("snapshot child id outside the node arena"))?;
-            if std::mem::replace(&mut visited[nid], true) {
-                return Err(corrupt("snapshot node arena contains a cycle or shared child"));
-            }
-            if node.hull_u >= reps.len().max(1) || node.hull_l >= reps.len().max(1) {
+        for node in topology.nodes() {
+            let h = node.bound;
+            if h.u >= reps.len().max(1) || h.l >= reps.len().max(1) {
                 return Err(corrupt("snapshot hull endpoint outside the rep arena"));
             }
-            if !node.volume.is_finite() || node.volume < 0.0 {
+            if !h.volume.is_finite() || h.volume < 0.0 {
                 return Err(corrupt("snapshot hull volume is not a finite non-negative value"));
             }
-            if node.is_leaf {
-                for &e in &node.ids {
-                    if e >= reps.len() {
-                        return Err(corrupt("snapshot leaf entry outside the rep arena"));
-                    }
-                    if std::mem::replace(&mut seen_entry[e], true) {
-                        return Err(corrupt("snapshot entry id stored in more than one leaf"));
-                    }
-                    n_entries += 1;
-                }
-            } else {
-                if node.ids.is_empty() {
-                    return Err(corrupt("snapshot internal node has no children"));
-                }
-                stack.extend(node.ids.iter().copied());
-            }
         }
-        if visited.iter().any(|v| !v) {
-            return Err(corrupt("snapshot node arena contains detached nodes"));
-        }
-        if n_entries != reps.len() {
-            return Err(corrupt("snapshot leaves do not cover the rep arena exactly"));
-        }
-        let nodes = raw
-            .into_iter()
-            .map(|n| Node {
-                hull: Hull { u: n.hull_u, l: n.hull_l, volume: n.volume },
-                kind: if n.is_leaf { NodeKind::Leaf(n.ids) } else { NodeKind::Internal(n.ids) },
-            })
-            .collect::<Vec<_>>();
-        Ok(DbchTree { min_fill, max_fill, root, nodes, reps, rule, lb_slack })
+        Ok(DbchTree { topology, reps, rule, lb_slack })
     }
 
     /// Full structural integrity check, for stress tests and post-reload
-    /// verification. Walks every reachable node and verifies:
+    /// verification. On top of the shared structural pass
+    /// ([`Topology::check_structure`]: fill bounds, ids in range, every
+    /// entry in one leaf only) it verifies of every reachable node that
     ///
-    /// * fill bounds (`min_fill ≤ |node| ≤ max_fill`, root exempt below),
-    /// * every entry id is unique and within the rep arena,
-    /// * each node's hull endpoints are reachable members of its subtree
-    ///   and the stored volume equals `Dist_PAR(u, l)` **bitwise**,
-    /// * each hull's volume equals a fresh recomputation over the node's
-    ///   current membership (bitwise — hulls may not go stale).
+    /// * its hull endpoints are members of its subtree and the stored
+    ///   volume equals `Dist_PAR(u, l)` **bitwise**,
+    /// * the volume equals a fresh recomputation over the node's current
+    ///   membership (bitwise — hulls may not go stale).
     ///
     /// Both hull checks read the store the searches read — there is no
     /// second copy of a representation to compare it with (removed
@@ -372,323 +324,100 @@ impl DbchTree {
     /// [`sapla_core::Error::CorruptIndex`] naming the first violated
     /// invariant; distance errors propagate unchanged.
     pub fn validate(&self, scheme: &dyn Scheme) -> Result<()> {
-        fn corrupt(reason: &'static str) -> sapla_core::Error {
-            sapla_core::Error::CorruptIndex { reason }
+        self.topology.check_structure(self.reps.len())?;
+        self.validate_hulls(self.topology.root(), &self.hulls(scheme), &mut Vec::new())
+    }
+
+    /// Hull legs of [`Self::validate`] for the subtree under `node`,
+    /// whose entries are appended to `seen`. The structural pass has
+    /// bounded the depth.
+    fn validate_hulls(&self, node: usize, hulls: &Hulls<'_>, seen: &mut Vec<usize>) -> Result<()> {
+        let h = *self.topology.bound(node);
+        let before = seen.len();
+        let fresh = match self.topology.node_view(node) {
+            // Only the root may be empty, and an empty root has no hull.
+            NodeView::Leaf([]) => return Ok(()),
+            NodeView::Leaf(entries) => {
+                seen.extend_from_slice(entries);
+                hulls.of_entries(entries)?
+            }
+            NodeView::Internal(children) => {
+                for &c in children {
+                    self.validate_hulls(c, hulls, seen)?;
+                }
+                hulls.of_children(children)?
+            }
+        };
+        if !seen[before..].contains(&h.u) || !seen[before..].contains(&h.l) {
+            return Err(corrupt("hull endpoint is not an entry of the node's subtree"));
         }
-        let mut seen = Vec::new();
-        self.validate_rec(self.root, scheme, &mut seen)?;
-        seen.sort_unstable();
-        if seen.windows(2).any(|w| w[0] == w[1]) {
-            return Err(corrupt("entry id stored in more than one leaf"));
+        if hulls.pair(h.u, h.l)?.to_bits() != h.volume.to_bits() {
+            return Err(corrupt("hull volume is not Dist(u, l)"));
+        }
+        if fresh.volume.to_bits() != h.volume.to_bits() {
+            return Err(corrupt("stale hull volume"));
         }
         Ok(())
     }
 
-    fn validate_rec(&self, node: usize, scheme: &dyn Scheme, seen: &mut Vec<usize>) -> Result<()> {
-        fn corrupt(reason: &'static str) -> sapla_core::Error {
-            sapla_core::Error::CorruptIndex { reason }
-        }
-        let Some(n) = self.nodes.get(node) else {
-            return Err(corrupt("child id outside the node arena"));
-        };
-        let h = n.hull;
-        match &n.kind {
-            NodeKind::Leaf(entries) => {
-                if entries.is_empty() {
-                    if node != self.root {
-                        return Err(corrupt("empty non-root leaf"));
-                    }
-                    return Ok(());
-                }
-                if entries.len() > self.max_fill {
-                    return Err(corrupt("overfull leaf"));
-                }
-                if node != self.root && entries.len() < self.min_fill {
-                    return Err(corrupt("underfull non-root leaf"));
-                }
-                if entries.iter().any(|&e| e >= self.reps.len()) {
-                    return Err(corrupt("leaf entry outside the rep arena"));
-                }
-                if !entries.contains(&h.u) || !entries.contains(&h.l) {
-                    return Err(corrupt("leaf hull endpoint is not a member"));
-                }
-                if self.pair(scheme, h.u, h.l)?.to_bits() != h.volume.to_bits() {
-                    return Err(corrupt("leaf hull volume is not Dist(u, l)"));
-                }
-                if self.leaf_hull(scheme, entries)?.volume.to_bits() != h.volume.to_bits() {
-                    return Err(corrupt("stale leaf hull volume"));
-                }
-                seen.extend_from_slice(entries);
-                Ok(())
-            }
-            NodeKind::Internal(children) => {
-                if children.is_empty() {
-                    return Err(corrupt("internal node without children"));
-                }
-                if children.len() > self.max_fill {
-                    return Err(corrupt("overfull internal node"));
-                }
-                if node != self.root && children.len() < self.min_fill {
-                    return Err(corrupt("underfull non-root internal node"));
-                }
-                if node == self.root && children.len() < 2 {
-                    return Err(corrupt("internal root not collapsed to its only child"));
-                }
-                if self.pair(scheme, h.u, h.l)?.to_bits() != h.volume.to_bits() {
-                    return Err(corrupt("internal hull volume is not Dist(u, l)"));
-                }
-                if self.internal_hull(scheme, children)?.volume.to_bits() != h.volume.to_bits() {
-                    return Err(corrupt("stale internal hull volume"));
-                }
-                let before = seen.len();
-                for &c in children {
-                    self.validate_rec(c, scheme, seen)?;
-                }
-                if !seen[before..].contains(&h.u) || !seen[before..].contains(&h.l) {
-                    return Err(corrupt("internal hull endpoint is not in the subtree"));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn collect_entries(&self, node: usize, out: &mut Vec<usize>) {
-        match &self.nodes[node].kind {
-            NodeKind::Internal(children) => {
-                for &c in children {
-                    self.collect_entries(c, out);
-                }
-            }
-            NodeKind::Leaf(entries) => out.extend_from_slice(entries),
-        }
-    }
-
-    /// Returns `(found, this node should be detached)`.
-    fn remove_rec(
-        &mut self,
-        node: usize,
-        id: usize,
-        orphans: &mut Vec<usize>,
-        scheme: &dyn Scheme,
-    ) -> Result<(bool, bool)> {
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(entries) => {
-                let Some(pos) = entries.iter().position(|&e| e == id) else {
-                    return Ok((false, false));
-                };
-                let is_root = node == self.root;
-                let remaining = {
-                    let NodeKind::Leaf(entries) = &mut self.nodes[node].kind else {
-                        unreachable!()
-                    };
-                    entries.remove(pos);
-                    if entries.is_empty() {
-                        return Ok((true, true));
-                    }
-                    if entries.len() < self.min_fill && !is_root {
-                        orphans.append(entries);
-                        return Ok((true, true));
-                    }
-                    entries.clone()
-                };
-                self.nodes[node].hull = self.leaf_hull(scheme, &remaining)?;
-                Ok((true, false))
-            }
-            NodeKind::Internal(children) => {
-                let children = children.clone();
-                for (idx, &c) in children.iter().enumerate() {
-                    let (found, detach) = self.remove_rec(c, id, orphans, scheme)?;
-                    if !found {
-                        continue;
-                    }
-                    let is_root = node == self.root;
-                    let mut dissolved = false;
-                    {
-                        let NodeKind::Internal(kids) = &mut self.nodes[node].kind else {
-                            unreachable!()
-                        };
-                        if detach {
-                            kids.remove(idx);
-                        }
-                        if kids.is_empty() {
-                            return Ok((true, true));
-                        }
-                        if kids.len() < self.min_fill && !is_root {
-                            dissolved = true;
-                        }
-                    }
-                    if dissolved {
-                        let kids = match &self.nodes[node].kind {
-                            NodeKind::Internal(k) => k.clone(),
-                            NodeKind::Leaf(_) => unreachable!(),
-                        };
-                        for k in kids {
-                            self.collect_entries(k, orphans);
-                        }
-                        return Ok((true, true));
-                    }
-                    let kids = match &self.nodes[node].kind {
-                        NodeKind::Internal(k) => k.clone(),
-                        NodeKind::Leaf(_) => unreachable!(),
-                    };
-                    self.nodes[node].hull = self.internal_hull(scheme, &kids)?;
-                    return Ok((true, false));
-                }
-                Ok((false, false))
-            }
-        }
-    }
-
-    fn pair(&self, scheme: &dyn Scheme, a: usize, b: usize) -> Result<f64> {
-        scheme.pair_dist(self.reps.rep(a), self.reps.rep(b))
+    fn hulls<'a>(&'a self, scheme: &'a dyn Scheme) -> Hulls<'a> {
+        Hulls { topology: &self.topology, reps: &self.reps, scheme }
     }
 
     fn insert_entry(&mut self, id: usize, scheme: &dyn Scheme) -> Result<()> {
-        if let Some(sibling) = self.insert_rec(self.root, id, scheme)? {
-            let old_root = self.root;
-            let hull = self.internal_hull(scheme, &[old_root, sibling])?;
-            self.nodes.push(Node { hull, kind: NodeKind::Internal(vec![old_root, sibling]) });
-            self.root = self.nodes.len() - 1;
+        let root = self.topology.root();
+        if let Some(sibling) = self.insert_rec(root, id, scheme)? {
+            let hull = self.hulls(scheme).of_children(&[root, sibling])?;
+            self.topology.grow_root(sibling, hull);
         }
         Ok(())
     }
 
+    /// Recursive insert; returns the id of a new sibling if `node` split.
     fn insert_rec(&mut self, node: usize, id: usize, scheme: &dyn Scheme) -> Result<Option<usize>> {
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(_) => {
-                if let NodeKind::Leaf(entries) = &mut self.nodes[node].kind {
-                    entries.push(id);
-                }
-                let entries = match &self.nodes[node].kind {
-                    NodeKind::Leaf(e) => e.clone(),
-                    NodeKind::Internal(_) => unreachable!(),
-                };
-                if entries.len() > self.max_fill {
-                    Ok(Some(self.split_leaf(node, scheme)?))
-                } else {
-                    self.nodes[node].hull = self.leaf_hull(scheme, &entries)?;
-                    Ok(None)
-                }
-            }
-            NodeKind::Internal(children) => {
+        let pushed = match self.topology.node_view(node) {
+            NodeView::Leaf(_) => Some(id),
+            NodeView::Internal(children) => {
                 // Branch picking: minimum volume increase (Section 5.3).
-                let children = children.clone();
+                let hulls = self.hulls(scheme);
                 let mut best = (f64::INFINITY, f64::INFINITY, children[0]);
-                for &c in &children {
-                    let h = self.nodes[c].hull;
-                    let du = self.pair(scheme, id, h.u)?;
-                    let dl = self.pair(scheme, id, h.l)?;
+                for &c in children {
+                    let h = *self.topology.bound(c);
+                    let du = hulls.pair(id, h.u)?;
+                    let dl = hulls.pair(id, h.l)?;
                     let new_vol = h.volume.max(du).max(dl);
                     let inc = new_vol - h.volume;
                     if (inc, h.volume) < (best.0, best.1) {
                         best = (inc, h.volume, c);
                     }
                 }
-                let child = best.2;
-                let sibling = self.insert_rec(child, id, scheme)?;
-                if let Some(sib) = sibling {
-                    if let NodeKind::Internal(children) = &mut self.nodes[node].kind {
-                        children.push(sib);
-                    }
-                }
-                let children = match &self.nodes[node].kind {
-                    NodeKind::Internal(c) => c.clone(),
-                    NodeKind::Leaf(_) => unreachable!(),
-                };
-                if children.len() > self.max_fill {
-                    Ok(Some(self.split_internal(node, scheme)?))
-                } else {
-                    self.nodes[node].hull = self.internal_hull(scheme, &children)?;
-                    Ok(None)
-                }
+                self.insert_rec(best.2, id, scheme)?
             }
-        }
-    }
-
-    /// Hull of a leaf: the entry pair with maximum distance.
-    fn leaf_hull(&self, scheme: &dyn Scheme, entries: &[usize]) -> Result<Hull> {
-        debug_assert!(!entries.is_empty());
-        if entries.len() == 1 {
-            return Ok(Hull { u: entries[0], l: entries[0], volume: 0.0 });
-        }
-        let mut best = Hull { u: entries[0], l: entries[1], volume: f64::NEG_INFINITY };
-        for (i, &a) in entries.iter().enumerate() {
-            for &b in &entries[i + 1..] {
-                let d = self.pair(scheme, a, b)?;
-                if d > best.volume {
-                    best = Hull { u: a, l: b, volume: d };
-                }
-            }
-        }
-        Ok(best)
-    }
-
-    /// Hull of an internal node: the paper computes only pairs among the
-    /// children's hull endpoints.
-    fn internal_hull(&self, scheme: &dyn Scheme, children: &[usize]) -> Result<Hull> {
-        let mut candidates: Vec<usize> = Vec::with_capacity(2 * children.len());
-        for &c in children {
-            let h = self.nodes[c].hull;
-            candidates.push(h.u);
-            if h.l != h.u {
-                candidates.push(h.l);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        self.leaf_hull(scheme, &candidates)
-    }
-
-    fn split_leaf(&mut self, node: usize, scheme: &dyn Scheme) -> Result<usize> {
-        let entries = match &mut self.nodes[node].kind {
-            NodeKind::Leaf(e) => std::mem::take(e),
-            NodeKind::Internal(_) => unreachable!(),
         };
-        // Seeds: the maximum-distance pair (Section 5.3).
-        let hull = self.leaf_hull(scheme, &entries)?;
-        let (seed_a, seed_b) = (hull.u, hull.l);
-        let mut ga = vec![seed_a];
-        let mut gb = vec![seed_b];
-        // Assign the rest to the nearer seed, honouring min_fill.
-        let rest: Vec<usize> =
-            entries.iter().copied().filter(|&e| e != seed_a && e != seed_b).collect();
-        let total = rest.len();
-        for (done, e) in rest.into_iter().enumerate() {
-            let remaining = total - done;
-            if ga.len() + remaining <= self.min_fill {
-                ga.push(e);
-                continue;
-            }
-            if gb.len() + remaining <= self.min_fill {
-                gb.push(e);
-                continue;
-            }
-            let da = self.pair(scheme, e, seed_a)?;
-            let db = self.pair(scheme, e, seed_b)?;
-            if da <= db {
-                ga.push(e);
-            } else {
-                gb.push(e);
-            }
+        if pushed.is_some_and(|member| self.topology.push_member(node, member)) {
+            return self.split(node, scheme).map(Some);
         }
-        let ha = self.leaf_hull(scheme, &ga)?;
-        let hb = self.leaf_hull(scheme, &gb)?;
-        self.nodes[node] = Node { hull: ha, kind: NodeKind::Leaf(ga) };
-        self.nodes.push(Node { hull: hb, kind: NodeKind::Leaf(gb) });
-        Ok(self.nodes.len() - 1)
+        *self.topology.bound_mut(node) = self.hulls(scheme).of_node(node)?;
+        Ok(None)
     }
 
-    fn split_internal(&mut self, node: usize, scheme: &dyn Scheme) -> Result<usize> {
-        let children = match &mut self.nodes[node].kind {
-            NodeKind::Internal(c) => std::mem::take(c),
-            NodeKind::Leaf(_) => unreachable!(),
+    /// Divide an overfull node (Section 5.3): the two members whose
+    /// representatives — a leaf's entries themselves, an internal node's
+    /// children by their hull end `u` — are farthest apart seed the two
+    /// groups, every other member joins the nearer seed (`min_fill`
+    /// honoured). Returns the new sibling's id.
+    fn split(&mut self, node: usize, scheme: &dyn Scheme) -> Result<usize> {
+        let hulls = self.hulls(scheme);
+        let (is_leaf, members) = match self.topology.node_view(node) {
+            NodeView::Leaf(entries) => (true, entries),
+            NodeView::Internal(children) => (false, children),
         };
-        // Seed children by the farthest representative (hull.u) pair.
-        let mut seeds = (children[0], children[1]);
+        let rep = |member: usize| if is_leaf { member } else { self.topology.bound(member).u };
+        let mut seeds = (members[0], members[1]);
         let mut worst = f64::NEG_INFINITY;
-        for (i, &a) in children.iter().enumerate() {
-            for &b in &children[i + 1..] {
-                let d = self.pair(scheme, self.nodes[a].hull.u, self.nodes[b].hull.u)?;
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                let d = hulls.pair(rep(a), rep(b))?;
                 if d > worst {
                     worst = d;
                     seeds = (a, b);
@@ -697,32 +426,31 @@ impl DbchTree {
         }
         let mut ga = vec![seeds.0];
         let mut gb = vec![seeds.1];
+        let min_fill = self.topology.min_fill();
         let rest: Vec<usize> =
-            children.iter().copied().filter(|&c| c != seeds.0 && c != seeds.1).collect();
+            members.iter().copied().filter(|&m| m != seeds.0 && m != seeds.1).collect();
         let total = rest.len();
-        for (done, c) in rest.into_iter().enumerate() {
+        for (done, m) in rest.into_iter().enumerate() {
             let remaining = total - done;
-            if ga.len() + remaining <= self.min_fill {
-                ga.push(c);
+            if ga.len() + remaining <= min_fill {
+                ga.push(m);
                 continue;
             }
-            if gb.len() + remaining <= self.min_fill {
-                gb.push(c);
+            if gb.len() + remaining <= min_fill {
+                gb.push(m);
                 continue;
             }
-            let da = self.pair(scheme, self.nodes[c].hull.u, self.nodes[seeds.0].hull.u)?;
-            let db = self.pair(scheme, self.nodes[c].hull.u, self.nodes[seeds.1].hull.u)?;
+            let da = hulls.pair(rep(m), rep(seeds.0))?;
+            let db = hulls.pair(rep(m), rep(seeds.1))?;
             if da <= db {
-                ga.push(c);
+                ga.push(m);
             } else {
-                gb.push(c);
+                gb.push(m);
             }
         }
-        let ha = self.internal_hull(scheme, &ga)?;
-        let hb = self.internal_hull(scheme, &gb)?;
-        self.nodes[node] = Node { hull: ha, kind: NodeKind::Internal(ga) };
-        self.nodes.push(Node { hull: hb, kind: NodeKind::Internal(gb) });
-        Ok(self.nodes.len() - 1)
+        let ha = hulls.of_members(is_leaf, &ga)?;
+        let hb = hulls.of_members(is_leaf, &gb)?;
+        Ok(self.topology.split(node, (ga, ha), (gb, hb)))
     }
 
     /// Distance from the query to one hull representative, memoised per
@@ -736,7 +464,6 @@ impl DbchTree {
         q: &Query,
         scheme: &dyn Scheme,
         entry: usize,
-        dist: &mut sapla_distance::ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64> {
         if let Some(sq) = memo.get(entry) {
@@ -744,35 +471,11 @@ impl DbchTree {
             return Ok(sq.sqrt());
         }
         memo.count_eval();
-        let (d, sq) = scheme.rep_dist_sq_with(q, self.reps.rep(entry), dist)?;
+        let (d, sq) = scheme.rep_dist_sq(q, self.reps.rep(entry))?;
         if let Some(sq) = sq {
             memo.insert(entry, sq);
         }
         Ok(d)
-    }
-
-    /// Query-to-node distance (Section 5.3).
-    fn node_dist(
-        &self,
-        q: &Query,
-        scheme: &dyn Scheme,
-        node: usize,
-        dist: &mut sapla_distance::ParScratch,
-        memo: &mut HullMemo,
-    ) -> Result<f64> {
-        let h = self.nodes[node].hull;
-        let du = self.hull_rep_dist(q, scheme, h.u, dist, memo)?;
-        let dl = self.hull_rep_dist(q, scheme, h.l, dist, memo)?;
-        Ok(match self.rule {
-            NodeDistRule::Paper => {
-                if du < h.volume && dl < h.volume {
-                    0.0
-                } else {
-                    du.min(dl)
-                }
-            }
-            NodeDistRule::Triangle => (du.max(dl) - h.volume).max(0.0),
-        })
     }
 
     /// Best-first k-NN with exact refinement over `raws`.
@@ -819,48 +522,46 @@ impl DbchTree {
         crate::batched::knn_single(self, q, k, scheme, raws, scratch)
     }
 
-    /// Entry ids in leaf-walk order (depth-first, children and entries
-    /// in stored order) — the order an engine shard lays its raw series
-    /// out in.
-    pub(crate) fn leaf_walk(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.reps.len());
-        self.collect_entries(self.root, &mut out);
-        out
-    }
-
     /// Structural statistics (Figs. 15–16).
     pub fn shape(&self) -> TreeShape {
-        let mut shape = TreeShape::default();
-        self.walk(self.root, 1, &mut shape);
-        shape
+        self.topology.shape()
     }
 }
 
+fn corrupt(reason: &'static str) -> Error {
+    Error::CorruptIndex { reason }
+}
+
 impl crate::batched::BatchTree for DbchTree {
-    fn root(&self) -> usize {
-        self.root
-    }
-    fn is_empty(&self) -> bool {
-        DbchTree::is_empty(self)
+    type Bound = Hull;
+
+    fn topology(&self) -> &Topology<Hull> {
+        &self.topology
     }
     fn reps(&self) -> &RepStore {
         &self.reps
     }
-    fn node_view(&self, nid: usize) -> crate::batched::NodeView<'_> {
-        match &self.nodes[nid].kind {
-            NodeKind::Internal(c) => crate::batched::NodeView::Internal(c),
-            NodeKind::Leaf(e) => crate::batched::NodeView::Leaf(e),
-        }
-    }
+    /// Query-to-node distance (Section 5.3).
     fn node_bound(
         &self,
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
-        dist: &mut sapla_distance::ParScratch,
         memo: &mut HullMemo,
     ) -> Result<f64> {
-        self.node_dist(q, scheme, nid, dist, memo)
+        let h = *self.topology.bound(nid);
+        let du = self.hull_rep_dist(q, scheme, h.u, memo)?;
+        let dl = self.hull_rep_dist(q, scheme, h.l, memo)?;
+        Ok(match self.rule {
+            NodeDistRule::Paper => {
+                if du < h.volume && dl < h.volume {
+                    0.0
+                } else {
+                    du.min(dl)
+                }
+            }
+            NodeDistRule::Triangle => (du.max(dl) - h.volume).max(0.0),
+        })
     }
     fn count_fanout(&self, depth: usize, children: usize) {
         let (_depth, _children) = (depth, children);
@@ -868,24 +569,6 @@ impl crate::batched::BatchTree for DbchTree {
     }
     fn lb_slack(&self) -> f64 {
         self.lb_slack
-    }
-}
-
-impl DbchTree {
-    fn walk(&self, node: usize, depth: usize, shape: &mut TreeShape) {
-        shape.height = shape.height.max(depth);
-        match &self.nodes[node].kind {
-            NodeKind::Internal(children) => {
-                shape.internal_nodes += 1;
-                for &c in children {
-                    self.walk(c, depth + 1, shape);
-                }
-            }
-            NodeKind::Leaf(entries) => {
-                shape.leaf_nodes += 1;
-                shape.entries += entries.len();
-            }
-        }
     }
 }
 
@@ -932,8 +615,6 @@ mod tests {
 
     #[test]
     fn validate_accepts_sound_trees_and_detects_planted_corruption() {
-        use sapla_core::Error;
-
         let raws = dataset(40, 64);
         let (tree, scheme) = build_sapla(&raws, 12);
         tree.validate(scheme.as_ref()).unwrap();
@@ -946,9 +627,11 @@ mod tests {
 
         // Plant a stale hull volume: validate must name it.
         let (mut bad, scheme) = build_sapla(&raws, 12);
-        let leaf =
-            (0..bad.nodes.len()).find(|&n| matches!(bad.nodes[n].kind, NodeKind::Leaf(_))).unwrap();
-        bad.nodes[leaf].hull.volume += 1.0;
+        let leaves: Vec<usize> = (0..bad.topology.nodes().len())
+            .filter(|&n| bad.topology.nodes()[n].is_leaf())
+            .collect();
+        assert!(leaves.len() >= 2);
+        bad.topology.bound_mut(leaves[0]).volume += 1.0;
         match bad.validate(scheme.as_ref()).unwrap_err() {
             Error::CorruptIndex { reason } => assert!(reason.contains("hull"), "{reason}"),
             other => panic!("unexpected error: {other:?}"),
@@ -956,22 +639,9 @@ mod tests {
 
         // Plant a duplicated entry id across two leaves.
         let (mut bad, scheme) = build_sapla(&raws, 12);
-        let leaves: Vec<usize> = (0..bad.nodes.len())
-            .filter(|&n| matches!(&bad.nodes[n].kind, NodeKind::Leaf(e) if !e.is_empty()))
-            .collect();
-        assert!(leaves.len() >= 2);
-        let stolen = match &bad.nodes[leaves[0]].kind {
-            NodeKind::Leaf(e) => e[0],
-            NodeKind::Internal(_) => unreachable!(),
-        };
-        if let NodeKind::Leaf(e) = &mut bad.nodes[leaves[1]].kind {
-            e.push(stolen);
-        }
-        let entries = match &bad.nodes[leaves[1]].kind {
-            NodeKind::Leaf(e) => e.clone(),
-            NodeKind::Internal(_) => unreachable!(),
-        };
-        bad.nodes[leaves[1]].hull = bad.leaf_hull(scheme.as_ref(), &entries).unwrap();
+        let stolen = bad.topology.nodes()[leaves[0]].ids()[0];
+        bad.topology.push_member(leaves[1], stolen);
+        *bad.topology.bound_mut(leaves[1]) = bad.hulls(scheme.as_ref()).of_node(leaves[1]).unwrap();
         // Which invariant fires first depends on tree layout (the theft
         // can surface as a duplicate id, an overfull leaf, or a stale
         // ancestor hull) — any CorruptIndex is a successful detection.
@@ -979,6 +649,53 @@ mod tests {
             Error::CorruptIndex { .. } => {}
             other => panic!("unexpected error: {other:?}"),
         }
+    }
+
+    /// The refactor's proof for the DBCH-tree: the exported node arena —
+    /// ids, slot order, hulls, abandoned slots — after a build, a churn,
+    /// a drain and a refill digests to the constants recorded on the tree
+    /// as it was before `Topology` existed (PR 21's).
+    #[test]
+    fn built_and_churned_arenas_are_the_recorded_ones() {
+        use crate::topology::tests::{digest, lcg, random_walks};
+
+        let digest = |t: &DbchTree| {
+            digest(&t.topology, |h| vec![h.u as u64, h.l as u64, h.volume.to_bits()])
+        };
+        let scheme = scheme_for("SAPLA").unwrap();
+        let reducer = SaplaReducer::new();
+        let reps: Vec<Representation> =
+            random_walks(200, 64, 11).iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
+        let mut tree = DbchTree::build(scheme.as_ref(), reps[..48].to_vec(), 2, 5).unwrap();
+        assert_eq!(digest(&tree), 0x3593_133b_f970_63a6, "built");
+
+        let mut state = 99u64;
+        let mut next_rep = 48usize;
+        for _ in 0..140 {
+            let live = tree.entry_ids();
+            if lcg(&mut state).is_multiple_of(2) && next_rep < reps.len() {
+                tree.insert(scheme.as_ref(), reps[next_rep].clone()).unwrap();
+                next_rep += 1;
+            } else if !live.is_empty() {
+                let id = live[lcg(&mut state) as usize % live.len()];
+                assert!(tree.remove(scheme.as_ref(), id).unwrap());
+            }
+        }
+        tree.validate(scheme.as_ref()).unwrap();
+        assert_eq!((tree.entry_ids().len(), tree.shape().height), (56, 4));
+        assert_eq!(digest(&tree), 0x9dbf_f862_6d06_eb2f, "churned");
+
+        for id in tree.entry_ids() {
+            assert!(tree.remove(scheme.as_ref(), id).unwrap());
+        }
+        tree.validate(scheme.as_ref()).unwrap();
+        assert_eq!(digest(&tree), 0xdad0_d687_8540_2bc7, "drained");
+
+        for rep in &reps[next_rep..next_rep + 12] {
+            tree.insert(scheme.as_ref(), rep.clone()).unwrap();
+        }
+        tree.validate(scheme.as_ref()).unwrap();
+        assert_eq!(digest(&tree), 0xa9b8_c566_beea_65c4, "refilled");
     }
 
     #[test]

@@ -128,8 +128,8 @@ impl ShardIndex {
     /// Entry ids in the order the shard's [`RawArena`] stores them.
     pub(crate) fn leaf_walk(&self) -> Vec<usize> {
         match self {
-            ShardIndex::Dbch(t) => t.leaf_walk(),
-            ShardIndex::Rtree(t) => t.leaf_walk(),
+            ShardIndex::Dbch(t) => t.topology().leaf_walk(),
+            ShardIndex::Rtree(t) => t.topology().leaf_walk(),
         }
     }
 }

@@ -249,7 +249,7 @@ impl Default for KnnHeap {
 /// fresh evaluation. Caching the root instead would *not* round-trip.
 ///
 /// Only schemes that return a square from
-/// [`crate::scheme::Scheme::rep_dist_sq_with`] participate; for others
+/// [`crate::scheme::Scheme::rep_dist_sq`] participate; for others
 /// the memo stays empty and every path takes the stock evaluation.
 #[derive(Debug, Default)]
 pub(crate) struct HullMemo {
@@ -313,7 +313,7 @@ impl HullMemo {
 }
 
 /// One query's search state: the candidate heap, the best-first node
-/// queue, the `Dist_PAR` partition buffer, and the [`HullMemo`].
+/// queue and the [`HullMemo`].
 #[derive(Debug, Default)]
 pub(crate) struct QueryScratch {
     pub(crate) results: KnnHeap,
@@ -323,7 +323,6 @@ pub(crate) struct QueryScratch {
     // and the pop order is bit-identical to the (distance, id) queue.
     pub(crate) nodes:
         std::collections::BinaryHeap<std::cmp::Reverse<(sapla_core::OrdF64, usize, usize)>>,
-    pub(crate) dist: sapla_distance::ParScratch,
     pub(crate) hull: HullMemo,
 }
 
@@ -346,9 +345,7 @@ impl QueryScratch {
 /// steady-state k-NN into an allocation-free loop.
 ///
 /// Reusing a scratch **never changes results**: every buffer is reset at
-/// the start of every block, the partition buffer is cleared by every
-/// distance call, and the buffered `Dist_PAR` is bit-for-bit the
-/// streaming one.
+/// the start of every block.
 #[derive(Debug, Default)]
 pub struct KnnScratch {
     pub(crate) queries: Vec<QueryScratch>,

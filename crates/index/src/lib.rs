@@ -38,6 +38,7 @@ pub mod rtree;
 pub mod scheme;
 pub(crate) mod snapshot;
 pub mod stats;
+pub(crate) mod topology;
 
 pub use arena::RepRef;
 pub use batched::DEFAULT_QUERY_BLOCK;

@@ -6,44 +6,25 @@
 //! best-first (GEMINI): nodes are filtered with the scheme's MINDIST,
 //! entries with the scheme's representation distance, and survivors are
 //! refined against the raw series.
+//!
+//! The MBR and its construction (`Rects`), the least-enlargement pick and
+//! the quadratic split are all this module holds. The hierarchy they are
+//! applied to lives once, in [`crate::topology`], for both trees: an
+//! [`RTree`] is a `Topology<HyperRect>` (nodes, ids, walks,
+//! condense-after-remove, structural validation, snapshot adoption) plus
+//! the tree's [`RepStore`] and its feature vectors.
 
-use sapla_core::{Representation, Result, TimeSeries};
+use std::cmp::Ordering;
+use std::convert::Infallible;
+
+use sapla_core::{Error, Representation, Result, TimeSeries};
 
 use crate::arena::RepStore;
-use crate::knn::{KnnScratch, SearchStats};
+use crate::knn::{HullMemo, KnnScratch, SearchStats};
 use crate::rect::HyperRect;
 use crate::scheme::{Query, Scheme};
 use crate::stats::TreeShape;
-
-#[derive(Debug, Clone)]
-enum NodeKind {
-    /// Child node ids.
-    Internal(Vec<usize>),
-    /// Entry ids.
-    Leaf(Vec<usize>),
-}
-
-#[derive(Debug, Clone)]
-struct Node {
-    rect: HyperRect,
-    kind: NodeKind,
-}
-
-/// One node of an [`RTree`] in exported, layout-stable form — the unit
-/// the snapshot writer persists and [`RTree::from_raw_parts`] consumes.
-/// Node ids are positions in the exported arena, preserved verbatim so
-/// a reloaded tree replays searches bit-for-bit.
-#[derive(Debug, Clone)]
-pub(crate) struct RawRtreeNode {
-    /// Leaf (entry ids) or internal (child node ids)?
-    pub is_leaf: bool,
-    /// Children ids (internal) or entry ids (leaf).
-    pub ids: Vec<usize>,
-    /// Bounding rectangle, lower corner.
-    pub rect_lo: Vec<f64>,
-    /// Bounding rectangle, upper corner.
-    pub rect_hi: Vec<f64>,
-}
+use crate::topology::{NodeView, Topology};
 
 /// An R-tree over reduced representations.
 ///
@@ -64,15 +45,64 @@ pub(crate) struct RawRtreeNode {
 /// # Ok::<(), sapla_core::Error>(())
 /// ```
 pub struct RTree {
-    min_fill: usize,
-    max_fill: usize,
-    root: usize,
-    nodes: Vec<Node>,
+    /// Nodes, ids and fill factors; each node's bound is its MBR.
+    topology: Topology<HyperRect>,
     /// The indexed representations by entry id — what the leaf filter
     /// reads. Append-only: a removed entry stays behind as an
     /// unreferenced hole, so ids are stable.
     reps: RepStore,
     features: Vec<Vec<f64>>,
+}
+
+/// MBR construction over one tree's nodes and feature vectors — the
+/// R-tree's bound policy, borrowed apart from the tree so that
+/// [`Topology::remove_entry`] can call it while it holds the nodes.
+struct Rects<'a> {
+    topology: &'a Topology<HyperRect>,
+    features: &'a [Vec<f64>],
+}
+
+impl Rects<'_> {
+    /// MBR of a leaf's entries (their feature points); `None` for none.
+    fn of_entries(&self, entries: &[usize]) -> Option<HyperRect> {
+        let (&first, rest) = entries.split_first()?;
+        let mut rect = HyperRect::point(&self.features[first]);
+        for &e in rest {
+            rect.extend_point(&self.features[e]);
+        }
+        Some(rect)
+    }
+
+    /// MBR of an internal node's children; `None` for none.
+    fn of_children(&self, children: &[usize]) -> Option<HyperRect> {
+        let (&first, rest) = children.split_first()?;
+        let mut rect = self.topology.bound(first).clone();
+        for &c in rest {
+            rect.extend_rect(self.topology.bound(c));
+        }
+        Some(rect)
+    }
+
+    /// MBR of `members`, the entries of a leaf or the children of an
+    /// internal node.
+    fn of_members(&self, is_leaf: bool, members: &[usize]) -> Option<HyperRect> {
+        if is_leaf {
+            self.of_entries(members)
+        } else {
+            self.of_children(members)
+        }
+    }
+
+    /// MBR of node `nid` over its current members. A node without
+    /// members (an emptied root) keeps the rectangle it has: nothing
+    /// reads it before the next insert replaces it.
+    fn of_node(&self, nid: usize) -> HyperRect {
+        match self.topology.node_view(nid) {
+            NodeView::Leaf(entries) => self.of_entries(entries),
+            NodeView::Internal(children) => self.of_children(children),
+        }
+        .unwrap_or_else(|| self.topology.bound(nid).clone())
+    }
 }
 
 impl RTree {
@@ -89,105 +119,15 @@ impl RTree {
         min_fill: usize,
         max_fill: usize,
     ) -> Result<RTree> {
-        assert!(min_fill >= 1 && max_fill >= 2 * min_fill, "invalid fill factors");
+        let topology = Topology::new(min_fill, max_fill, HyperRect { lo: vec![], hi: vec![] });
         let mut features = Vec::with_capacity(reps.len());
         for rep in &reps {
             features.push(scheme.feature(rep)?);
         }
-        let mut tree = RTree {
-            min_fill,
-            max_fill,
-            root: 0,
-            nodes: vec![Node {
-                rect: HyperRect { lo: vec![], hi: vec![] },
-                kind: NodeKind::Leaf(vec![]),
-            }],
-            reps: RepStore::from_reps(reps),
-            features,
-        };
+        let mut tree = RTree { topology, reps: RepStore::from_reps(reps), features };
         for id in 0..tree.reps.len() {
             tree.insert_entry(id);
         }
-        Ok(tree)
-    }
-
-    /// Bulk loading by sorted packing (a one-dimensional STR): entries are
-    /// ordered by their first feature dimension and packed into full
-    /// leaves, then each level is packed the same way. Produces fuller
-    /// nodes and a shallower tree than sequential insertion — the
-    /// bulk-ingest alternative the classic R-tree literature recommends.
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction failures from the scheme.
-    pub fn bulk_load_packed(
-        scheme: &dyn Scheme,
-        reps: Vec<Representation>,
-        min_fill: usize,
-        max_fill: usize,
-    ) -> Result<RTree> {
-        assert!(min_fill >= 1 && max_fill >= 2 * min_fill, "invalid fill factors");
-        let mut features = Vec::with_capacity(reps.len());
-        for rep in &reps {
-            features.push(scheme.feature(rep)?);
-        }
-        let mut tree = RTree {
-            min_fill,
-            max_fill,
-            root: 0,
-            nodes: vec![Node {
-                rect: HyperRect { lo: vec![], hi: vec![] },
-                kind: NodeKind::Leaf(vec![]),
-            }],
-            reps: RepStore::from_reps(reps),
-            features,
-        };
-        if tree.is_empty() {
-            return Ok(tree);
-        }
-        tree.nodes.clear();
-
-        // Pack entries into leaves, ordered by the first feature dim.
-        let mut order: Vec<usize> = (0..tree.reps.len()).collect();
-        order.sort_by(|&a, &b| {
-            tree.features[a]
-                .first()
-                .copied()
-                .unwrap_or(0.0)
-                .total_cmp(&tree.features[b].first().copied().unwrap_or(0.0))
-        });
-        let mut level: Vec<usize> = Vec::new();
-        for chunk in order.chunks(max_fill) {
-            let mut rect = HyperRect::point(&tree.features[chunk[0]]);
-            for &e in &chunk[1..] {
-                rect.extend_point(&tree.features[e]);
-            }
-            tree.nodes.push(Node { rect, kind: NodeKind::Leaf(chunk.to_vec()) });
-            level.push(tree.nodes.len() - 1);
-        }
-        // Pack internal levels until one root remains.
-        while level.len() > 1 {
-            level.sort_by(|&a, &b| {
-                tree.nodes[a]
-                    .rect
-                    .lo
-                    .first()
-                    .copied()
-                    .unwrap_or(0.0)
-                    .total_cmp(&tree.nodes[b].rect.lo.first().copied().unwrap_or(0.0))
-            });
-            let mut next = Vec::with_capacity(level.len().div_ceil(max_fill));
-            for chunk in level.chunks(max_fill) {
-                let mut rect = tree.nodes[chunk[0]].rect.clone();
-                for &c in &chunk[1..] {
-                    rect.extend_rect(&tree.nodes[c].rect.clone());
-                }
-                tree.nodes.push(Node { rect, kind: NodeKind::Internal(chunk.to_vec()) });
-                next.push(tree.nodes.len() - 1);
-            }
-            level = next;
-        }
-        tree.root = level[0];
         Ok(tree)
     }
 
@@ -246,22 +186,15 @@ impl RTree {
         if id >= self.reps.len() {
             return false;
         }
-        let mut orphans = Vec::new();
-        let (found, root_empty) = self.remove_rec(self.root, id, &mut orphans);
-        if !found {
-            return false;
-        }
-        if root_empty {
-            self.nodes[self.root].kind = NodeKind::Leaf(vec![]);
-        }
-        // Shrink a root that lost all but one child.
-        loop {
-            let next = match &self.nodes[self.root].kind {
-                NodeKind::Internal(c) if c.len() == 1 => c[0],
-                _ => break,
-            };
-            self.root = next;
-        }
+        let features = self.features.as_slice();
+        // Only descend where the entry's point can live.
+        let point = &features[id];
+        let Ok(removed) = self.topology.remove_entry(
+            id,
+            |rect| rect.min_sq_dist_point(point).partial_cmp(&0.0) != Some(Ordering::Greater),
+            |topology, nid| Ok::<_, Infallible>(Rects { topology, features }.of_node(nid)),
+        );
+        let Some(orphans) = removed else { return false };
         for e in orphans {
             self.insert_entry(e);
         }
@@ -270,25 +203,7 @@ impl RTree {
 
     /// Ids currently stored in leaves (sorted).
     pub fn entry_ids(&self) -> Vec<usize> {
-        let mut out = self.leaf_walk();
-        out.sort_unstable();
-        out
-    }
-
-    fn collect_entries(&self, node: usize, out: &mut Vec<usize>) {
-        match &self.nodes[node].kind {
-            NodeKind::Internal(children) => {
-                for &c in children {
-                    self.collect_entries(c, out);
-                }
-            }
-            NodeKind::Leaf(entries) => out.extend_from_slice(entries),
-        }
-    }
-
-    /// Root node id, for the snapshot writer.
-    pub(crate) fn root_id(&self) -> usize {
-        self.root
+        self.topology.entry_ids()
     }
 
     /// The extracted feature vectors, by entry id, for the snapshot
@@ -297,125 +212,59 @@ impl RTree {
         &self.features
     }
 
-    /// Export the node arena verbatim — same slot order, same ids — so a
-    /// tree reconstructed from the export replays best-first searches
-    /// bit-for-bit (the traversal heap tie-breaks on node id).
-    pub(crate) fn raw_nodes(&self) -> Vec<RawRtreeNode> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let (is_leaf, ids) = match &n.kind {
-                    NodeKind::Internal(c) => (false, c.clone()),
-                    NodeKind::Leaf(e) => (true, e.clone()),
-                };
-                RawRtreeNode {
-                    is_leaf,
-                    ids,
-                    rect_lo: n.rect.lo.clone(),
-                    rect_hi: n.rect.hi.clone(),
-                }
-            })
-            .collect()
-    }
-
     /// Reassemble a tree from persisted parts without re-running the
-    /// insertion build *or* feature extraction: nodes, rectangles and
-    /// feature vectors are adopted verbatim after a structural walk, and
-    /// `reps` — which the caller has already validated
-    /// ([`crate::arena::RepArena::adopt`]) — becomes the tree's store as
-    /// it is. Every malformed input is an `Err`, never a panic.
-    ///
-    /// Validated here: fill-factor sanity, root in range, the graph
-    /// under `root` is a tree covering the whole arena, internal fanout
-    /// non-empty, leaf entry ids unique / in range / covering `reps`
-    /// exactly, one feature vector per rep, and rectangles with matched
-    /// lo/hi arity, finite bounds and `lo ≤ hi` per dimension. MINDIST
-    /// containment of the stored rects is *not* re-derived — the
-    /// proptest suite pins loaded answers to freshly-built ones instead.
+    /// insertion build *or* feature extraction: `topology` has passed
+    /// the structural adoption walk ([`Topology::adopt`]) and `reps` the
+    /// store's validation ([`crate::arena::RepArena::adopt`]); what is
+    /// left to check is the R-tree's own — one feature vector per rep,
+    /// all of one arity, and every rectangle with matched lo/hi arity,
+    /// finite bounds, `lo ≤ hi` per dimension and, in a tree that holds
+    /// anything, the arity of the feature vectors (MINDIST reads a
+    /// rectangle by the query's arity and would fail, or silently read
+    /// the wrong coordinates, on any other). MINDIST containment of the
+    /// stored rects is *not* re-derived — the proptest suite pins loaded
+    /// answers to freshly-built ones instead.
     ///
     /// # Errors
     ///
-    /// [`sapla_core::Error::CorruptIndex`] naming the violated invariant.
-    pub(crate) fn from_raw_parts(
-        min_fill: usize,
-        max_fill: usize,
-        root: usize,
-        raw: Vec<RawRtreeNode>,
+    /// [`sapla_core::Error::CorruptIndex`] naming the violated invariant;
+    /// never a panic.
+    pub(crate) fn adopt(
+        topology: Topology<HyperRect>,
         reps: RepStore,
         features: Vec<Vec<f64>>,
     ) -> Result<RTree> {
-        fn corrupt(reason: &'static str) -> sapla_core::Error {
-            sapla_core::Error::CorruptIndex { reason }
-        }
-        if min_fill < 1 || max_fill < 2 * min_fill {
-            return Err(corrupt("snapshot fill factors violate min/max constraints"));
-        }
         if features.len() != reps.len() {
             return Err(corrupt("snapshot feature arena does not match the rep arena"));
         }
-        if root >= raw.len() {
-            return Err(corrupt("snapshot root id outside the node arena"));
+        let dims = features.first().map(Vec::len);
+        if features.iter().any(|f| Some(f.len()) != dims) {
+            return Err(corrupt("snapshot feature vectors differ in arity"));
         }
-        let mut visited = vec![false; raw.len()];
-        let mut seen_entry = vec![false; reps.len()];
-        let mut n_entries = 0usize;
-        // Iterative walk (adversarial inputs could nest deeper than the
-        // call stack tolerates).
-        let mut stack = vec![root];
-        while let Some(nid) = stack.pop() {
-            let node =
-                raw.get(nid).ok_or_else(|| corrupt("snapshot child id outside the node arena"))?;
-            if std::mem::replace(&mut visited[nid], true) {
-                return Err(corrupt("snapshot node arena contains a cycle or shared child"));
-            }
-            if node.rect_lo.len() != node.rect_hi.len() {
+        for node in topology.nodes() {
+            let rect = &node.bound;
+            if rect.lo.len() != rect.hi.len() {
                 return Err(corrupt("snapshot rectangle lo/hi arity mismatch"));
             }
-            for (&lo, &hi) in node.rect_lo.iter().zip(&node.rect_hi) {
+            if dims.is_some_and(|dims| rect.dims() != dims) {
+                return Err(corrupt("snapshot rectangle and feature vectors differ in arity"));
+            }
+            for (&lo, &hi) in rect.lo.iter().zip(&rect.hi) {
                 if !lo.is_finite() || !hi.is_finite() || lo > hi {
                     return Err(corrupt("snapshot rectangle bounds are inverted or non-finite"));
                 }
             }
-            if node.is_leaf {
-                for &e in &node.ids {
-                    if e >= reps.len() {
-                        return Err(corrupt("snapshot leaf entry outside the rep arena"));
-                    }
-                    if std::mem::replace(&mut seen_entry[e], true) {
-                        return Err(corrupt("snapshot entry id stored in more than one leaf"));
-                    }
-                    n_entries += 1;
-                }
-            } else {
-                if node.ids.is_empty() {
-                    return Err(corrupt("snapshot internal node has no children"));
-                }
-                stack.extend(node.ids.iter().copied());
-            }
         }
-        if visited.iter().any(|v| !v) {
-            return Err(corrupt("snapshot node arena contains detached nodes"));
-        }
-        if n_entries != reps.len() {
-            return Err(corrupt("snapshot leaves do not cover the rep arena exactly"));
-        }
-        let nodes = raw
-            .into_iter()
-            .map(|n| Node {
-                rect: HyperRect { lo: n.rect_lo, hi: n.rect_hi },
-                kind: if n.is_leaf { NodeKind::Leaf(n.ids) } else { NodeKind::Internal(n.ids) },
-            })
-            .collect::<Vec<_>>();
-        Ok(RTree { min_fill, max_fill, root, nodes, reps, features })
+        Ok(RTree { topology, reps, features })
     }
 
     /// Structural integrity check, for stress tests and post-reload
-    /// verification. Walks every reachable node and verifies:
+    /// verification. On top of the shared structural pass
+    /// ([`Topology::check_structure`]: fill bounds, ids in range, every
+    /// entry in one leaf only) it verifies that
     ///
-    /// * fill bounds (`min_fill ≤ |node| ≤ max_fill`, root exempt below),
-    /// * every entry id is unique and within the rep arena,
-    /// * each node's rectangle covers its children's rectangles / its
-    ///   entries' feature points (what MINDIST pruning relies on),
+    /// * each reachable node's rectangle covers its children's rectangles
+    ///   / its entries' feature points (what MINDIST pruning relies on),
     /// * there is one feature vector per entry id (removed entries are
     ///   holes: still in the store, referenced by no leaf).
     ///
@@ -424,9 +273,6 @@ impl RTree {
     /// [`sapla_core::Error::CorruptIndex`] naming the first violated
     /// invariant.
     pub fn validate(&self) -> Result<()> {
-        fn corrupt(reason: &'static str) -> sapla_core::Error {
-            sapla_core::Error::CorruptIndex { reason }
-        }
         fn covers(outer: &HyperRect, inner: &HyperRect) -> bool {
             outer.dims() == inner.dims()
                 && outer.lo.iter().zip(&inner.lo).all(|(o, i)| o <= i)
@@ -435,51 +281,20 @@ impl RTree {
         if self.features.len() != self.reps.len() {
             return Err(corrupt("feature arena does not cover the entry ids"));
         }
-        let mut seen = vec![false; self.reps.len()];
-        let mut stack = vec![self.root];
+        self.topology.check_structure(self.reps.len())?;
+        let mut stack = vec![self.topology.root()];
         while let Some(nid) = stack.pop() {
-            let node = self.nodes.get(nid).ok_or_else(|| corrupt("child id outside the arena"))?;
-            let (len, is_leaf) = match &node.kind {
-                NodeKind::Internal(c) => (c.len(), false),
-                NodeKind::Leaf(e) => (e.len(), true),
-            };
-            let is_root = nid == self.root;
-            if len > self.max_fill {
-                return Err(corrupt("overfull node"));
-            }
-            if !is_root && len < self.min_fill {
-                return Err(corrupt("underfull non-root node"));
-            }
-            if len == 0 && !(is_root && is_leaf) {
-                return Err(corrupt("empty node below the root"));
-            }
-            match &node.kind {
-                NodeKind::Internal(children) => {
-                    if is_root && children.len() < 2 {
-                        return Err(corrupt("internal root not collapsed to its only child"));
-                    }
-                    for &c in children {
-                        let child = self
-                            .nodes
-                            .get(c)
-                            .ok_or_else(|| corrupt("child id outside the arena"))?;
-                        if !covers(&node.rect, &child.rect) {
-                            return Err(corrupt("node rectangle does not cover a child"));
-                        }
+            let rect = self.topology.bound(nid);
+            match self.topology.node_view(nid) {
+                NodeView::Internal(children) => {
+                    if children.iter().any(|&c| !covers(rect, self.topology.bound(c))) {
+                        return Err(corrupt("node rectangle does not cover a child"));
                     }
                     stack.extend_from_slice(children);
                 }
-                NodeKind::Leaf(entries) => {
-                    for &e in entries {
-                        if e >= self.reps.len() {
-                            return Err(corrupt("leaf entry outside the rep arena"));
-                        }
-                        if std::mem::replace(&mut seen[e], true) {
-                            return Err(corrupt("entry id stored in more than one leaf"));
-                        }
-                        if !covers(&node.rect, &self.entry_rect(e)) {
-                            return Err(corrupt("leaf rectangle does not cover an entry"));
-                        }
+                NodeView::Leaf(entries) => {
+                    if entries.iter().any(|&e| !covers(rect, &self.entry_rect(e))) {
+                        return Err(corrupt("leaf rectangle does not cover an entry"));
                     }
                 }
             }
@@ -487,70 +302,8 @@ impl RTree {
         Ok(())
     }
 
-    /// Returns `(found, this node should be detached)`.
-    fn remove_rec(&mut self, node: usize, id: usize, orphans: &mut Vec<usize>) -> (bool, bool) {
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(entries) => {
-                let Some(pos) = entries.iter().position(|&e| e == id) else {
-                    return (false, false);
-                };
-                let is_root = node == self.root;
-                let mut detach = false;
-                if let NodeKind::Leaf(entries) = &mut self.nodes[node].kind {
-                    entries.remove(pos);
-                    if entries.is_empty() {
-                        detach = true;
-                    } else if entries.len() < self.min_fill && !is_root {
-                        orphans.append(entries);
-                        detach = true;
-                    }
-                }
-                if detach {
-                    return (true, true);
-                }
-                self.recompute_rect(node);
-                (true, false)
-            }
-            NodeKind::Internal(children) => {
-                let children = children.clone();
-                for (idx, &c) in children.iter().enumerate() {
-                    // Only descend where the entry's point can live.
-                    if self.nodes[c].rect.min_sq_dist_point(&self.features[id]) > 0.0 {
-                        continue;
-                    }
-                    let (found, detach) = self.remove_rec(c, id, orphans);
-                    if !found {
-                        continue;
-                    }
-                    let is_root = node == self.root;
-                    let mut dissolved = false;
-                    if let NodeKind::Internal(kids) = &mut self.nodes[node].kind {
-                        if detach {
-                            kids.remove(idx);
-                        }
-                        if kids.is_empty() {
-                            return (true, true);
-                        }
-                        if kids.len() < self.min_fill && !is_root {
-                            dissolved = true;
-                        }
-                    }
-                    if dissolved {
-                        let kids = match &self.nodes[node].kind {
-                            NodeKind::Internal(k) => k.clone(),
-                            NodeKind::Leaf(_) => unreachable!(),
-                        };
-                        for k in kids {
-                            self.collect_entries(k, orphans);
-                        }
-                        return (true, true);
-                    }
-                    self.recompute_rect(node);
-                    return (true, false);
-                }
-                (false, false)
-            }
-        }
+    fn rects(&self) -> Rects<'_> {
+        Rects { topology: &self.topology, features: &self.features }
     }
 
     fn entry_rect(&self, id: usize) -> HyperRect {
@@ -559,137 +312,69 @@ impl RTree {
 
     fn insert_entry(&mut self, id: usize) {
         let rect = self.entry_rect(id);
-        if let NodeKind::Leaf(entries) = &self.nodes[self.root].kind {
-            if entries.is_empty() {
-                self.nodes[self.root].rect = rect;
-                if let NodeKind::Leaf(entries) = &mut self.nodes[self.root].kind {
-                    entries.push(id);
-                }
-                return;
-            }
-        }
-        if let Some(sibling) = self.insert_rec(self.root, id, &rect) {
+        let root = self.topology.root();
+        if let Some(sibling) = self.insert_rec(root, id, &rect) {
             // Root split: grow the tree by one level.
-            let old_root = self.root;
-            let new_rect = self.nodes[old_root].rect.union(&self.nodes[sibling].rect);
-            self.nodes
-                .push(Node { rect: new_rect, kind: NodeKind::Internal(vec![old_root, sibling]) });
-            self.root = self.nodes.len() - 1;
+            let cover = self.topology.bound(root).union(self.topology.bound(sibling));
+            self.topology.grow_root(sibling, cover);
         }
     }
 
     /// Recursive insert; returns the id of a new sibling if `node` split.
     fn insert_rec(&mut self, node: usize, id: usize, rect: &HyperRect) -> Option<usize> {
-        self.nodes[node].rect.extend_rect(rect);
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(_) => {
-                if let NodeKind::Leaf(entries) = &mut self.nodes[node].kind {
-                    entries.push(id);
-                }
-                (self.leaf_len(node) > self.max_fill).then(|| self.split_leaf(node))
+        let (pushed, is_leaf) = match self.topology.node_view(node) {
+            // The first entry of an empty root: its point is the rectangle.
+            NodeView::Leaf([]) => {
+                *self.topology.bound_mut(node) = rect.clone();
+                (id, true)
             }
-            NodeKind::Internal(children) => {
+            NodeView::Leaf(_) => {
+                self.topology.bound_mut(node).extend_rect(rect);
+                (id, true)
+            }
+            NodeView::Internal(children) => {
                 // Guttman: child whose rect needs least enlargement
                 // (ties: smallest area).
                 let mut best = (f64::INFINITY, f64::INFINITY, children[0]);
                 for &c in children {
-                    let enl = self.nodes[c].rect.enlargement(rect);
-                    let area = self.nodes[c].rect.area();
+                    let enl = self.topology.bound(c).enlargement(rect);
+                    let area = self.topology.bound(c).area();
                     if (enl, area) < (best.0, best.1) {
                         best = (enl, area, c);
                     }
                 }
-                let child = best.2;
-                let sibling = self.insert_rec(child, id, rect)?;
-                if let NodeKind::Internal(children) = &mut self.nodes[node].kind {
-                    children.push(sibling);
-                }
-                self.recompute_rect(node);
-                (self.internal_len(node) > self.max_fill).then(|| self.split_internal(node))
-            }
-        }
-    }
-
-    fn leaf_len(&self, node: usize) -> usize {
-        match &self.nodes[node].kind {
-            NodeKind::Leaf(e) => e.len(),
-            NodeKind::Internal(_) => unreachable!("leaf_len on internal node"),
-        }
-    }
-
-    fn internal_len(&self, node: usize) -> usize {
-        match &self.nodes[node].kind {
-            NodeKind::Internal(c) => c.len(),
-            NodeKind::Leaf(_) => unreachable!("internal_len on leaf node"),
-        }
-    }
-
-    fn recompute_rect(&mut self, node: usize) {
-        // Option-accumulator folds: nodes are never empty here (splits
-        // and condenses keep ≥ min_fill members), but an empty node
-        // degrades to keeping its stale rect rather than panicking.
-        let rect = match &self.nodes[node].kind {
-            NodeKind::Internal(children) => {
-                let mut rect: Option<HyperRect> = None;
-                for &c in children {
-                    match &mut rect {
-                        Some(r) => r.extend_rect(&self.nodes[c].rect),
-                        None => rect = Some(self.nodes[c].rect.clone()),
-                    }
-                }
-                rect
-            }
-            NodeKind::Leaf(entries) => {
-                let mut rect: Option<HyperRect> = None;
-                for &e in entries {
-                    match &mut rect {
-                        Some(r) => r.extend_point(&self.features[e]),
-                        None => rect = Some(self.entry_rect(e)),
-                    }
-                }
-                rect
+                self.topology.bound_mut(node).extend_rect(rect);
+                (self.insert_rec(best.2, id, rect)?, false)
             }
         };
-        let Some(rect) = rect else { return };
-        self.nodes[node].rect = rect;
+        let overfull = self.topology.push_member(node, pushed);
+        if !is_leaf {
+            *self.topology.bound_mut(node) = self.rects().of_node(node);
+        }
+        overfull.then(|| self.split(node))
     }
 
-    fn split_leaf(&mut self, node: usize) -> usize {
-        let entries = match &mut self.nodes[node].kind {
-            NodeKind::Leaf(e) => std::mem::take(e),
-            NodeKind::Internal(_) => unreachable!(),
+    /// Divide an overfull node by Guttman's quadratic split over its
+    /// members' rectangles. Returns the new sibling's id.
+    fn split(&mut self, node: usize) -> usize {
+        let rects = self.rects();
+        let (is_leaf, members) = match self.topology.node_view(node) {
+            NodeView::Leaf(entries) => (true, entries),
+            NodeView::Internal(children) => (false, children),
         };
-        let rects: Vec<HyperRect> = entries.iter().map(|&e| self.entry_rect(e)).collect();
-        let (ga, gb) = quadratic_split(&rects, self.min_fill);
-        let keep: Vec<usize> = ga.iter().map(|&i| entries[i]).collect();
-        let give: Vec<usize> = gb.iter().map(|&i| entries[i]).collect();
-        self.nodes[node].kind = NodeKind::Leaf(keep);
-        self.recompute_rect(node);
-        self.nodes.push(Node {
-            rect: HyperRect::point(&self.features[give[0]]),
-            kind: NodeKind::Leaf(give),
-        });
-        let sib = self.nodes.len() - 1;
-        self.recompute_rect(sib);
-        sib
-    }
-
-    fn split_internal(&mut self, node: usize) -> usize {
-        let children = match &mut self.nodes[node].kind {
-            NodeKind::Internal(c) => std::mem::take(c),
-            NodeKind::Leaf(_) => unreachable!(),
+        let member_rects: Vec<HyperRect> = members
+            .iter()
+            .map(|&m| if is_leaf { self.entry_rect(m) } else { self.topology.bound(m).clone() })
+            .collect();
+        let (ga, gb) = quadratic_split(&member_rects, self.topology.min_fill());
+        let keep: Vec<usize> = ga.iter().map(|&i| members[i]).collect();
+        let give: Vec<usize> = gb.iter().map(|&i| members[i]).collect();
+        let (Some(keep_rect), Some(give_rect)) =
+            (rects.of_members(is_leaf, &keep), rects.of_members(is_leaf, &give))
+        else {
+            unreachable!("a quadratic split seeds both groups")
         };
-        let rects: Vec<HyperRect> = children.iter().map(|&c| self.nodes[c].rect.clone()).collect();
-        let (ga, gb) = quadratic_split(&rects, self.min_fill);
-        let keep: Vec<usize> = ga.iter().map(|&i| children[i]).collect();
-        let give: Vec<usize> = gb.iter().map(|&i| children[i]).collect();
-        self.nodes[node].kind = NodeKind::Internal(keep);
-        self.recompute_rect(node);
-        let rect = self.nodes[give[0]].rect.clone();
-        self.nodes.push(Node { rect, kind: NodeKind::Internal(give) });
-        let sib = self.nodes.len() - 1;
-        self.recompute_rect(sib);
-        sib
+        self.topology.split(node, (keep, keep_rect), (give, give_rect))
     }
 
     /// Best-first k-NN (GEMINI) with exact refinement over `raws`.
@@ -735,69 +420,36 @@ impl RTree {
         crate::batched::knn_single(self, q, k, scheme, raws, scratch)
     }
 
-    /// Entry ids in leaf-walk order (depth-first, children and entries
-    /// in stored order) — the order an engine shard lays its raw series
-    /// out in.
-    pub(crate) fn leaf_walk(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.reps.len());
-        self.collect_entries(self.root, &mut out);
-        out
-    }
-
     /// Structural statistics (Figs. 15–16).
     pub fn shape(&self) -> TreeShape {
-        let mut shape = TreeShape::default();
-        self.walk(self.root, 1, &mut shape);
-        shape
+        self.topology.shape()
     }
 }
 
+fn corrupt(reason: &'static str) -> Error {
+    Error::CorruptIndex { reason }
+}
+
 impl crate::batched::BatchTree for RTree {
-    fn root(&self) -> usize {
-        self.root
-    }
-    fn is_empty(&self) -> bool {
-        RTree::is_empty(self)
+    type Bound = HyperRect;
+
+    fn topology(&self) -> &Topology<HyperRect> {
+        &self.topology
     }
     fn reps(&self) -> &RepStore {
         &self.reps
-    }
-    fn node_view(&self, nid: usize) -> crate::batched::NodeView<'_> {
-        match &self.nodes[nid].kind {
-            NodeKind::Internal(c) => crate::batched::NodeView::Internal(c),
-            NodeKind::Leaf(e) => crate::batched::NodeView::Leaf(e),
-        }
     }
     fn node_bound(
         &self,
         q: &Query,
         scheme: &dyn Scheme,
         nid: usize,
-        _dist: &mut sapla_distance::ParScratch,
         // MINDIST bounds come from rectangles, not entry distances —
         // nothing to memoise; the memo stays empty and the leaf filter
         // always takes the stock evaluation.
-        _memo: &mut crate::knn::HullMemo,
+        _memo: &mut HullMemo,
     ) -> Result<f64> {
-        scheme.mindist(q, &self.nodes[nid].rect)
-    }
-}
-
-impl RTree {
-    fn walk(&self, node: usize, depth: usize, shape: &mut TreeShape) {
-        shape.height = shape.height.max(depth);
-        match &self.nodes[node].kind {
-            NodeKind::Internal(children) => {
-                shape.internal_nodes += 1;
-                for &c in children {
-                    self.walk(c, depth + 1, shape);
-                }
-            }
-            NodeKind::Leaf(entries) => {
-                shape.leaf_nodes += 1;
-                shape.entries += entries.len();
-            }
-        }
+        scheme.mindist(q, self.topology.bound(nid))
     }
 }
 
@@ -974,38 +626,53 @@ mod tests {
         assert_eq!(all, (0..7).collect::<Vec<_>>());
     }
 
+    /// The refactor's proof for the R-tree: the exported node arena —
+    /// ids, slot order, rectangles, abandoned slots — after a build, a
+    /// churn, a drain and a refill digests to the constants recorded on
+    /// the tree as it was before `Topology` existed (PR 21's).
     #[test]
-    fn packed_bulk_load_is_denser_and_still_exact() {
-        let raws = dataset(60, 64);
-        let scheme = scheme_for("PAA").unwrap();
-        let reps: Vec<Representation> = raws.iter().map(|s| Paa.reduce(s, 8).unwrap()).collect();
-        let seq = RTree::build(scheme.as_ref(), reps.clone(), 2, 5).unwrap();
-        let packed = RTree::bulk_load_packed(scheme.as_ref(), reps, 2, 5).unwrap();
-        assert_eq!(packed.shape().entries, 60);
-        assert!(
-            packed.shape().total_nodes() <= seq.shape().total_nodes(),
-            "packed {} vs sequential {}",
-            packed.shape().total_nodes(),
-            seq.shape().total_nodes()
-        );
-        assert!(packed.shape().avg_leaf_fill() >= seq.shape().avg_leaf_fill() - 1e-9);
-        // Exactness is preserved (PAA bounds are true lower bounds).
-        let q = Query::new(&raws[11], &Paa, 8).unwrap();
-        let a = packed.knn(&q, 5, scheme.as_ref(), &raws).unwrap();
-        let b = seq.knn(&q, 5, scheme.as_ref(), &raws).unwrap();
-        assert_eq!(a.retrieved, b.retrieved);
-    }
+    fn built_and_churned_arenas_are_the_recorded_ones() {
+        use crate::topology::tests::{digest, lcg, random_walks};
 
-    #[test]
-    fn packed_bulk_load_handles_empty_and_tiny() {
+        let digest = |t: &RTree| {
+            digest(&t.topology, |r| {
+                let bits = r.lo.iter().chain(&r.hi).map(|x| x.to_bits());
+                std::iter::once(r.lo.len() as u64).chain(bits).collect()
+            })
+        };
         let scheme = scheme_for("PAA").unwrap();
-        let empty = RTree::bulk_load_packed(scheme.as_ref(), vec![], 2, 5).unwrap();
-        assert!(empty.is_empty());
-        let raws = dataset(3, 32);
-        let reps: Vec<Representation> = raws.iter().map(|s| Paa.reduce(s, 4).unwrap()).collect();
-        let t = RTree::bulk_load_packed(scheme.as_ref(), reps, 2, 5).unwrap();
-        assert_eq!(t.shape().entries, 3);
-        assert_eq!(t.shape().height, 1);
+        let reps: Vec<Representation> =
+            random_walks(200, 64, 11).iter().map(|s| Paa.reduce(s, 8).unwrap()).collect();
+        let mut tree = RTree::build(scheme.as_ref(), reps[..48].to_vec(), 2, 5).unwrap();
+        assert_eq!(digest(&tree), 0x8de7_c9a7_2175_8500, "built");
+
+        let mut state = 99u64;
+        let mut next_rep = 48usize;
+        for _ in 0..140 {
+            let live = tree.entry_ids();
+            if lcg(&mut state).is_multiple_of(2) && next_rep < reps.len() {
+                tree.insert(scheme.as_ref(), reps[next_rep].clone()).unwrap();
+                next_rep += 1;
+            } else if !live.is_empty() {
+                let id = live[lcg(&mut state) as usize % live.len()];
+                assert!(tree.remove(id));
+            }
+        }
+        tree.validate().unwrap();
+        assert_eq!((tree.entry_ids().len(), tree.shape().height), (56, 4));
+        assert_eq!(digest(&tree), 0xeec6_9ec8_4c60_e400, "churned");
+
+        for id in tree.entry_ids() {
+            assert!(tree.remove(id));
+        }
+        tree.validate().unwrap();
+        assert_eq!(digest(&tree), 0xf7de_5540_d1d9_7549, "drained");
+
+        for rep in &reps[next_rep..next_rep + 12] {
+            tree.insert(scheme.as_ref(), rep.clone()).unwrap();
+        }
+        tree.validate().unwrap();
+        assert_eq!(digest(&tree), 0x45ad_6c39_d7f0_a087, "refilled");
     }
 
     #[test]

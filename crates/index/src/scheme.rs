@@ -11,8 +11,8 @@ use sapla_baselines::sax::gaussian_breakpoints;
 use sapla_baselines::{ReduceScratch, Reducer};
 use sapla_core::{Error, PrefixSums, Representation, Result, TimeSeries};
 use sapla_distance::{
-    dist_paa, dist_par, dist_par_sq_planned, dist_par_sq_with, dist_pla, dist_s_sq, mindist,
-    rep_distance, safe_sq_bound, ParScratch, QueryPlan, SegSource,
+    dist_paa, dist_par, dist_par_sq, dist_par_sq_planned, dist_pla, dist_s_sq, mindist,
+    rep_distance, safe_sq_bound, QueryPlan, SegSource,
 };
 
 use crate::arena::RepRef;
@@ -113,8 +113,8 @@ pub trait Scheme: Send + Sync {
     /// depend on which.
     fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64>;
 
-    /// [`Scheme::rep_dist`] — the **identical** value, computed with a
-    /// reusable partition buffer — plus its memoisable squared form.
+    /// [`Scheme::rep_dist`] — the **identical** value — plus its
+    /// memoisable squared form.
     /// Schemes that compute the distance as `sq.sqrt()` over an exact
     /// squared accumulation return `(sq.sqrt(), Some(sq))` and promise
     /// that **every** filter decision ([`Scheme::rep_within`]) is
@@ -122,13 +122,7 @@ pub trait Scheme: Send + Sync {
     /// `sq` per (query, entry) and replay later evaluations of the same
     /// pair bitwise (the DBCH hull memo in [`crate::knn`]). The default
     /// returns no square, which disables such caching.
-    fn rep_dist_sq_with(
-        &self,
-        q: &Query,
-        rep: RepRef<'_>,
-        scratch: &mut ParScratch,
-    ) -> Result<(f64, Option<f64>)> {
-        let _ = scratch;
+    fn rep_dist_sq(&self, q: &Query, rep: RepRef<'_>) -> Result<(f64, Option<f64>)> {
         Ok((self.rep_dist(q, rep)?, None))
     }
 
@@ -137,14 +131,8 @@ pub trait Scheme: Send + Sync {
     /// `rep_dist(..) <= threshold` — schemes may early-abandon the
     /// distance computation as long as that holds. The default computes
     /// the full distance and compares.
-    fn rep_within(
-        &self,
-        q: &Query,
-        rep: RepRef<'_>,
-        threshold: f64,
-        scratch: &mut ParScratch,
-    ) -> Result<bool> {
-        Ok(self.rep_dist_sq_with(q, rep, scratch)?.0 <= threshold)
+    fn rep_within(&self, q: &Query, rep: RepRef<'_>, threshold: f64) -> Result<bool> {
+        Ok(self.rep_dist_sq(q, rep)?.0 <= threshold)
     }
 
     /// Distance between two representations of one tree (DBCH hull
@@ -285,7 +273,7 @@ impl Scheme for AdaptiveLinearScheme {
     }
 
     fn rep_dist(&self, q: &Query, rep: RepRef<'_>) -> Result<f64> {
-        self.rep_dist_sq_with(q, rep, &mut ParScratch::default()).map(|(d, _)| d)
+        self.rep_dist_sq(q, rep).map(|(d, _)| d)
     }
 
     // `Dist_PAR` is `sq.sqrt()` in every path, the planned filter
@@ -293,49 +281,33 @@ impl Scheme for AdaptiveLinearScheme {
     // monotone ≥ 0 Eq. 12 terms), and the unplanned filter compares
     // `sq.sqrt() <= threshold` directly — so the square is memoisable
     // per the trait contract.
-    fn rep_dist_sq_with(
-        &self,
-        q: &Query,
-        rep: RepRef<'_>,
-        scratch: &mut ParScratch,
-    ) -> Result<(f64, Option<f64>)> {
-        let sq = par_sq(q, rep, scratch, f64::INFINITY)?;
+    fn rep_dist_sq(&self, q: &Query, rep: RepRef<'_>) -> Result<(f64, Option<f64>)> {
+        let sq = par_sq(q, rep, f64::INFINITY)?;
         Ok((sq.sqrt(), Some(sq)))
     }
 
-    fn rep_within(
-        &self,
-        q: &Query,
-        rep: RepRef<'_>,
-        threshold: f64,
-        scratch: &mut ParScratch,
-    ) -> Result<bool> {
+    fn rep_within(&self, q: &Query, rep: RepRef<'_>, threshold: f64) -> Result<bool> {
         let abandon_at = if self.abandon { safe_sq_bound(threshold) } else { f64::INFINITY };
-        Ok(within(par_sq(q, rep, scratch, abandon_at)?, threshold))
+        Ok(within(par_sq(q, rep, abandon_at)?, threshold))
     }
 }
 
 /// `Dist_PAR²` from the query to a linear candidate, in whichever layout
 /// it comes.
-fn par_sq(q: &Query, rep: RepRef<'_>, scratch: &mut ParScratch, abandon_at: f64) -> Result<f64> {
+fn par_sq(q: &Query, rep: RepRef<'_>, abandon_at: f64) -> Result<f64> {
     match rep {
-        RepRef::Linear(view) => par_sq_over(q, view, scratch, abandon_at),
-        RepRef::Stored(rep) => par_sq_over(q, expect_linear(rep)?, scratch, abandon_at),
+        RepRef::Linear(view) => par_sq_over(q, view, abandon_at),
+        RepRef::Stored(rep) => par_sq_over(q, expect_linear(rep)?, abandon_at),
     }
 }
 
 /// The planned kernel when the query carries a plan — abandoning beyond
 /// `abandon_at`, bit-identical to the unplanned walk when it does not
 /// abandon — else the unplanned reference walk, which never abandons.
-fn par_sq_over<C: SegSource>(
-    q: &Query,
-    cand: C,
-    scratch: &mut ParScratch,
-    abandon_at: f64,
-) -> Result<f64> {
+fn par_sq_over<C: SegSource>(q: &Query, cand: C, abandon_at: f64) -> Result<f64> {
     match &q.plan {
-        Some(plan) => dist_par_sq_planned(plan, cand, scratch, abandon_at),
-        None => dist_par_sq_with(scratch, expect_linear(&q.rep)?, cand),
+        Some(plan) => dist_par_sq_planned(plan, cand, abandon_at),
+        None => dist_par_sq(expect_linear(&q.rep)?, cand),
     }
 }
 

@@ -5,9 +5,10 @@
 //! as 64-byte-aligned, offset-addressed arenas of plain numeric data.
 //! Loading therefore costs O(file size): the container is validated
 //! (`SnapshotView::parse`), each arena is reinterpreted in place
-//! (`sapla_store::view`), and the trees are adopted verbatim through
-//! `from_raw_parts` structural validation — no reduction, no O(n log n)
-//! insertion build. The engine's in-memory search layout is the file's
+//! (`sapla_store::view`), and the trees are adopted verbatim — both
+//! kinds through one node-record reader (`load_topology`) and one
+//! structural walk ([`Topology::adopt`]), after which each tree checks
+//! only its own bounds — no reduction, no O(n log n) insertion build. The engine's in-memory search layout is the file's
 //! (DESIGN.md §"Search arenas"): the coefficient arenas become the
 //! tree's representation store in one validating pass — no per-series
 //! value is built on a load or a save — and [`K_RAW_DATA`] *is* the
@@ -44,7 +45,7 @@
 //! | [`K_QREP_SLACK`] | `f64` | per-representation `Dist_LB` slack `δ` |
 //! | [`K_REP_BLOB`] | bytes | hardened-codec fallback for non-linear reps |
 //! | [`K_LINEAGE_SLACK`] | `f64` | one `δ`: the shard's slack in an exact re-save of a quantized-lineage engine; absent otherwise |
-//! | [`K_TREE_NODES`] | `u64` | node records (stride 6 DBCH / 3 R-tree) |
+//! | [`K_TREE_NODES`] | `u64` | node records, one per [`Topology`] slot: `[is leaf, id offset, id count]` + the kind's tail (DBCH `u, l, volume bits`: stride 6; R-tree none: stride 3) |
 //! | [`K_CHILD_IDS`] | `u64` | flat child / entry id arena |
 //! | [`K_SHARD_META`] | `u64` | `[root, node count, rep count]` |
 //! | [`K_RECT_SPANS`] / [`K_RECT_LO`] / [`K_RECT_HI`] | `u64` / `f64` | R-tree rectangles |
@@ -98,10 +99,13 @@ use sapla_store::{
 };
 
 use crate::arena::{RawArena, RepArena, RepRef, RepStore};
-use crate::dbch::{DbchTree, NodeDistRule, RawDbchNode};
+use crate::batched::BatchTree;
+use crate::dbch::{DbchTree, Hull, NodeDistRule};
 use crate::engine::{Engine, EngineConfig, Shard, ShardIndex, TreeKind};
-use crate::rtree::{RTree, RawRtreeNode};
+use crate::rect::HyperRect;
+use crate::rtree::RTree;
 use crate::scheme::{scheme_for, Scheme};
+use crate::topology::{Node, Topology};
 
 /// Global engine metadata (method, config, quantization step).
 pub(crate) const K_META: u32 = 1;
@@ -151,8 +155,13 @@ pub(crate) const K_FEATURE_SPANS: u32 = 44;
 /// Container header flag bit 0: leaf coefficients are ε-quantized.
 pub(crate) const FLAG_QUANTIZED: u32 = 1;
 
-const DBCH_NODE_STRIDE: usize = 6;
-const RTREE_NODE_STRIDE: usize = 3;
+/// Words every node record starts with: kind tag, offset and count of
+/// the node's ids in [`K_CHILD_IDS`].
+const NODE_HEAD: usize = 3;
+/// A DBCH record ends in its hull: `u`, `l`, volume bits.
+const DBCH_NODE_STRIDE: usize = NODE_HEAD + 3;
+/// An R-tree record has no tail; rectangles ride in arenas of their own.
+const RTREE_NODE_STRIDE: usize = NODE_HEAD;
 
 fn corrupt(reason: &'static str) -> Error {
     Error::CorruptIndex { reason }
@@ -375,56 +384,40 @@ fn push_exact_reps(w: &mut ArenaWriter, s: u32, reps: &RepStore) -> Result<()> {
     }
 }
 
-/// Node child / entry ids, node-concatenated: the flat id arena the
-/// node records' `(offset, count)` pairs index.
-fn child_ids<'a>(ids: impl Iterator<Item = &'a Vec<usize>> + 'a) -> impl Iterator<Item = u64> + 'a {
-    ids.flat_map(|ids| ids.iter().map(|&id| id as u64))
-}
-
-fn push_dbch_tree(
+/// The one writer of a tree's shape: [`K_TREE_NODES`] gets one record per
+/// arena slot, in slot order — kind tag, offset and count of the node's
+/// ids, then the `TAIL` words `tail(slot, bound)` of the tree's kind —
+/// and [`K_CHILD_IDS`] the child / entry ids, node-concatenated, that
+/// those `(offset, count)` pairs index. Returns `[root, node count]` for
+/// the shard's [`K_SHARD_META`], which closes the shard's arenas.
+fn push_topology<B, const TAIL: usize>(
     w: &mut ArenaWriter,
     shard: u32,
-    root: usize,
-    raw: &[RawDbchNode],
-    n_reps: usize,
-    volumes: Option<&[f64]>,
-) -> Result<()> {
+    topology: &Topology<B>,
+    mut tail: impl FnMut(usize, &B) -> [u64; TAIL],
+) -> Result<[u64; 2]> {
+    let nodes = topology.nodes();
     let mut ids_at = 0u64;
-    let records = raw.iter().enumerate().flat_map(|(i, n)| {
-        let volume = volumes.map_or(n.volume, |v| v[i]);
-        let record = [
-            u64::from(n.is_leaf),
-            ids_at,
-            n.ids.len() as u64,
-            n.hull_u as u64,
-            n.hull_l as u64,
-            volume.to_bits(),
-        ];
-        ids_at += n.ids.len() as u64;
-        record
+    let records = nodes.iter().enumerate().flat_map(|(slot, n)| {
+        let head = [u64::from(n.is_leaf()), ids_at, n.ids().len() as u64];
+        ids_at += n.ids().len() as u64;
+        head.into_iter().chain(tail(slot, &n.bound))
     });
     w.push_u64s(K_TREE_NODES, shard, records)?;
-    w.push_u64s(K_CHILD_IDS, shard, child_ids(raw.iter().map(|n| &n.ids)))?;
-    w.push_u64s(K_SHARD_META, shard, [root as u64, raw.len() as u64, n_reps as u64])
+    let ids = nodes.iter().flat_map(|n| n.ids().iter().map(|&id| id as u64));
+    w.push_u64s(K_CHILD_IDS, shard, ids)?;
+    Ok([topology.root() as u64, nodes.len() as u64])
 }
 
-fn push_rtree_tree(w: &mut ArenaWriter, shard: u32, tree: &RTree, n_reps: usize) -> Result<()> {
-    let raw = tree.raw_nodes();
-    let mut ids_at = 0u64;
-    let records = raw.iter().flat_map(|n| {
-        let record = [u64::from(n.is_leaf), ids_at, n.ids.len() as u64];
-        ids_at += n.ids.len() as u64;
-        record
-    });
-    w.push_u64s(K_TREE_NODES, shard, records)?;
-    w.push_u64s(K_CHILD_IDS, shard, child_ids(raw.iter().map(|n| &n.ids)))?;
-    w.push_u64s(K_RECT_SPANS, shard, raw.iter().map(|n| n.rect_lo.len() as u64))?;
-    w.push_f64s(K_RECT_LO, shard, raw.iter().flat_map(|n| n.rect_lo.iter().copied()))?;
-    w.push_f64s(K_RECT_HI, shard, raw.iter().flat_map(|n| n.rect_hi.iter().copied()))?;
+/// The R-tree's bounds and feature vectors, beside its node records.
+fn push_rects_and_features(w: &mut ArenaWriter, shard: u32, tree: &RTree) -> Result<()> {
+    let rects = || tree.topology().nodes().iter().map(|n| &n.bound);
+    w.push_u64s(K_RECT_SPANS, shard, rects().map(|r| r.dims() as u64))?;
+    w.push_f64s(K_RECT_LO, shard, rects().flat_map(|r| r.lo.iter().copied()))?;
+    w.push_f64s(K_RECT_HI, shard, rects().flat_map(|r| r.hi.iter().copied()))?;
     let features = tree.feature_vectors();
     w.push_u64s(K_FEATURE_SPANS, shard, features.iter().map(|f| f.len() as u64))?;
-    w.push_f64s(K_FEATURES, shard, features.iter().flat_map(|f| f.iter().copied()))?;
-    w.push_u64s(K_SHARD_META, shard, [tree.root_id() as u64, raw.len() as u64, n_reps as u64])
+    w.push_f64s(K_FEATURES, shard, features.iter().flat_map(|f| f.iter().copied()))
 }
 
 pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<u8>> {
@@ -452,7 +445,7 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
         w.push_u64s(K_RAW_LENS, s, std::iter::repeat_n(raws.stride() as u64, raws.len()))?;
         w.push_f64s(K_RAW_DATA, s, raws.samples().iter().copied())?;
         let reps = shard.index.reps();
-        match (&shard.index, quantize) {
+        let [root, n_nodes] = match (&shard.index, quantize) {
             (ShardIndex::Dbch(tree), Some(step)) => {
                 let q = quantize_reps(reps, step)?;
                 w.push_u64s(K_REP_SPANS, s, q.dequantized.counts())?;
@@ -463,32 +456,39 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
                 // Recompute hull volumes over the dequantized reps the
                 // loader will materialize: the stored tree must be
                 // self-consistent under *its own* leaf coefficients.
-                let raw = tree.raw_nodes();
-                let mut volumes = Vec::with_capacity(raw.len());
-                for n in &raw {
+                let nodes = tree.topology().nodes();
+                let mut volumes = Vec::with_capacity(nodes.len());
+                for h in nodes.iter().map(|n| n.bound) {
                     volumes.push(if q.dequantized.len() == 0 {
-                        n.volume
+                        h.volume
                     } else {
                         engine.scheme.pair_dist(
-                            RepRef::Linear(q.dequantized.view(n.hull_u)),
-                            RepRef::Linear(q.dequantized.view(n.hull_l)),
+                            RepRef::Linear(q.dequantized.view(h.u)),
+                            RepRef::Linear(q.dequantized.view(h.l)),
                         )?
                     });
                 }
-                push_dbch_tree(&mut w, s, tree.root_id(), &raw, reps.len(), Some(&volumes))?;
+                push_topology(&mut w, s, tree.topology(), |slot, h| {
+                    [h.u as u64, h.l as u64, volumes[slot].to_bits()]
+                })?
             }
             (ShardIndex::Dbch(tree), None) => {
                 push_exact_reps(&mut w, s, reps)?;
                 if tree.lb_slack > 0.0 {
                     w.push_f64s(K_LINEAGE_SLACK, s, [tree.lb_slack])?;
                 }
-                push_dbch_tree(&mut w, s, tree.root_id(), &tree.raw_nodes(), reps.len(), None)?;
+                push_topology(&mut w, s, tree.topology(), |_, h| {
+                    [h.u as u64, h.l as u64, h.volume.to_bits()]
+                })?
             }
             (ShardIndex::Rtree(tree), _) => {
                 push_exact_reps(&mut w, s, reps)?;
-                push_rtree_tree(&mut w, s, tree, reps.len())?;
+                let shape = push_topology(&mut w, s, tree.topology(), |_, _| [])?;
+                push_rects_and_features(&mut w, s, tree)?;
+                shape
             }
-        }
+        };
+        w.push_u64s(K_SHARD_META, s, [root, n_nodes, reps.len() as u64])?;
     }
     Ok(w.finish())
 }
@@ -607,14 +607,27 @@ fn load_raws<'a>(v: &SnapshotView<'a>, s: u32, n_reps: usize) -> Result<StoredRa
     Ok(StoredRaws { samples, bytes, stride })
 }
 
-fn load_dbch_nodes(v: &SnapshotView<'_>, s: u32, n_nodes: usize) -> Result<Vec<RawDbchNode>> {
+/// The one reader of a tree's shape: `n_nodes` records of `stride` words
+/// from [`K_TREE_NODES`], each resolved against [`K_CHILD_IDS`] into a
+/// node whose bound `bound_of` makes of the record's tail (the words
+/// after the kind tag, id offset and id count). Checks what a record can
+/// be checked for alone — arena length, kind tag, ids inside the id
+/// arena, `u64 → usize`; what the nodes must satisfy *together* is
+/// [`Topology::adopt`]'s walk.
+fn load_topology<B>(
+    v: &SnapshotView<'_>,
+    s: u32,
+    n_nodes: usize,
+    stride: usize,
+    mut bound_of: impl FnMut(&[u64]) -> Result<B>,
+) -> Result<Vec<Node<B>>> {
     let words = view::u64s(v.arena(K_TREE_NODES, s)?)?;
-    if words.len() != n_nodes * DBCH_NODE_STRIDE {
+    if n_nodes.checked_mul(stride) != Some(words.len()) {
         return Err(corrupt("snapshot node arena disagrees with the shard node count"));
     }
     let children = view::u64s(v.arena(K_CHILD_IDS, s)?)?;
-    let mut raw = Vec::with_capacity(n_nodes);
-    for rec in words.chunks_exact(DBCH_NODE_STRIDE) {
+    let mut nodes = Vec::with_capacity(n_nodes);
+    for rec in words.chunks_exact(stride) {
         let is_leaf = match rec[0] {
             0 => false,
             1 => true,
@@ -622,33 +635,44 @@ fn load_dbch_nodes(v: &SnapshotView<'_>, s: u32, n_nodes: usize) -> Result<Vec<R
         };
         let off = to_usize(rec[1], "snapshot child offset overflows")?;
         let len = to_usize(rec[2], "snapshot child count overflows")?;
+        let end = off.checked_add(len).ok_or_else(|| corrupt("snapshot child count overflows"))?;
         let ids = children
-            .get(
-                off..off
-                    .checked_add(len)
-                    .ok_or_else(|| corrupt("snapshot child count overflows"))?,
-            )
-            .ok_or_else(|| corrupt("snapshot node children outside the id arena"))?;
-        raw.push(RawDbchNode {
-            is_leaf,
-            ids: ids
-                .iter()
-                .map(|&id| to_usize(id, "snapshot child id overflows"))
-                .collect::<Result<Vec<_>>>()?,
-            hull_u: to_usize(rec[3], "snapshot hull endpoint overflows")?,
-            hull_l: to_usize(rec[4], "snapshot hull endpoint overflows")?,
-            volume: f64::from_bits(rec[5]),
-        });
+            .get(off..end)
+            .ok_or_else(|| corrupt("snapshot node children outside the id arena"))?
+            .iter()
+            .map(|&id| to_usize(id, "snapshot child id overflows"))
+            .collect::<Result<Vec<_>>>()?;
+        nodes.push(Node::new(is_leaf, ids, bound_of(&rec[NODE_HEAD..])?));
     }
-    Ok(raw)
+    Ok(nodes)
 }
 
-fn load_rtree_nodes(v: &SnapshotView<'_>, s: u32, n_nodes: usize) -> Result<Vec<RawRtreeNode>> {
-    let words = view::u64s(v.arena(K_TREE_NODES, s)?)?;
-    if words.len() != n_nodes * RTREE_NODE_STRIDE {
-        return Err(corrupt("snapshot node arena disagrees with the shard node count"));
-    }
-    let children = view::u64s(v.arena(K_CHILD_IDS, s)?)?;
+fn load_dbch_tree(
+    v: &SnapshotView<'_>,
+    s: u32,
+    meta: &Meta,
+    [root, n_nodes]: [usize; 2],
+    reps: RepStore,
+    lb_slack: f64,
+) -> Result<DbchTree> {
+    let nodes = load_topology(v, s, n_nodes, DBCH_NODE_STRIDE, |tail| {
+        Ok(Hull {
+            u: to_usize(tail[0], "snapshot hull endpoint overflows")?,
+            l: to_usize(tail[1], "snapshot hull endpoint overflows")?,
+            volume: f64::from_bits(tail[2]),
+        })
+    })?;
+    let topology = Topology::adopt(meta.min_fill, meta.max_fill, root, nodes, reps.len())?;
+    DbchTree::adopt(topology, reps, meta.rule, lb_slack)
+}
+
+fn load_rtree(
+    v: &SnapshotView<'_>,
+    s: u32,
+    meta: &Meta,
+    [root, n_nodes]: [usize; 2],
+    reps: RepStore,
+) -> Result<RTree> {
     let rect_spans = view::u64s(v.arena(K_RECT_SPANS, s)?)?;
     if rect_spans.len() != n_nodes {
         return Err(corrupt("snapshot rectangle spans disagree with the shard node count"));
@@ -659,36 +683,19 @@ fn load_rtree_nodes(v: &SnapshotView<'_>, s: u32, n_nodes: usize) -> Result<Vec<
     if rect_hi.len() != rect_lo.len() {
         return Err(corrupt("snapshot rectangle lo/hi arenas disagree in length"));
     }
-    let mut raw = Vec::with_capacity(n_nodes);
+    // Node `i`'s rectangle is the `i`-th span of the two corner arenas.
+    let mut spans = rect_spans.iter();
     let mut rect_at = 0usize;
-    for (ni, rec) in words.chunks_exact(RTREE_NODE_STRIDE).enumerate() {
-        let is_leaf = match rec[0] {
-            0 => false,
-            1 => true,
-            _ => return Err(corrupt("snapshot node record has an unknown kind tag")),
-        };
-        let off = to_usize(rec[1], "snapshot child offset overflows")?;
-        let len = to_usize(rec[2], "snapshot child count overflows")?;
-        let ids = children
-            .get(
-                off..off
-                    .checked_add(len)
-                    .ok_or_else(|| corrupt("snapshot child count overflows"))?,
-            )
-            .ok_or_else(|| corrupt("snapshot node children outside the id arena"))?;
-        let dims = to_usize(rect_spans[ni], "snapshot rectangle span overflows")?;
-        raw.push(RawRtreeNode {
-            is_leaf,
-            ids: ids
-                .iter()
-                .map(|&id| to_usize(id, "snapshot child id overflows"))
-                .collect::<Result<Vec<_>>>()?,
-            rect_lo: rect_lo[rect_at..rect_at + dims].to_vec(),
-            rect_hi: rect_hi[rect_at..rect_at + dims].to_vec(),
-        });
+    let nodes = load_topology(v, s, n_nodes, RTREE_NODE_STRIDE, |_| {
+        let dims = spans.next().copied().unwrap_or(0);
+        let dims = to_usize(dims, "snapshot rectangle span overflows")?;
+        let at = rect_at..rect_at + dims;
         rect_at += dims;
-    }
-    Ok(raw)
+        Ok(HyperRect { lo: rect_lo[at.clone()].to_vec(), hi: rect_hi[at].to_vec() })
+    })?;
+    let topology = Topology::adopt(meta.min_fill, meta.max_fill, root, nodes, reps.len())?;
+    let features = load_features(v, s, reps.len())?;
+    RTree::adopt(topology, reps, features)
 }
 
 fn load_features(v: &SnapshotView<'_>, s: u32, n_reps: usize) -> Result<Vec<Vec<f64>>> {
@@ -764,31 +771,12 @@ fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<En
         if reps.length_mismatch(stored.stride).is_some() {
             return Err(corrupt("snapshot representation and raw series differ in length"));
         }
+        let shape = [root, n_nodes];
         let index = match meta.tree {
             TreeKind::Dbch => {
-                let raw = load_dbch_nodes(v, s, n_nodes)?;
-                ShardIndex::Dbch(DbchTree::from_raw_parts(
-                    meta.min_fill,
-                    meta.max_fill,
-                    meta.rule,
-                    root,
-                    raw,
-                    reps,
-                    shard_slack,
-                )?)
+                ShardIndex::Dbch(load_dbch_tree(v, s, &meta, shape, reps, shard_slack)?)
             }
-            TreeKind::Rtree => {
-                let raw = load_rtree_nodes(v, s, n_nodes)?;
-                let features = load_features(v, s, n_reps)?;
-                ShardIndex::Rtree(RTree::from_raw_parts(
-                    meta.min_fill,
-                    meta.max_fill,
-                    root,
-                    raw,
-                    reps,
-                    features,
-                )?)
-            }
+            TreeKind::Rtree => ShardIndex::Rtree(load_rtree(v, s, &meta, shape, reps)?),
         };
         // The samples lie in the order of the adopted tree's leaf walk:
         // slot `i` holds entry `order[i]`.
@@ -872,6 +860,109 @@ mod tests {
         SnapshotView::parse(image).unwrap().arena_range(kind, shard).unwrap()
     }
 
+    /// The `u64` at byte `at`.
+    fn word(image: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
+    }
+
+    fn set_word(image: &mut [u8], at: usize, value: u64) {
+        image[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// Both loaders must refuse `image`, and for the same reason.
+    fn refused(image: &[u8], what: &str) -> Error {
+        let [from_image, from_file] =
+            load_both_ways(image).map(|loaded| loaded.map(|_| ()).expect_err(what));
+        assert_eq!(from_image, from_file, "{what}");
+        from_image
+    }
+
+    /// `mutate` applied to a copy of `image` and re-sealed: both loaders
+    /// must answer `CorruptIndex`.
+    fn corrupt_index(image: &[u8], what: &str, mutate: &dyn Fn(&mut [u8])) {
+        let mut image = image.to_vec();
+        mutate(&mut image);
+        reseal(&mut image);
+        let err = refused(&image, what);
+        assert!(matches!(err, Error::CorruptIndex { .. }), "{what}: {err}");
+    }
+
+    /// What the one adoption walk refuses — the same legs over either
+    /// kind of tree — and then what each kind checks of its own bounds.
+    fn tree_corruption_is_refused(kind: TreeKind) {
+        let raws = dataset(60, 64);
+        let image = engine_with(2, kind, &raws).snapshot_image(None).unwrap();
+        let stride = 8 * match kind {
+            TreeKind::Dbch => DBCH_NODE_STRIDE,
+            TreeKind::Rtree => RTREE_NODE_STRIDE,
+        };
+        let nodes = arena_at(&image, K_TREE_NODES, 0);
+        let ids = arena_at(&image, K_CHILD_IDS, 0).start;
+        let meta = arena_at(&image, K_SHARD_META, 0).start;
+        let (n_nodes, n_reps) = (word(&image, meta + 8), word(&image, meta + 16));
+        // Records of one kind tag with at least two ids; where a record's
+        // ids start.
+        let records = |tag: u64| -> Vec<usize> {
+            let found = |&rec: &usize| word(&image, rec) == tag && word(&image, rec + 16) >= 2;
+            nodes.clone().step_by(stride).filter(found).collect()
+        };
+        let ids_of = |rec: usize| ids + 8 * word(&image, rec + 8) as usize;
+        let (internals, leaves) = (records(0), records(1));
+        assert!(internals.len() >= 2 && !leaves.is_empty(), "{kind:?}");
+        let (internal, other, leaf) = (internals[0], internals[1], leaves[0]);
+        let refuse = |what: &str, mutate: &dyn Fn(&mut [u8])| {
+            corrupt_index(&image, &format!("{kind:?}: {what}"), mutate);
+        };
+
+        refuse("root id outside the arena", &|im| set_word(im, meta, n_nodes));
+        refuse("child id outside the arena", &|im| set_word(im, ids_of(internal), n_nodes + 7));
+        let shared = word(&image, ids_of(internal));
+        refuse("a child listed by two parents", &|im| set_word(im, ids_of(other), shared));
+        let fanout = word(&image, internal + 16);
+        refuse("a detached slot", &|im| set_word(im, internal + 16, fanout - 1));
+        refuse("an internal node without children", &|im| set_word(im, internal + 16, 0));
+        refuse("a leaf entry outside the store", &|im| set_word(im, ids_of(leaf), n_reps));
+        // The walk over the adopted tree would no longer be a permutation
+        // of the entry ids.
+        let first = word(&image, ids_of(leaf));
+        refuse("a repeated leaf entry", &|im| set_word(im, ids_of(leaf) + 8, first));
+        refuse("an unknown kind tag", &|im| set_word(im, leaf, 2));
+        refuse("node records ≠ node count × stride", &|im| set_word(im, meta + 8, n_nodes + 1));
+
+        match kind {
+            TreeKind::Dbch => {
+                refuse("hull endpoint outside the store", &|im| set_word(im, leaf + 24, n_reps));
+                for volume in [f64::NAN, f64::INFINITY, -1.0] {
+                    refuse("hull volume", &|im| set_word(im, internal + 40, volume.to_bits()));
+                }
+            }
+            TreeKind::Rtree => {
+                let (lo, hi) =
+                    (arena_at(&image, K_RECT_LO, 0).start, arena_at(&image, K_RECT_HI, 0).start);
+                let above = f64::from_bits(word(&image, hi)) + 1.0;
+                refuse("inverted rectangle", &|im| set_word(im, lo, above.to_bits()));
+                refuse("non-finite rectangle", &|im| set_word(im, hi, f64::NAN.to_bits()));
+                // Nodes 0 and 1 trade one dimension, the total unchanged:
+                // adopted, MINDIST would read either rectangle by the
+                // query's arity — an error from every search at best, the
+                // wrong coordinates without complaint at worst.
+                rect_arity_is_refused(&image);
+                let paa = EngineConfig { tree: TreeKind::Rtree, ..EngineConfig::default() };
+                let paa = Engine::build(paa, Box::new(sapla_baselines::Paa), dataset(40, 64), 2);
+                rect_arity_is_refused(&paa.unwrap().snapshot_image(None).unwrap());
+            }
+        }
+    }
+
+    fn rect_arity_is_refused(image: &[u8]) {
+        let spans = arena_at(image, K_RECT_SPANS, 0).start;
+        assert_eq!((word(image, spans), word(image, spans + 8)), (12, 12));
+        corrupt_index(image, "rectangle arity", &|im| {
+            set_word(im, spans, 11);
+            set_word(im, spans + 8, 13);
+        });
+    }
+
     #[test]
     fn quantized_snapshot_answers_the_same_from_a_file_and_from_an_image() {
         let raws = dataset(41, 64);
@@ -921,17 +1012,28 @@ mod tests {
         assert!(load_file(file.path()).is_err());
     }
 
+    /// The refactor's proof for built and saved engines: the images of a
+    /// fixed dataset under three configurations checksum to the constants
+    /// recorded on the trees as they were before `Topology` existed
+    /// (PR 21's) — same node ids, same slot order, same bytes.
+    #[test]
+    fn built_images_are_the_recorded_images() {
+        let raws = crate::topology::tests::random_walks(150, 64, 7);
+        for (shards, tree, len, checksum) in [
+            (1usize, TreeKind::Dbch, 98_888usize, 0xb8f0_3b45_6354_6f17u64),
+            (3, TreeKind::Dbch, 99_768, 0xdf18_888e_724f_7278),
+            (1, TreeKind::Rtree, 142_976, 0x7abc_ca96_b3fc_69b6),
+        ] {
+            let image = engine_with(shards, tree, &raws).snapshot_image(None).unwrap();
+            let got = (image.len(), sapla_store::image_checksum(&image));
+            assert_eq!(got, (len, checksum), "{shards} × {tree:?}: {:#018x}", got.1);
+        }
+    }
+
     #[test]
     fn resealed_snapshot_corruption_is_an_error_from_both_loaders() {
         let raws = dataset(20, 64);
         let image = engine_with(2, TreeKind::Dbch, &raws).snapshot_image(None).unwrap();
-        // Both loaders must refuse, and for the same reason.
-        let refused = |image: &[u8], what: &str| -> Error {
-            let [from_image, from_file] =
-                load_both_ways(image).map(|loaded| loaded.map(|_| ()).expect_err(what));
-            assert_eq!(from_image, from_file, "{what}");
-            from_image
-        };
 
         // One raw sample of shard 1 is not a number.
         let mut nan = image.clone();
@@ -940,23 +1042,10 @@ mod tests {
         reseal(&mut nan);
         assert_eq!(refused(&nan, "NaN sample"), Error::NonFiniteSample { index: 5 });
 
-        // A leaf lists its first entry twice: the walk over the adopted
-        // tree would no longer be a permutation of the entry ids.
-        let mut twice = image.clone();
-        let nodes = arena_at(&twice, K_TREE_NODES, 0);
-        let ids = arena_at(&twice, K_CHILD_IDS, 0);
-        let word = |image: &[u8], at: usize| {
-            u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize
-        };
-        let leaf = nodes
-            .step_by(8 * DBCH_NODE_STRIDE)
-            .find(|&rec| word(&twice, rec) == 1 && word(&twice, rec + 16) >= 2)
-            .expect("a leaf with two entries");
-        let first = ids.start + 8 * word(&twice, leaf + 8);
-        twice.copy_within(first..first + 8, first + 8);
-        reseal(&mut twice);
-        let err = refused(&twice, "repeated leaf entry");
-        assert!(matches!(err, Error::CorruptIndex { .. }), "{err}");
+        // The tree arenas, under either kind of tree.
+        for kind in [TreeKind::Dbch, TreeKind::Rtree] {
+            tree_corruption_is_refused(kind);
+        }
 
         // The same bytes under a version 1 header.
         let mut v1 = image.clone();
@@ -995,13 +1084,8 @@ mod tests {
             let spans = arena_at(image, K_REP_SPANS, 0).start;
             let ends = arena_at(image, endpoints, 0).start;
             assert_eq!(get(image, spans, 8), 4, "rep 0 has four segments");
-            let corrupt_index = |mutate: &dyn Fn(&mut [u8]), what: &str| {
-                let mut image = image.clone();
-                mutate(&mut image);
-                reseal(&mut image);
-                let err = refused(&image, what);
-                assert!(matches!(err, Error::CorruptIndex { .. }), "{what}: {err}");
-            };
+            let corrupt_index =
+                |mutate: &dyn Fn(&mut [u8]), what: &str| corrupt_index(image, what, mutate);
             // Rep 0 ends at point 99, not 63: adopted, it would fail every
             // search that reaches it with a `LengthMismatch`.
             let longer = get(image, ends + 3 * width, width) + 36;

@@ -72,9 +72,16 @@ metrics:
 # refusal, atomic write, then the fuzz tests (truncation / bit-flip /
 # misalignment — every failure an Err, never a panic). The engine
 # snapshot tests (`--lib snapshot`: more shards than series, re-sealed
-# NaN / repeated-leaf-entry / version 1 / rep-vs-raw-length /
-# empty-span / stuck-endpoint / span-total images, exact and quantized,
-# refused by both loaders, an engine outliving its file; `--lib arena`:
+# NaN / version 1 / rep-vs-raw-length / empty-span / stuck-endpoint /
+# span-total images, exact and quantized, and — over both kinds of
+# tree — every leg of the one adoption walk (root / child / entry id
+# out of range, shared child, detached slot, childless internal node,
+# repeated entry, unknown kind tag, record count), bad hulls, inverted
+# / non-finite rectangles and the rectangle-arity refusal, all refused
+# by both loaders; the golden image checksums; an engine outliving its
+# file; `--lib topology`: the node arena both trees share — id
+# assignment through splits, condenses, a root collapse and a drain,
+# export → adopt the identity, the structural refusals; `--lib arena`:
 # the representation store — every reducer's reps returned bitwise
 # whether built, appended or adopted from snapshot arrays, the adoption
 # pass's refusals — and owned vs borrowed raw arenas) and the
@@ -92,9 +99,11 @@ metrics:
 persist:
     cargo test -q -p sapla-store
     cargo test -q -p sapla-index --lib snapshot
+    cargo test -q -p sapla-index --lib topology
     cargo test -q -p sapla-index --lib arena
     cargo test -q -p sapla-index --test snapshot_props
     cargo test -q -p sapla-index --features strict-invariants --lib snapshot
+    cargo test -q -p sapla-index --features strict-invariants --lib topology
     cargo test -q -p sapla-index --features strict-invariants --lib arena
     cargo test -q -p sapla-index --features strict-invariants --test snapshot_props
     cargo test -q -p sapla-index --features obs --test obs_counters

@@ -104,16 +104,16 @@ fn warmed_reduce_into_allocates_nothing() {
     );
 }
 
-/// The planned `Dist_PAR` kernel's contract: once a query's plan is
-/// compiled, per-candidate evaluation is a fused walk that buffers
-/// nothing and is allocation-free — the property the per-worker scratch
-/// reuse in the parallel k-NN engine depends on.
-/// Exercised over both candidate layouts (stored representation and
-/// store view) with the abandon bound both infinite and finite.
+/// The `Dist_PAR` kernels' contract: once a query's plan is compiled,
+/// per-candidate evaluation is a fused walk that buffers nothing and is
+/// allocation-free — and so is the plan-less streaming walk the oracle
+/// searches run. Exercised over both candidate layouts (stored
+/// representation and store view) with the abandon bound both infinite
+/// and finite.
 #[test]
 fn warmed_planned_dist_par_allocates_nothing() {
     use sapla_core::sapla::Sapla;
-    use sapla_distance::{dist_par_sq_planned, safe_sq_bound, ParScratch, QueryPlan, SoaSegs};
+    use sapla_distance::{dist_par_sq, dist_par_sq_planned, safe_sq_bound, QueryPlan, SoaSegs};
 
     let series: Vec<TimeSeries> = (0..6)
         .map(|i| {
@@ -139,34 +139,35 @@ fn warmed_planned_dist_par_allocates_nothing() {
             )
         })
         .collect();
-    let mut scratch = ParScratch::default();
 
-    let run = |scratch: &mut ParScratch| {
+    let run = || {
         let mut acc = 0.0f64;
         for (c, (a, b, r)) in cands.iter().zip(&flat) {
-            acc += dist_par_sq_planned(&plan, c, scratch, f64::INFINITY).unwrap();
+            acc += dist_par_sq_planned(&plan, c, f64::INFINITY).unwrap();
             let view = SoaSegs::new(a, b, r).unwrap();
-            acc += dist_par_sq_planned(&plan, view, scratch, f64::INFINITY).unwrap();
+            acc += dist_par_sq_planned(&plan, view, f64::INFINITY).unwrap();
             // Finite abandon bound: tight enough to trigger on some
             // candidates, exercising the sentinel path too.
-            acc += dist_par_sq_planned(&plan, c, scratch, safe_sq_bound(4.0)).unwrap();
+            acc += dist_par_sq_planned(&plan, c, safe_sq_bound(4.0)).unwrap();
+            // The plan-less reference walk streams its windows.
+            acc += dist_par_sq(&reps[0], view).unwrap();
         }
         std::hint::black_box(acc);
     };
 
     // Warm-up: performs obs call-site registration when that feature is
-    // on (the fused kernel itself has nothing to grow).
-    run(&mut scratch);
-    run(&mut scratch);
+    // on (the fused kernels themselves have nothing to grow).
+    run();
+    run();
 
     let before = alloc_calls();
-    run(&mut scratch);
+    run();
     let after = alloc_calls();
 
     assert_eq!(
         after - before,
         0,
-        "steady-state planned Dist_PAR performed {} heap allocations",
+        "steady-state Dist_PAR performed {} heap allocations",
         after - before
     );
 }
