@@ -38,6 +38,8 @@ use sapla_core::{Error, LinearSegment, PiecewiseLinear, Representation, Result, 
 use sapla_distance::{SegSource, SoaSegs};
 use sapla_store::{view, SnapshotBytes};
 
+use crate::envelope::{SegmentSums, Segments};
+
 /// One representation, borrowed: what [`crate::Scheme`]'s distance
 /// methods take as the candidate. A tree hands out views of its store;
 /// a caller with a [`Representation`] of its own passes it as `Stored`.
@@ -348,8 +350,19 @@ fn slot_map(order: &[usize]) -> Result<Vec<u32>> {
 }
 
 /// What `TimeSeries::new` checks of every series, over a whole arena of
-/// `series` series at `stride` samples each, read-only.
-fn check_samples(samples: &[f64], series: usize, stride: usize) -> Result<()> {
+/// `series` series at `stride` samples each, read-only — fused with the
+/// shard's envelope pass ([`crate::envelope`]): each series' segment
+/// sums are handed to `fold` in slot order, and the sums are what the
+/// finiteness verdict comes from. A NaN or an infinity makes its
+/// segment's absolute sum non-finite, so all sums finite means all
+/// samples finite; otherwise (a bad sample, or finite samples whose sum
+/// overflows) the exact search below says which.
+fn check_samples(
+    samples: &[f64],
+    series: usize,
+    stride: usize,
+    mut fold: impl FnMut(&SegmentSums),
+) -> Result<()> {
     if series.checked_mul(stride) != Some(samples.len()) {
         return Err(Error::CorruptIndex {
             reason: "raw arena length disagrees with its series count and stride",
@@ -358,18 +371,22 @@ fn check_samples(samples: &[f64], series: usize, stride: usize) -> Result<()> {
     if series > 0 && stride == 0 {
         return Err(Error::EmptySeries);
     }
-    // `x - x` is +0.0 — all bits clear — for every finite `x` and NaN for
-    // the rest. OR-ing the bits has neither an early exit nor an order,
-    // so the pass vectorizes and runs at memory speed, where a search
-    // for the first non-finite sample is compute-bound (64 MB: 7 ms
-    // against 14).
-    #[allow(clippy::eq_op)]
-    let all_finite = samples.iter().fold(0u64, |bits, x| bits | (x - x).to_bits()) == 0;
+    let segments = Segments::new(stride);
+    let mut all_finite = true;
+    if stride > 0 {
+        for s in samples.chunks_exact(stride) {
+            let sums = segments.sums(s);
+            all_finite &= sums.finite();
+            fold(&sums);
+        }
+    }
     if all_finite {
         return Ok(());
     }
-    let at = samples.iter().position(|x| !x.is_finite()).unwrap_or(0);
-    Err(Error::NonFiniteSample { index: at % stride })
+    match samples.iter().position(|x| !x.is_finite()) {
+        Some(at) => Err(Error::NonFiniteSample { index: at % stride }),
+        None => Ok(()),
+    }
 }
 
 impl RawArena {
@@ -398,7 +415,8 @@ impl RawArena {
 
     /// Adopt `samples`, already in the slot order of `order` (a tree's
     /// leaf walk) at `stride` samples a series — a snapshot's raw arena —
-    /// with one bulk copy and no permutation.
+    /// with one bulk copy and no permutation. The sample check hands
+    /// every series' segment sums to `fold`, in slot order.
     ///
     /// # Errors
     ///
@@ -406,9 +424,14 @@ impl RawArena {
     /// arena's length is not `order.len() * stride`;
     /// [`Error::EmptySeries`] / [`Error::NonFiniteSample`] when a series
     /// would not make a `TimeSeries`.
-    pub fn copied(order: &[usize], stride: usize, samples: &[f64]) -> Result<RawArena> {
+    pub fn copied(
+        order: &[usize],
+        stride: usize,
+        samples: &[f64],
+        fold: impl FnMut(&SegmentSums),
+    ) -> Result<RawArena> {
         let slot_of = slot_map(order)?;
-        check_samples(samples, order.len(), stride)?;
+        check_samples(samples, order.len(), stride, fold)?;
         Ok(RawArena { storage: Storage::Owned(samples.to_vec()), stride, slot_of })
     }
 
@@ -424,13 +447,14 @@ impl RawArena {
         stride: usize,
         image: &Arc<SnapshotBytes>,
         bytes: Range<usize>,
+        fold: impl FnMut(&SegmentSums),
     ) -> Result<RawArena> {
         let slot_of = slot_map(order)?;
         let samples = image
             .bytes()
             .get(bytes.clone())
             .ok_or(Error::CorruptIndex { reason: "raw arena lies outside the snapshot image" })?;
-        check_samples(view::f64s(samples)?, order.len(), stride)?;
+        check_samples(view::f64s(samples)?, order.len(), stride, fold)?;
         let storage = Storage::Borrowed { image: Arc::clone(image), bytes };
         Ok(RawArena { storage, stride, slot_of })
     }
@@ -698,8 +722,8 @@ mod tests {
         let order = [2usize, 0, 3, 1];
         let gathered = RawArena::gather(&order, |id| series[id].values()).unwrap();
         let (image, at) = image_of(64, gathered.samples());
-        let copied = RawArena::copied(&order, 2, gathered.samples()).unwrap();
-        let borrowed = RawArena::borrowed(&order, 2, &image, at).unwrap();
+        let copied = RawArena::copied(&order, 2, gathered.samples(), |_| ()).unwrap();
+        let borrowed = RawArena::borrowed(&order, 2, &image, at, |_| ()).unwrap();
         assert_eq!(Arc::strong_count(&image), 2, "the borrowing arena retains the image");
         drop(image);
         for arena in [&copied, &borrowed] {
@@ -712,8 +736,8 @@ mod tests {
         // No series at all: nothing to view, nothing to index.
         let (image, at) = image_of(64, &[]);
         for empty in [
-            RawArena::copied(&[], 0, &[]).unwrap(),
-            RawArena::borrowed(&[], 0, &image, at).unwrap(),
+            RawArena::copied(&[], 0, &[], |_| ()).unwrap(),
+            RawArena::borrowed(&[], 0, &image, at, |_| ()).unwrap(),
         ] {
             assert_eq!((empty.len(), empty.samples().len()), (0, 0));
         }
@@ -724,8 +748,9 @@ mod tests {
         let good = [1.0, 2.0, 3.0, 4.0];
         let check = |order: &[usize], stride: usize, samples: &[f64]| {
             let (image, at) = image_of(8, samples);
-            let copied = RawArena::copied(order, stride, samples).map(|_| ()).unwrap_err();
-            let borrowed = RawArena::borrowed(order, stride, &image, at).map(|_| ()).unwrap_err();
+            let copied = RawArena::copied(order, stride, samples, |_| ()).map(|_| ()).unwrap_err();
+            let borrowed =
+                RawArena::borrowed(order, stride, &image, at, |_| ()).map(|_| ()).unwrap_err();
             assert_eq!(copied, borrowed, "both constructors run the same checks");
             copied
         };
@@ -743,7 +768,7 @@ mod tests {
         let (image, at) = image_of(8, &good);
         for bytes in [at.start..at.end + 8, at.start + 4..at.end - 4, at.start + 1..at.end] {
             assert!(matches!(
-                RawArena::borrowed(&[0, 1], 2, &image, bytes),
+                RawArena::borrowed(&[0, 1], 2, &image, bytes, |_| ()),
                 Err(Error::CorruptIndex { .. })
             ));
         }

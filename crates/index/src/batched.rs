@@ -30,6 +30,18 @@
 //! through [`RawSource`] (see [`crate::arena`]). The driver does not know
 //! what a store holds or whether a query carries a plan: it hands
 //! `store.rep(id)` to the [`Scheme`], which alone picks the kernel.
+//!
+//! **Envelopes first.** An engine shard also hands the driver its
+//! [`NodeEnvelopes`] ([`crate::envelope`]): before a child node's (or, in
+//! an ε-range walk, a node's) own bound is computed, its PAA envelope is
+//! tested against the current threshold, and a node it dismisses is
+//! pruned without a hull evaluation. The envelope is an unconditional
+//! lower bound and dismisses only nodes whose every member lies strictly
+//! beyond the threshold, so no member of such a subtree could have
+//! entered the heap or the hit list: answers, tie order and the
+//! best-first order of the surviving nodes are those of the search
+//! without envelopes, which is what the tree-level `knn` / `range` run
+//! (they pass `None` and keep reporting the paper's pruning power).
 
 use std::cmp::Reverse;
 
@@ -37,6 +49,7 @@ use sapla_core::{Error, OrdF64, Result};
 use sapla_distance::{euclidean_early_abandon_slices, safe_sq_bound};
 
 use crate::arena::{RawSource, RepStore};
+use crate::envelope::{NodeEnvelopes, QueryMeans};
 use crate::knn::{HullMemo, KnnHeap, KnnScratch, QueryScratch, SearchStats, SearchTally};
 use crate::scheme::{Query, Scheme};
 use crate::topology::{NodeView, Topology};
@@ -107,12 +120,15 @@ fn rep_within(
 /// Evaluate one leaf's entries for one k-NN query: representation filter
 /// ([`rep_within`]) then early-abandoning exact refinement.
 #[allow(clippy::too_many_arguments)] // the flattened per-query search state
+#[cfg_attr(not(feature = "strict-invariants"), allow(unused_variables))]
 fn eval_leaf_entries<R: RawSource + ?Sized>(
     q: &Query,
     scheme: &dyn Scheme,
     raws: &R,
     reps: &RepStore,
-    entries: &[usize],
+    (leaf, entries): (usize, &[usize]),
+    // The shard's envelopes with this query's means (strict gate only).
+    envelope: Option<(&NodeEnvelopes, &QueryMeans)>,
     results: &mut KnnHeap,
     memo: &HullMemo,
     tally: &mut SearchTally,
@@ -146,7 +162,12 @@ fn eval_leaf_entries<R: RawSource + ?Sized>(
             match euclidean_early_abandon_slices(q.raw.values(), raws.raw(e), bound)? {
                 Some(exact) => {
                     #[cfg(feature = "strict-invariants")]
-                    crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact, lb_slack)?;
+                    {
+                        crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact, lb_slack)?;
+                        if let Some((envelopes, means)) = envelope {
+                            envelopes.assert_sound(leaf, means, exact);
+                        }
+                    }
                     results.push(exact, e);
                 }
                 // The invariant lb ≤ exact holds here by construction:
@@ -171,16 +192,18 @@ fn note_err(slot: &mut Option<(usize, Error)>, qi: usize, e: Error) {
 }
 
 /// Answer a block of k-NN queries query-major (see module docs):
-/// round-based co-scheduling with per-leaf grouped evaluation. Results
-/// are bit-for-bit the sequential per-query searches', in query order;
-/// on failure the earliest (by query index) error is returned, as a
-/// sequential loop would.
+/// round-based co-scheduling with per-leaf grouped evaluation, child
+/// nodes tested against `envelopes` (when given) before their own bound.
+/// Results are bit-for-bit the sequential per-query searches', in query
+/// order; on failure the earliest (by query index) error is returned, as
+/// a sequential loop would.
 pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     tree: &T,
     queries: &[Query],
     k: usize,
     scheme: &dyn Scheme,
     raws: &R,
+    envelopes: Option<&NodeEnvelopes>,
     scratch: &mut KnnScratch,
 ) -> Result<Vec<SearchStats>> {
     let KnnScratch { queries: scratches, pending, tallies, done } = scratch;
@@ -202,6 +225,7 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     // Seed every query's frontier with the root, in query order.
     for (qi, q) in queries.iter().enumerate() {
         let s = scratches[qi].reset(k);
+        s.means = envelopes.and_then(|env| env.query(q.raw.values()));
         if tree.reps().len() == 0 {
             done[qi] = true;
             continue;
@@ -224,6 +248,7 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                 continue;
             }
             let s = &mut scratches[qi];
+            let envelope = envelopes.zip(s.means.as_ref());
             let tally = &mut tallies[qi];
             loop {
                 let Some(Reverse((d, nid, depth))) = s.nodes.pop() else {
@@ -244,9 +269,14 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                         tree.count_fanout(depth, children.len());
                         let mut failed = false;
                         for &c in children {
+                            let threshold = s.results.threshold();
+                            if envelope.is_some_and(|(env, m)| env.prunes(c, m, threshold)) {
+                                tally.prune_node_by_envelope();
+                                continue;
+                            }
                             match tree.node_bound(q, scheme, c, &mut s.hull) {
                                 Ok(node_d) => {
-                                    if node_d <= s.results.threshold() + slack {
+                                    if node_d <= threshold + slack {
                                         s.nodes.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
                                     } else {
                                         tally.prune_node();
@@ -302,7 +332,8 @@ pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                     scheme,
                     raws,
                     tree.reps(),
-                    entries,
+                    (nid, entries),
+                    envelopes.zip(s.means.as_ref()),
                     &mut s.results,
                     &s.hull,
                     &mut tallies[qi],
@@ -345,7 +376,7 @@ pub(crate) fn knn_single<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     raws: &R,
     scratch: &mut KnnScratch,
 ) -> Result<SearchStats> {
-    let block = knn_query_major(tree, std::slice::from_ref(q), k, scheme, raws, scratch)?;
+    let block = knn_query_major(tree, std::slice::from_ref(q), k, scheme, raws, None, scratch)?;
     match block.into_iter().next() {
         Some(stats) => Ok(stats),
         // The driver answers every query of the block or fails.
@@ -356,18 +387,22 @@ pub(crate) fn knn_single<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
 /// ε-range search: every entry whose **exact** Euclidean distance to the
 /// query is at most `epsilon`, sorted by `(distance, id)` — a strict
 /// total order, so multi-shard engines merge per-shard hit lists
-/// deterministically. Nodes are filtered by [`BatchTree::node_bound`],
-/// entries by [`rep_within`], survivors refined exactly.
+/// deterministically. Nodes are filtered by their envelope in `envelopes`
+/// (when given), then by [`BatchTree::node_bound`], entries by
+/// [`rep_within`], survivors refined exactly.
 pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     tree: &T,
     q: &Query,
     epsilon: f64,
     scheme: &dyn Scheme,
     raws: &R,
+    envelopes: Option<&NodeEnvelopes>,
 ) -> Result<SearchStats> {
     let mut hits: Vec<(f64, usize)> = Vec::new();
     let mut tally = SearchTally::default();
     let mut memo = HullMemo::default();
+    let means = envelopes.and_then(|env| env.query(q.raw.values()));
+    let envelope = envelopes.zip(means.as_ref());
     let topology = tree.topology();
     let reps = tree.reps();
     let slack = tree.lb_slack();
@@ -378,6 +413,10 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     let prune_at = epsilon + slack;
     let mut stack = if reps.len() == 0 { Vec::new() } else { vec![topology.root()] };
     while let Some(nid) = stack.pop() {
+        if envelope.is_some_and(|(env, m)| env.prunes(nid, m, epsilon)) {
+            tally.prune_node_by_envelope();
+            continue;
+        }
         if tree.node_bound(q, scheme, nid, &mut memo)? > prune_at {
             tally.prune_node();
             continue;
@@ -400,7 +439,12 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                         euclidean_early_abandon_slices(q.raw.values(), raws.raw(e), bound)?
                     {
                         #[cfg(feature = "strict-invariants")]
-                        crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact, slack)?;
+                        {
+                            crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact, slack)?;
+                            if let Some((envelopes, means)) = envelope {
+                                envelopes.assert_sound(nid, means, exact);
+                            }
+                        }
                         if exact <= epsilon {
                             hits.push((exact, e));
                         }

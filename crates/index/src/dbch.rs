@@ -234,7 +234,7 @@ impl DbchTree {
         raws: &[TimeSeries],
     ) -> Result<SearchStats> {
         debug_assert_eq!(raws.len(), self.reps.len());
-        crate::batched::range_search(self, q, epsilon, scheme, raws)
+        crate::batched::range_search(self, q, epsilon, scheme, raws, None)
     }
 
     /// Remove entry `id` from the index (ids stay stable; underfull nodes

@@ -41,10 +41,12 @@ use sapla_parallel::par_try_map_init;
 use crate::arena::{RawArena, RepStore};
 use crate::batched::{knn_query_major, range_search, BatchTree};
 use crate::dbch::{DbchTree, NodeDistRule};
+use crate::envelope::NodeEnvelopes;
 use crate::knn::{KnnScratch, SearchStats};
 use crate::parallel::{prepare_queries, BatchStats};
 use crate::rtree::RTree;
 use crate::scheme::{scheme_for, Query, Scheme};
+use crate::topology::Hierarchy;
 
 /// Which index structure backs each shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,6 +134,14 @@ impl ShardIndex {
             ShardIndex::Rtree(t) => t.topology().leaf_walk(),
         }
     }
+
+    /// The tree's node arena, whichever kind of tree it is.
+    pub(crate) fn hierarchy(&self) -> &dyn Hierarchy {
+        match self {
+            ShardIndex::Dbch(t) => t.topology(),
+            ShardIndex::Rtree(t) => t.topology(),
+        }
+    }
 }
 
 pub(crate) struct Shard {
@@ -139,11 +149,15 @@ pub(crate) struct Shard {
     /// Raw series by local id, stored in the tree's leaf-walk order
     /// (exact refinement reads these).
     pub(crate) raws: RawArena,
+    /// The PAA envelope of every node, keyed by the tree's node ids —
+    /// derived from `raws`, never persisted.
+    pub(crate) envelopes: NodeEnvelopes,
 }
 
 impl Shard {
     /// Pair a built tree with its raw series: `raw_of(local id)` is
-    /// copied once, into leaf-walk order.
+    /// copied once, into leaf-walk order, and the node envelopes are
+    /// derived from the copy.
     ///
     /// # Errors
     ///
@@ -155,7 +169,8 @@ impl Shard {
         if let Some(len) = index.reps().length_mismatch(raws.stride()) {
             return Err(Error::LengthMismatch { left: raws.stride(), right: len });
         }
-        Ok(Shard { index, raws })
+        let envelopes = NodeEnvelopes::derive(index.hierarchy(), raws.samples(), raws.stride());
+        Ok(Shard { index, raws, envelopes })
     }
 
     fn knn(
@@ -165,18 +180,18 @@ impl Shard {
         scheme: &dyn Scheme,
         scratch: &mut KnnScratch,
     ) -> Result<Vec<SearchStats>> {
-        let raws = self.raws.view();
+        let (raws, env) = (self.raws.view(), Some(&self.envelopes));
         match &self.index {
-            ShardIndex::Dbch(t) => knn_query_major(t, queries, k, scheme, &raws, scratch),
-            ShardIndex::Rtree(t) => knn_query_major(t, queries, k, scheme, &raws, scratch),
+            ShardIndex::Dbch(t) => knn_query_major(t, queries, k, scheme, &raws, env, scratch),
+            ShardIndex::Rtree(t) => knn_query_major(t, queries, k, scheme, &raws, env, scratch),
         }
     }
 
     fn range(&self, q: &Query, epsilon: f64, scheme: &dyn Scheme) -> Result<SearchStats> {
-        let raws = self.raws.view();
+        let (raws, env) = (self.raws.view(), Some(&self.envelopes));
         match &self.index {
-            ShardIndex::Dbch(t) => range_search(t, q, epsilon, scheme, &raws),
-            ShardIndex::Rtree(t) => range_search(t, q, epsilon, scheme, &raws),
+            ShardIndex::Dbch(t) => range_search(t, q, epsilon, scheme, &raws, env),
+            ShardIndex::Rtree(t) => range_search(t, q, epsilon, scheme, &raws, env),
         }
     }
 }

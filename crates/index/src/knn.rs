@@ -54,6 +54,7 @@ pub(crate) struct SearchTally {
     measured: usize,
     nodes_visited: usize,
     nodes_pruned: usize,
+    envelope_pruned: usize,
     hull_evals: usize,
 }
 
@@ -66,6 +67,14 @@ impl SearchTally {
     /// A child node was discarded by its lower-bound distance.
     pub fn prune_node(&mut self) {
         self.nodes_pruned += 1;
+    }
+
+    /// A child node was discarded by its PAA envelope
+    /// ([`crate::envelope`]) before any hull evaluation — one of the
+    /// [`SearchTally::prune_node`] prunes, counted apart as well.
+    pub fn prune_node_by_envelope(&mut self) {
+        self.nodes_pruned += 1;
+        self.envelope_pruned += 1;
     }
 
     /// `n` nodes were discarded at once — the best-first loop terminates
@@ -109,6 +118,7 @@ impl SearchTally {
             measured,
             nodes_visited: _visited,
             nodes_pruned: _node_pruned,
+            envelope_pruned: _envelope_pruned,
             hull_evals: _hull_evals,
         } = self;
         sapla_obs::counter!("index.knn.queries");
@@ -118,6 +128,7 @@ impl SearchTally {
         sapla_obs::counter!("index.knn.entries_pruned", _pruned as u64);
         sapla_obs::counter!("index.knn.refined", measured as u64);
         sapla_obs::counter!("index.knn.hull_evals", _hull_evals as u64);
+        sapla_obs::counter!("index.knn.envelope_pruned", _envelope_pruned as u64);
         measured
     }
 
@@ -129,6 +140,7 @@ impl SearchTally {
             measured,
             nodes_visited: _visited,
             nodes_pruned: _node_pruned,
+            envelope_pruned: _envelope_pruned,
             hull_evals: _hull_evals,
         } = self;
         sapla_obs::counter!("index.range.queries");
@@ -138,6 +150,7 @@ impl SearchTally {
         sapla_obs::counter!("index.range.entries_pruned", _pruned as u64);
         sapla_obs::counter!("index.range.refined", measured as u64);
         sapla_obs::counter!("index.range.hull_evals", _hull_evals as u64);
+        sapla_obs::counter!("index.range.envelope_pruned", _envelope_pruned as u64);
         measured
     }
 
@@ -313,7 +326,8 @@ impl HullMemo {
 }
 
 /// One query's search state: the candidate heap, the best-first node
-/// queue and the [`HullMemo`].
+/// queue, the [`HullMemo`] and the query's segment means for the shard's
+/// envelope test.
 #[derive(Debug, Default)]
 pub(crate) struct QueryScratch {
     pub(crate) results: KnnHeap,
@@ -324,6 +338,9 @@ pub(crate) struct QueryScratch {
     pub(crate) nodes:
         std::collections::BinaryHeap<std::cmp::Reverse<(sapla_core::OrdF64, usize, usize)>>,
     pub(crate) hull: HullMemo,
+    // `None` when the search runs without envelopes (the tree-level
+    // paths) or the query's length differs from the shard's series.
+    pub(crate) means: Option<crate::envelope::QueryMeans>,
 }
 
 impl QueryScratch {
@@ -332,6 +349,7 @@ impl QueryScratch {
         self.results.reset(k);
         self.nodes.clear();
         self.hull.clear();
+        self.means = None;
         self
     }
 }

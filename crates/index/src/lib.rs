@@ -30,6 +30,7 @@ pub(crate) mod arena;
 pub(crate) mod batched;
 pub mod dbch;
 pub mod engine;
+pub(crate) mod envelope;
 pub mod knn;
 pub mod linear_scan;
 pub mod parallel;

@@ -165,8 +165,16 @@ mod tests {
             let mut per_query = Vec::new();
             for chunk in queries.chunks(block) {
                 per_query.extend(
-                    knn_query_major(&tree, chunk, 5, scheme.as_ref(), &raws[..], &mut scratch)
-                        .unwrap(),
+                    knn_query_major(
+                        &tree,
+                        chunk,
+                        5,
+                        scheme.as_ref(),
+                        &raws[..],
+                        None,
+                        &mut scratch,
+                    )
+                    .unwrap(),
                 );
             }
             assert_bitwise_eq(&per_query, &sequential, &format!("block = {block}"));

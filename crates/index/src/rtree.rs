@@ -173,7 +173,7 @@ impl RTree {
         raws: &[TimeSeries],
     ) -> Result<SearchStats> {
         debug_assert_eq!(raws.len(), self.reps.len());
-        crate::batched::range_search(self, q, epsilon, scheme, raws)
+        crate::batched::range_search(self, q, epsilon, scheme, raws, None)
     }
 
     /// Remove entry `id` from the index (its slot in the id space is

@@ -27,7 +27,9 @@
 //! owns. Both run the same checks: the whole-file checksum before any
 //! arena is read, the adopted tree's leaf walk a permutation of the
 //! entry ids, every raw sample finite, every representation a valid
-//! segmentation of exactly as many points as the raw series have.
+//! segmentation of exactly as many points as the raw series have. The
+//! pass over the raw samples that checks them also derives each shard's
+//! node envelopes ([`crate::envelope`]), which the format does not store.
 //!
 //! # Arena schema (consumer side of the container)
 //!
@@ -102,6 +104,7 @@ use crate::arena::{RawArena, RepArena, RepRef, RepStore};
 use crate::batched::BatchTree;
 use crate::dbch::{DbchTree, Hull, NodeDistRule};
 use crate::engine::{Engine, EngineConfig, Shard, ShardIndex, TreeKind};
+use crate::envelope::{EnvelopeFold, SegmentSums};
 use crate::rect::HyperRect;
 use crate::rtree::RTree;
 use crate::scheme::{scheme_for, Scheme};
@@ -786,11 +789,16 @@ fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<En
             "index.snapshot.raw_bytes_copied",
             if retain.is_some() { 0 } else { std::mem::size_of_val(stored.samples) as u64 }
         );
+        // The node envelopes are derived, not stored: the pass that
+        // checks every sample folds each series into its leaf's.
+        let mut fold = EnvelopeFold::new(index.hierarchy(), stored.stride);
+        let push = |sums: &SegmentSums| fold.push(sums);
         let raws = match retain {
-            Some(image) => RawArena::borrowed(&order, stored.stride, image, stored.bytes)?,
-            None => RawArena::copied(&order, stored.stride, stored.samples)?,
+            Some(image) => RawArena::borrowed(&order, stored.stride, image, stored.bytes, push)?,
+            None => RawArena::copied(&order, stored.stride, stored.samples, push)?,
         };
-        shards.push(Shard { index, raws });
+        let envelopes = fold.finish();
+        shards.push(Shard { index, raws, envelopes });
     }
     if seen != meta.total {
         return Err(corrupt("snapshot shard sizes do not sum to the record count"));
@@ -829,6 +837,7 @@ pub(crate) fn load_file(path: &Path) -> Result<Engine> {
 mod tests {
     use super::*;
     use crate::engine::tests::{dataset, engine_with};
+    use crate::envelope::tests::{envelope_free, same_answers};
     use crate::knn::SearchStats;
     use sapla_core::temp::TempPath;
     use sapla_core::TimeSeries;
@@ -950,6 +959,49 @@ mod tests {
                 let paa = EngineConfig { tree: TreeKind::Rtree, ..EngineConfig::default() };
                 let paa = Engine::build(paa, Box::new(sapla_baselines::Paa), dataset(40, 64), 2);
                 rect_arity_is_refused(&paa.unwrap().snapshot_image(None).unwrap());
+            }
+        }
+    }
+
+    /// The envelope pass that now runs inside the sample check must not
+    /// weaken it: a NaN or an infinity anywhere in a raw arena — first,
+    /// inside or last sample of a series, any shard, either kind of tree
+    /// — is refused by both loaders with `NonFiniteSample` at its index
+    /// within the series. Finite samples whose segment sum overflows are
+    /// no reason to refuse: they load, their segment is unbounded, and
+    /// the engine answers as its shards do without envelopes.
+    #[test]
+    fn every_non_finite_raw_sample_is_refused_at_its_index() {
+        let raws = dataset(20, 64);
+        for kind in [TreeKind::Dbch, TreeKind::Rtree] {
+            let image = engine_with(2, kind, &raws).snapshot_image(None).unwrap();
+            for (shard, series, index) in
+                [(0u32, 0usize, 0usize), (1, 3, 5), (1, 9, 63), (0, 9, 31)]
+            {
+                for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut bad = image.clone();
+                    let at = arena_at(&bad, K_RAW_DATA, shard).start + 8 * (series * 64 + index);
+                    bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                    reseal(&mut bad);
+                    let what =
+                        format!("{kind:?}: {value} at shard {shard}, slot {series}, {index}");
+                    assert_eq!(refused(&bad, &what), Error::NonFiniteSample { index }, "{what}");
+                }
+            }
+            let mut big = image.clone();
+            let at = arena_at(&big, K_RAW_DATA, 1).start + 8 * (2 * 64 + 8);
+            for (i, v) in [f64::MAX, f64::MAX, -f64::MAX].into_iter().enumerate() {
+                big[at + 8 * i..at + 8 * i + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            reseal(&mut big);
+            for loaded in load_both_ways(&big) {
+                let loaded = loaded.unwrap();
+                let queries = loaded.prepare(&raws[..6], 2).unwrap();
+                let (knn, range) = envelope_free(&loaded, &queries, 3, 4.0);
+                let (got, _) = loaded.knn(&queries, 3, 2).unwrap();
+                same_answers(&got, &knn, &format!("{kind:?}: knn"));
+                let got: Vec<_> = queries.iter().map(|q| loaded.range(q, 4.0).unwrap()).collect();
+                same_answers(&got, &range, &format!("{kind:?}: range"));
             }
         }
     }

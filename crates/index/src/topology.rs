@@ -86,6 +86,30 @@ pub(crate) enum NodeView<'a> {
     Leaf(&'a [usize]),
 }
 
+/// A node arena without its bounds: what code that walks either kind of
+/// tree and reads no bound takes (the envelope fold of
+/// [`crate::envelope`]).
+pub(crate) trait Hierarchy {
+    /// Root node id.
+    fn root(&self) -> usize;
+    /// Slots in the node arena, condensed-away ones included.
+    fn slots(&self) -> usize;
+    /// Children of an internal node / entries of a leaf.
+    fn node_view(&self, nid: usize) -> NodeView<'_>;
+}
+
+impl<B> Hierarchy for Topology<B> {
+    fn root(&self) -> usize {
+        self.root
+    }
+    fn slots(&self) -> usize {
+        self.nodes.len()
+    }
+    fn node_view(&self, nid: usize) -> NodeView<'_> {
+        Topology::node_view(self, nid)
+    }
+}
+
 /// Node arena + root + fill factors of one tree (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct Topology<B> {

@@ -1,8 +1,10 @@
 //! Cross-checks the `index.knn.*` observability counters against the
 //! search invariants they are supposed to witness (satellite of the
 //! sapla-obs PR): every candidate a leaf offers is either pruned by the
-//! representation distance or refined exactly, and a k-NN search must
-//! refine at least k candidates to fill its result heap.
+//! representation distance or refined exactly, a k-NN search must
+//! refine at least k candidates to fill its result heap, and the nodes
+//! an engine shard's envelope test dismisses are a share of the pruned
+//! nodes (and none at all on the tree-level paths, which test none).
 //!
 //! One `#[test]` function on purpose: the obs registry is process-global
 //! and the default test harness runs tests concurrently, so a single
@@ -11,7 +13,7 @@
 use sapla_baselines::{Reducer, SaplaReducer};
 use sapla_core::TimeSeries;
 use sapla_data::{catalogue, Protocol};
-use sapla_index::{scheme_for, DbchTree, Engine, EngineConfig, Query, RTree};
+use sapla_index::{scheme_for, DbchTree, Engine, EngineConfig, Query, RTree, TreeKind};
 use sapla_obs::Snapshot;
 
 fn counter(snap: &Snapshot, name: &str) -> u64 {
@@ -101,6 +103,39 @@ fn knn_counters_obey_the_search_invariants() {
     assert_eq!(refined, measured_total as u64, "rtree: counter agrees with SearchStats.measured");
     assert!(refined >= (queries * k) as u64, "rtree: each query refines at least k candidates");
     assert_eq!(counter(&snap, "index.knn.hull_evals"), 0, "rtree: MINDIST bounds, no hulls");
+
+    // --- Engine shards: the envelope test runs before the node bound ---
+    // The tree-level searches above test no envelope.
+    assert_eq!(counter(&snap, "index.knn.envelope_pruned"), 0, "rtree: tree-level search");
+    for tree in [TreeKind::Dbch, TreeKind::Rtree] {
+        let cfg = EngineConfig { tree, ..EngineConfig::default() };
+        let engine = Engine::build(cfg, Box::new(SaplaReducer::new()), raws.clone(), 1).unwrap();
+        let prepared = engine.prepare(&raws[..queries], 1).unwrap();
+        sapla_obs::reset();
+        let (found, _) = engine.knn(&prepared, k, 1).unwrap();
+        let snap = Snapshot::capture();
+        let considered = counter(&snap, "index.knn.entries_considered");
+        let pruned = counter(&snap, "index.knn.entries_pruned");
+        let refined = counter(&snap, "index.knn.refined");
+        assert_eq!(considered, pruned + refined, "{tree:?} engine: considered = pruned + refined");
+        assert_eq!(refined, found.iter().map(|s| s.measured as u64).sum::<u64>(), "{tree:?}");
+        let by_envelope = counter(&snap, "index.knn.envelope_pruned");
+        let nodes_pruned = counter(&snap, "index.knn.nodes_pruned");
+        assert!(by_envelope > 0, "{tree:?} engine: the envelope dismisses nodes");
+        assert!(by_envelope <= nodes_pruned, "{tree:?}: {by_envelope} > {nodes_pruned}");
+
+        sapla_obs::reset();
+        let hits = engine.range(&prepared[0], 3.0).unwrap();
+        let snap = Snapshot::capture();
+        let considered = counter(&snap, "index.range.entries_considered");
+        let pruned = counter(&snap, "index.range.entries_pruned");
+        let refined = counter(&snap, "index.range.refined");
+        assert_eq!(considered, pruned + refined, "{tree:?} engine range");
+        assert_eq!(refined, hits.measured as u64, "{tree:?} engine range");
+        let by_envelope = counter(&snap, "index.range.envelope_pruned");
+        assert!(by_envelope > 0, "{tree:?} engine range: the envelope dismisses nodes");
+        assert!(by_envelope <= counter(&snap, "index.range.nodes_pruned"), "{tree:?} range");
+    }
 
     // --- Snapshot load: where the time goes, and who copies the raws ---
     let cfg = EngineConfig { shards: 3, ..EngineConfig::default() };

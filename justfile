@@ -88,7 +88,12 @@ metrics:
 # bit-identity / load-save fixpoint / quantization-bound property
 # tests, stock and under strict-invariants (which re-proves
 # `Dist_LB ≤ exact + slack` inside every refinement the snapshot-loaded
-# trees perform). The instrumented load (phase spans,
+# trees perform). The node envelopes (`--lib envelope`, `--test
+# envelope_props`): every node's envelope bounds every member, and built,
+# exact- and quantized-loaded engines answer as their shards do without
+# envelopes, over both trees, shards {1, 2, 3, 7} and threads {1, 2, 4};
+# stock and strict (which re-checks the leaf envelope against every
+# refinement). The instrumented load (phase spans,
 # `raw_bytes_copied` 0 from a file). The daemon's reload tests (reloads
 # racing index-file rewrites, a generation outliving its file
 # mid-cohort). And one `long-narrow` lifecycle run — the workload whose
@@ -102,10 +107,14 @@ persist:
     cargo test -q -p sapla-index --lib topology
     cargo test -q -p sapla-index --lib arena
     cargo test -q -p sapla-index --test snapshot_props
+    cargo test -q -p sapla-index --lib envelope
+    cargo test -q -p sapla-index --test envelope_props
     cargo test -q -p sapla-index --features strict-invariants --lib snapshot
     cargo test -q -p sapla-index --features strict-invariants --lib topology
     cargo test -q -p sapla-index --features strict-invariants --lib arena
     cargo test -q -p sapla-index --features strict-invariants --test snapshot_props
+    cargo test -q -p sapla-index --features strict-invariants --lib envelope
+    cargo test -q -p sapla-index --features strict-invariants --test envelope_props
     cargo test -q -p sapla-index --features obs --test obs_counters
     cargo test -q -p sapla-serve --test loopback reload
     cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- run --workload long-narrow --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
