@@ -52,7 +52,6 @@ pub mod repr;
 pub mod sapla;
 pub mod series;
 pub mod simd;
-pub mod stream;
 pub mod temp;
 
 mod endpoint_move;

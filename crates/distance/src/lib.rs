@@ -24,9 +24,6 @@
 //! * [`paa`], [`pla`], [`sax`], [`cheby`] — the classic per-method lower
 //!   bounds (`Dist_PAA`, `Dist_PLA`, SAX MINDIST, coefficient-space
 //!   distance).
-//! * [`mod@dtw`] — Dynamic Time Warping with a Sakoe–Chiba band and the
-//!   LB_Keogh lower bound (an extension beyond the paper's Euclidean
-//!   protocol).
 //! * [`rep_distance`] — representation-to-representation dispatch used for
 //!   DBCH convex hulls.
 
@@ -36,7 +33,6 @@
 pub mod ae;
 pub mod cheby;
 pub mod dist_s;
-pub mod dtw;
 pub mod euclidean;
 pub mod lb;
 pub mod paa;
@@ -50,7 +46,6 @@ mod simd_terms;
 pub use ae::dist_ae;
 pub use cheby::dist_cheby;
 pub use dist_s::dist_s_sq;
-pub use dtw::{dtw, keogh_envelope, lb_keogh};
 pub use euclidean::{
     euclidean, euclidean_early_abandon, euclidean_early_abandon_slices, euclidean_sq,
 };

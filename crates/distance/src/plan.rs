@@ -22,7 +22,7 @@
 //! after every term — each lane replays the scalar term's operation
 //! sequence, so sums, abandon decisions, and therefore results stay
 //! bitwise identical across all dispatch widths. See DESIGN.md §"SIMD
-//! dispatch & query-major batching".
+//! dispatch & the per-query walk".
 
 use sapla_core::{Error, PiecewiseLinear, Result};
 

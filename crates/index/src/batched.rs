@@ -1,26 +1,14 @@
-//! The one search driver both trees share: query-major batched k-NN and
-//! the ε-range walk, over the [`BatchTree`] trait.
+//! The one search driver both trees share: best-first k-NN and the
+//! ε-range walk, over the [`BatchTree`] trait.
 //!
-//! The classic k-NN driver is query-at-a-time: one query walks the whole
-//! tree before the next query starts — so with `Q` queries each leaf's
-//! coefficients are pulled through the cache up to `Q` times. This
-//! module flips the inner loop. A block of queries advances in *rounds*:
-//! in each round every still-active query walks its own best-first
-//! frontier (internal nodes expanded inline) until it yields its next
-//! leaf; the pending `(leaf, query)` pairs are then sorted by leaf and
-//! evaluated leaf-by-leaf, so all queries that reached the same leaf in
-//! the same round run over its entries back-to-back. A block of one *is*
-//! the sequential algorithm, which is how [`crate::DbchTree::knn`] and
-//! [`crate::RTree::knn`] run it.
-//!
-//! **Bit-identity.** Each query's result is a pure function of the tree
-//! and its own search state — candidate heap, node queue, thresholds —
-//! none of which is shared across queries. The round structure only
-//! interleaves *which query runs next*; within one query the operation
-//! sequence (node pops, bound computations, filter decisions,
-//! refinements, heap pushes) is exactly the sequential one. The
-//! block-size and engine regression tests pin this bitwise over the
-//! DBCH-tree and the R-tree at several thread counts.
+//! A k-NN query is one best-first walk ([`knn_search`], §5.3 of the
+//! paper): nodes pop closest first, internal nodes are expanded inline and
+//! a leaf's entries are filtered and refined the moment the leaf pops.
+//! Each query's result is a pure function of the tree and its own search
+//! state — candidate heap, node queue, thresholds — so a caller answering
+//! many queries (the engine answers a chunk of [`DEFAULT_QUERY_BLOCK`]
+//! queries per task) runs them one after another over one reusable
+//! [`KnnScratch`], and gets bitwise what fresh searches return.
 //!
 //! **One owner per kind of data.** The shape the driver walks — root,
 //! children, leaf entries, node ids — is the tree's [`Topology`], the
@@ -45,19 +33,18 @@
 
 use std::cmp::Reverse;
 
-use sapla_core::{Error, OrdF64, Result};
+use sapla_core::{OrdF64, Result};
 use sapla_distance::{euclidean_early_abandon_slices, safe_sq_bound};
 
 use crate::arena::{RawSource, RepStore};
 use crate::envelope::{NodeEnvelopes, QueryMeans};
-use crate::knn::{HullMemo, KnnHeap, KnnScratch, QueryScratch, SearchStats, SearchTally};
+use crate::knn::{HullMemo, KnnHeap, KnnScratch, SearchStats, SearchTally};
 use crate::scheme::{Query, Scheme};
 use crate::topology::{NodeView, Topology};
 
-/// How many queries ride in one co-scheduled block by default. Large
-/// enough that shared leaves amortise a fetch across many queries, small
-/// enough that a block's heaps and scratches stay resident next to the
-/// leaf data.
+/// How many queries [`crate::Engine::knn`] answers in one parallel task
+/// (one chunk of queries over one shard, answered one after another with
+/// the worker's scratch).
 pub const DEFAULT_QUERY_BLOCK: usize = 16;
 
 /// What the driver needs of a tree — implemented by
@@ -181,207 +168,78 @@ fn eval_leaf_entries<R: RawSource + ?Sized>(
     Ok(())
 }
 
-/// Keep the earliest-by-query-index error: queries are independent, so
-/// running every one to completion-or-failure and surfacing the
-/// smallest index's error reproduces exactly what a sequential
-/// query-by-query loop reports.
-fn note_err(slot: &mut Option<(usize, Error)>, qi: usize, e: Error) {
-    if slot.as_ref().is_none_or(|(q, _)| qi < *q) {
-        *slot = Some((qi, e));
-    }
-}
-
-/// Answer a block of k-NN queries query-major (see module docs):
-/// round-based co-scheduling with per-leaf grouped evaluation, child
-/// nodes tested against `envelopes` (when given) before their own bound.
-/// Results are bit-for-bit the sequential per-query searches', in query
-/// order; on failure the earliest (by query index) error is returned, as
-/// a sequential loop would.
-pub(crate) fn knn_query_major<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
-    tree: &T,
-    queries: &[Query],
-    k: usize,
-    scheme: &dyn Scheme,
-    raws: &R,
-    envelopes: Option<&NodeEnvelopes>,
-    scratch: &mut KnnScratch,
-) -> Result<Vec<SearchStats>> {
-    let KnnScratch { queries: scratches, pending, tallies, done } = scratch;
-    // Node bounds over quantized-lineage reps can overshoot the true
-    // distance by up to this much; every pruning comparison below is
-    // widened by it (bitwise no-op for exact trees, slack 0.0).
-    let slack = tree.lb_slack();
-    if scratches.len() < queries.len() {
-        scratches.resize_with(queries.len(), QueryScratch::default);
-    }
-    tallies.clear();
-    tallies.resize(queries.len(), SearchTally::default());
-    done.clear();
-    done.resize(queries.len(), false);
-    let mut first_err: Option<(usize, Error)> = None;
-    let topology = tree.topology();
-    let root = topology.root();
-
-    // Seed every query's frontier with the root, in query order.
-    for (qi, q) in queries.iter().enumerate() {
-        let s = scratches[qi].reset(k);
-        s.means = envelopes.and_then(|env| env.query(q.raw.values()));
-        if tree.reps().len() == 0 {
-            done[qi] = true;
-            continue;
-        }
-        match tree.node_bound(q, scheme, root, &mut s.hull) {
-            Ok(d) => s.nodes.push(Reverse((OrdF64::new(d), root, 0))),
-            Err(e) => {
-                done[qi] = true;
-                note_err(&mut first_err, qi, e);
-            }
-        }
-    }
-
-    loop {
-        // Advance phase: each active query walks its best-first
-        // frontier until it yields its next leaf (or finishes).
-        pending.clear();
-        for (qi, q) in queries.iter().enumerate() {
-            if done[qi] {
-                continue;
-            }
-            let s = &mut scratches[qi];
-            let envelope = envelopes.zip(s.means.as_ref());
-            let tally = &mut tallies[qi];
-            loop {
-                let Some(Reverse((d, nid, depth))) = s.nodes.pop() else {
-                    done[qi] = true;
-                    break;
-                };
-                if d.get() > s.results.threshold() + slack {
-                    // Best-first order: the popped node *and* everything
-                    // still queued behind it are beyond the threshold.
-                    tally.prune_nodes(1 + s.nodes.len());
-                    s.nodes.clear();
-                    done[qi] = true;
-                    break;
-                }
-                tally.visit_node();
-                match topology.node_view(nid) {
-                    NodeView::Internal(children) => {
-                        tree.count_fanout(depth, children.len());
-                        let mut failed = false;
-                        for &c in children {
-                            let threshold = s.results.threshold();
-                            if envelope.is_some_and(|(env, m)| env.prunes(c, m, threshold)) {
-                                tally.prune_node_by_envelope();
-                                continue;
-                            }
-                            match tree.node_bound(q, scheme, c, &mut s.hull) {
-                                Ok(node_d) => {
-                                    if node_d <= threshold + slack {
-                                        s.nodes.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
-                                    } else {
-                                        tally.prune_node();
-                                    }
-                                }
-                                Err(e) => {
-                                    note_err(&mut first_err, qi, e);
-                                    failed = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if failed {
-                            done[qi] = true;
-                            s.nodes.clear();
-                            break;
-                        }
-                    }
-                    NodeView::Leaf(_) => {
-                        pending.push((nid, qi));
-                        break;
-                    }
-                }
-            }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        // Evaluate phase: group this round's pending pairs by leaf, so
-        // a leaf's entries are fetched once and stay hot for every
-        // query that reached it; within a leaf, queries run in query
-        // order ((nid, qi) sort — deterministic, pairs are distinct).
-        pending.sort_unstable();
-        let mut i = 0;
-        while i < pending.len() {
-            let nid = pending[i].0;
-            let mut end = i + 1;
-            while end < pending.len() && pending[end].0 == nid {
-                end += 1;
-            }
-            sapla_obs::counter!("sapla.knn.leaf_batches");
-            sapla_obs::hist!("sapla.knn.query_block", (end - i) as u64);
-            let entries = match topology.node_view(nid) {
-                NodeView::Leaf(entries) => entries,
-                // Only leaves are ever pushed to `pending`.
-                NodeView::Internal(_) => unreachable!(),
-            };
-            for &(_, qi) in &pending[i..end] {
-                let q = &queries[qi];
-                let s = &mut scratches[qi];
-                if let Err(e) = eval_leaf_entries(
-                    q,
-                    scheme,
-                    raws,
-                    tree.reps(),
-                    (nid, entries),
-                    envelopes.zip(s.means.as_ref()),
-                    &mut s.results,
-                    &s.hull,
-                    &mut tallies[qi],
-                    slack,
-                ) {
-                    note_err(&mut first_err, qi, e);
-                    done[qi] = true;
-                    s.nodes.clear();
-                }
-            }
-            i = end;
-        }
-    }
-
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    let mut out = Vec::with_capacity(queries.len());
-    for (s, tally) in scratches.iter_mut().zip(tallies.iter_mut()) {
-        let (mut retrieved, mut distances) = (Vec::with_capacity(k), Vec::with_capacity(k));
-        s.results.drain_into(&mut retrieved, &mut distances);
-        tally.hull_evals(s.hull.evals());
-        out.push(SearchStats {
-            retrieved,
-            distances,
-            measured: tally.finish_knn(),
-            total: tree.reps().len(),
-        });
-    }
-    Ok(out)
-}
-
-/// k-NN for one query: a block of one through [`knn_query_major`] — the
-/// sequential best-first search of both trees.
-pub(crate) fn knn_single<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
+/// k-NN for one query: the best-first search both trees share. Nodes
+/// pop closest first; a child is tested against `envelopes` (when given)
+/// before its own bound, and a leaf's entries are filtered and refined as
+/// soon as the leaf pops. The search ends when the closest queued node is
+/// beyond the k-th-best threshold.
+pub(crate) fn knn_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     tree: &T,
     q: &Query,
     k: usize,
     scheme: &dyn Scheme,
     raws: &R,
+    envelopes: Option<&NodeEnvelopes>,
     scratch: &mut KnnScratch,
 ) -> Result<SearchStats> {
-    let block = knn_query_major(tree, std::slice::from_ref(q), k, scheme, raws, None, scratch)?;
-    match block.into_iter().next() {
-        Some(stats) => Ok(stats),
-        // The driver answers every query of the block or fails.
-        None => unreachable!(),
+    scratch.reset(k);
+    scratch.means = envelopes.and_then(|env| env.query(q.raw.values()));
+    let KnnScratch { results, nodes, hull, means } = scratch;
+    let envelope = envelopes.zip(means.as_ref());
+    // Node bounds over quantized-lineage reps can overshoot the true
+    // distance by up to this much; every pruning comparison below is
+    // widened by it (bitwise no-op for exact trees, slack 0.0).
+    let slack = tree.lb_slack();
+    let (topology, reps) = (tree.topology(), tree.reps());
+    let mut tally = SearchTally::default();
+    if reps.len() > 0 {
+        let root = topology.root();
+        let d = tree.node_bound(q, scheme, root, hull)?;
+        nodes.push(Reverse((OrdF64::new(d), root, 0)));
     }
+    while let Some(Reverse((d, nid, depth))) = nodes.pop() {
+        if d.get() > results.threshold() + slack {
+            // Best-first order: the popped node *and* everything still
+            // queued behind it are beyond the threshold.
+            tally.prune_nodes(1 + nodes.len());
+            break;
+        }
+        tally.visit_node();
+        match topology.node_view(nid) {
+            NodeView::Internal(children) => {
+                tree.count_fanout(depth, children.len());
+                for &c in children {
+                    let threshold = results.threshold();
+                    if envelope.is_some_and(|(env, m)| env.prunes(c, m, threshold)) {
+                        tally.prune_node_by_envelope();
+                        continue;
+                    }
+                    let node_d = tree.node_bound(q, scheme, c, hull)?;
+                    if node_d <= threshold + slack {
+                        nodes.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
+                    } else {
+                        tally.prune_node();
+                    }
+                }
+            }
+            NodeView::Leaf(entries) => eval_leaf_entries(
+                q,
+                scheme,
+                raws,
+                reps,
+                (nid, entries),
+                envelope,
+                results,
+                hull,
+                &mut tally,
+                slack,
+            )?,
+        }
+    }
+    let (mut retrieved, mut distances) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    results.drain_into(&mut retrieved, &mut distances);
+    tally.hull_evals(hull.evals());
+    Ok(SearchStats { retrieved, distances, measured: tally.finish_knn(), total: reps.len() })
 }
 
 /// ε-range search: every entry whose **exact** Euclidean distance to the

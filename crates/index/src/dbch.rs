@@ -298,9 +298,7 @@ impl DbchTree {
             if h.u >= reps.len().max(1) || h.l >= reps.len().max(1) {
                 return Err(corrupt("snapshot hull endpoint outside the rep arena"));
             }
-            if !h.volume.is_finite() || h.volume < 0.0 {
-                return Err(corrupt("snapshot hull volume is not a finite non-negative value"));
-            }
+            check_hull_volume(h.volume)?;
         }
         Ok(DbchTree { topology, reps, rule, lb_slack })
     }
@@ -501,11 +499,11 @@ impl DbchTree {
     }
 
     /// [`DbchTree::knn`] reusing caller-owned buffers — same algorithm
-    /// (a block of one through the shared driver in [`crate::batched`]),
-    /// same results, the search state's allocations kept warm.
-    /// Single-threaded callers looping over many queries benefit the way
-    /// the parallel multi-query engine ([`crate::Engine::knn`]) does with
-    /// its one scratch per worker.
+    /// (the shared best-first driver in [`crate::batched`]), same results,
+    /// the search state's allocations kept warm. Single-threaded callers
+    /// looping over many queries benefit the way the parallel multi-query
+    /// engine ([`crate::Engine::knn`]) does with its one scratch per
+    /// worker.
     ///
     /// # Errors
     ///
@@ -519,7 +517,7 @@ impl DbchTree {
         scratch: &mut KnnScratch,
     ) -> Result<SearchStats> {
         debug_assert_eq!(raws.len(), self.reps.len());
-        crate::batched::knn_single(self, q, k, scheme, raws, scratch)
+        crate::batched::knn_search(self, q, k, scheme, raws, None, scratch)
     }
 
     /// Structural statistics (Figs. 15–16).
@@ -530,6 +528,21 @@ impl DbchTree {
 
 fn corrupt(reason: &'static str) -> Error {
     Error::CorruptIndex { reason }
+}
+
+/// The test every persisted hull volume passes: finite and non-negative.
+/// [`DbchTree::adopt`] refuses an image whose volume fails it, and the
+/// snapshot writer refuses, with the same error, to write one.
+///
+/// # Errors
+///
+/// [`sapla_core::Error::CorruptIndex`] for a NaN, infinite or negative
+/// volume (a hull over samples near `f64::MAX` can overflow to `+∞`).
+pub(crate) fn check_hull_volume(volume: f64) -> Result<()> {
+    if !volume.is_finite() || volume < 0.0 {
+        return Err(corrupt("snapshot hull volume is not a finite non-negative value"));
+    }
+    Ok(())
 }
 
 impl crate::batched::BatchTree for DbchTree {

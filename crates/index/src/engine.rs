@@ -15,12 +15,12 @@
 //!
 //! Entries are partitioned round-robin over `shards` independent trees:
 //! global id `g` lives in shard `g % shards` at local id `g / shards`.
-//! A kNN scatter-gathers: every `(query block, shard)` pair runs top-`k`
-//! independently (fanned over the work-stealing engine, each block
-//! answered by the query-major co-scheduled driver of [`crate::batched`]
-//! with per-worker warm scratches), and per-query results merge by
-//! `(distance, global id)` — a strict total order, so the merge is
-//! deterministic at every thread count.
+//! A kNN scatter-gathers: every `(query chunk, shard)` pair runs top-`k`
+//! independently (fanned over the work-stealing engine; a task answers
+//! its chunk's queries one after another with the best-first driver of
+//! [`crate::batched`] and its worker's warm scratch), and per-query
+//! results merge by `(distance, global id)` — a strict total order, so
+//! the merge is deterministic at every thread count.
 //!
 //! With `shards == 1` the engine is **bit-identical** to a sequential
 //! [`DbchTree::knn`] loop over the sequentially built tree, at every
@@ -39,7 +39,7 @@ use sapla_core::{Error, Representation, Result, TimeSeries};
 use sapla_parallel::par_try_map_init;
 
 use crate::arena::{RawArena, RepStore};
-use crate::batched::{knn_query_major, range_search, BatchTree};
+use crate::batched::{knn_search, range_search, BatchTree};
 use crate::dbch::{DbchTree, NodeDistRule};
 use crate::envelope::NodeEnvelopes;
 use crate::knn::{KnnScratch, SearchStats};
@@ -181,10 +181,15 @@ impl Shard {
         scratch: &mut KnnScratch,
     ) -> Result<Vec<SearchStats>> {
         let (raws, env) = (self.raws.view(), Some(&self.envelopes));
-        match &self.index {
-            ShardIndex::Dbch(t) => knn_query_major(t, queries, k, scheme, &raws, env, scratch),
-            ShardIndex::Rtree(t) => knn_query_major(t, queries, k, scheme, &raws, env, scratch),
-        }
+        // In query order, stopping at the first failure: the earliest
+        // error by query index is the one reported.
+        queries
+            .iter()
+            .map(|q| match &self.index {
+                ShardIndex::Dbch(t) => knn_search(t, q, k, scheme, &raws, env, scratch),
+                ShardIndex::Rtree(t) => knn_search(t, q, k, scheme, &raws, env, scratch),
+            })
+            .collect()
     }
 
     fn range(&self, q: &Query, epsilon: f64, scheme: &dyn Scheme) -> Result<SearchStats> {
@@ -346,9 +351,9 @@ impl Engine {
         prepare_queries(raws, self.reducer.as_ref(), self.cfg.m, threads)
     }
 
-    /// Answer a batch of k-NN queries: chunk the queries into
-    /// query-major blocks ([`crate::batched`]), scatter every
-    /// `(block, shard)` pair over up to `threads` workers, gather per
+    /// Answer a batch of k-NN queries: chunk the queries by
+    /// [`crate::DEFAULT_QUERY_BLOCK`], scatter every `(chunk, shard)`
+    /// pair over up to `threads` workers, gather per
     /// query by `(distance, global id)`. With one shard this returns
     /// bit-for-bit what a sequential [`DbchTree::knn`] loop returns (see
     /// module docs).

@@ -466,7 +466,7 @@ pub(crate) mod tests {
     use sapla_distance::euclidean_early_abandon_slices;
 
     use crate::arena::RawSource;
-    use crate::batched::{knn_query_major, range_search};
+    use crate::batched::{knn_search, range_search};
     use crate::engine::{Engine, EngineConfig, Shard, ShardIndex, TreeKind};
     use crate::knn::{KnnScratch, SearchStats};
     use crate::scheme::Query;
@@ -582,14 +582,20 @@ pub(crate) mod tests {
             let mut scratch = KnnScratch::new();
             let (knn, range) = match &shard.index {
                 ShardIndex::Dbch(t) => (
-                    knn_query_major(t, queries, k, scheme, &raws, None, &mut scratch).unwrap(),
+                    queries
+                        .iter()
+                        .map(|q| knn_search(t, q, k, scheme, &raws, None, &mut scratch).unwrap())
+                        .collect::<Vec<_>>(),
                     queries
                         .iter()
                         .map(|q| range_search(t, q, eps, scheme, &raws, None).unwrap())
                         .collect(),
                 ),
                 ShardIndex::Rtree(t) => (
-                    knn_query_major(t, queries, k, scheme, &raws, None, &mut scratch).unwrap(),
+                    queries
+                        .iter()
+                        .map(|q| knn_search(t, q, k, scheme, &raws, None, &mut scratch).unwrap())
+                        .collect::<Vec<_>>(),
                     queries
                         .iter()
                         .map(|q| range_search(t, q, eps, scheme, &raws, None).unwrap())
@@ -799,25 +805,24 @@ pub(crate) mod tests {
                 for shards in [1usize, 2, 3, 7] {
                     let built = engine(&raws, tree, shards);
                     let mut engines = Vec::new();
-                    // Quantizing needs a DBCH-tree and coefficients an
-                    // `i32` step count can hold.
                     let images = [(built.snapshot_image(None), "exact image"), (built.snapshot_image(Some(1e-3)), "quantized image")];
                     for (image, how) in images {
-                        let Ok(image) = image else { continue };
-                        match Engine::from_snapshot_image(&image) {
-                            Ok(loaded) => engines.push((loaded, how)),
-                            // A known gap of the snapshot format, not of
-                            // the envelopes: a DBCH hull over ±1e300
-                            // samples has an infinite volume, which the
-                            // loader refuses.
-                            Err(e) => prop_assert!(
+                        match image {
+                            // Every image an engine writes, it loads.
+                            Ok(image) => engines.push((Engine::from_snapshot_image(&image).unwrap(), how)),
+                            // A DBCH hull over ±1e300 samples can have an
+                            // infinite volume: the write refuses it with
+                            // the loader's error.
+                            Err(e) if e == (sapla_core::Error::CorruptIndex {
+                                reason: "snapshot hull volume is not a finite non-negative value"
+                            }) => prop_assert!(
                                 tree == TreeKind::Dbch
-                                    && e == sapla_core::Error::CorruptIndex {
-                                        reason: "snapshot hull volume is not a finite non-negative value"
-                                    }
                                     && raws.iter().any(|s| s.values().iter().any(|v| v.abs() > 1e299)),
                                 "{how}: {e}"
                             ),
+                            // Quantizing needs a DBCH-tree and coefficients
+                            // an `i32` step count can hold.
+                            Err(e) => prop_assert!(how == "quantized image", "{how}: {e}"),
                         }
                     }
                     engines.push((built, "built"));

@@ -325,11 +325,20 @@ impl HullMemo {
     }
 }
 
-/// One query's search state: the candidate heap, the best-first node
-/// queue, the [`HullMemo`] and the query's segment means for the shard's
-/// envelope test.
+/// One k-NN query's search state, reusable across queries: the candidate
+/// heap, the best-first node queue, the [`HullMemo`] and the query's
+/// segment means for the shard's envelope test. The driver in
+/// [`crate::batched`] resets it at the start of every search;
+/// [`DbchTree::knn_with_scratch`] (`DbchTree` is in [`crate::dbch`]) and
+/// [`RTree::knn_with_scratch`](crate::RTree) take one from the caller,
+/// and the parallel multi-query engine ([`crate::Engine::knn`]) holds one
+/// per worker, which turns steady-state k-NN into a loop that allocates
+/// only the answers it returns.
+///
+/// Reusing a scratch **never changes results**: every buffer is reset at
+/// the start of every search.
 #[derive(Debug, Default)]
-pub(crate) struct QueryScratch {
+pub struct KnnScratch {
     pub(crate) results: KnnHeap,
     // Best-first queue of (node distance, node id, node depth). Depth
     // rides along purely for the per-level fanout lanes: node ids are
@@ -343,40 +352,18 @@ pub(crate) struct QueryScratch {
     pub(crate) means: Option<crate::envelope::QueryMeans>,
 }
 
-impl QueryScratch {
-    /// Clear all buffers and size the result heap for `k` neighbours.
-    pub(crate) fn reset(&mut self, k: usize) -> &mut Self {
-        self.results.reset(k);
-        self.nodes.clear();
-        self.hull.clear();
-        self.means = None;
-        self
-    }
-}
-
-/// Reusable buffers for the k-NN driver ([`crate::batched`]): one
-/// [`QueryScratch`] per query of a block plus the driver's per-round
-/// bookkeeping. [`DbchTree::knn_with_scratch`] (`DbchTree` is in
-/// [`crate::dbch`]) and [`RTree::knn_with_scratch`](crate::RTree) run a
-/// block of one through it; the parallel multi-query engine in
-/// [`crate::parallel`] holds one instance per worker, which turns
-/// steady-state k-NN into an allocation-free loop.
-///
-/// Reusing a scratch **never changes results**: every buffer is reset at
-/// the start of every block.
-#[derive(Debug, Default)]
-pub struct KnnScratch {
-    pub(crate) queries: Vec<QueryScratch>,
-    // The round's pending `(leaf, query)` pairs.
-    pub(crate) pending: Vec<(usize, usize)>,
-    pub(crate) tallies: Vec<SearchTally>,
-    pub(crate) done: Vec<bool>,
-}
-
 impl KnnScratch {
     /// Fresh scratch (equivalent to `Default::default()`).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Clear all buffers and size the result heap for `k` neighbours.
+    pub(crate) fn reset(&mut self, k: usize) {
+        self.results.reset(k);
+        self.nodes.clear();
+        self.hull.clear();
+        self.means = None;
     }
 }
 

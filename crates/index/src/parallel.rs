@@ -6,9 +6,9 @@
 //!
 //! The tests here pin what [`crate::Engine::build`] / `knn` promise of
 //! that fan-out: results are **bit-for-bit** the sequential build +
-//! [`DbchTree::knn`](crate::DbchTree::knn) loop's at any thread count and
-//! block size, scratch reuse does not perturb distances, and errors
-//! surface first-by-input-order (see `sapla-parallel`).
+//! [`DbchTree::knn`](crate::DbchTree::knn) loop's at any thread count,
+//! scratch reuse does not perturb distances, and errors surface
+//! first-by-input-order (see `sapla-parallel`).
 
 use sapla_baselines::{ReduceScratch, Reducer};
 use sapla_core::{Result, TimeSeries};
@@ -61,7 +61,6 @@ pub fn prepare_queries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::knn_query_major;
     use crate::dbch::{DbchTree, NodeDistRule};
     use crate::engine::tests::engine_with;
     use crate::engine::{Engine, EngineConfig, ShardIndex, TreeKind};
@@ -149,35 +148,6 @@ mod tests {
             assert_eq!(batch.queries, queries.len());
             assert_eq!(batch.candidates, queries.len() * tree.len());
             assert!(batch.pruning_power() <= 1.0);
-        }
-    }
-
-    #[test]
-    fn query_block_size_never_changes_results() {
-        let raws = dataset(60, 64);
-        let scheme = scheme_for("SAPLA").unwrap();
-        let tree = sequential_tree(&raws);
-        let queries = prepare_queries(&raws[..17], &SaplaReducer::new(), 12, 2).unwrap();
-        let sequential: Vec<SearchStats> =
-            queries.iter().map(|q| tree.knn(q, 5, scheme.as_ref(), &raws).unwrap()).collect();
-        let mut scratch = KnnScratch::new();
-        for block in [1usize, 4, 16, 64] {
-            let mut per_query = Vec::new();
-            for chunk in queries.chunks(block) {
-                per_query.extend(
-                    knn_query_major(
-                        &tree,
-                        chunk,
-                        5,
-                        scheme.as_ref(),
-                        &raws[..],
-                        None,
-                        &mut scratch,
-                    )
-                    .unwrap(),
-                );
-            }
-            assert_bitwise_eq(&per_query, &sequential, &format!("block = {block}"));
         }
     }
 

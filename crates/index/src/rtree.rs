@@ -399,9 +399,9 @@ impl RTree {
         self.knn_with_scratch(q, k, scheme, raws, &mut KnnScratch::new())
     }
 
-    /// [`RTree::knn`] with caller-owned scratch buffers — a block of one
-    /// through the shared driver in [`crate::batched`], the search
-    /// state's allocations kept warm. Results are identical to
+    /// [`RTree::knn`] with caller-owned scratch buffers — the shared
+    /// best-first driver in [`crate::batched`], the search state's
+    /// allocations kept warm. Results are identical to
     /// [`RTree::knn`] whatever the scratch's history — every buffer is
     /// reset on entry.
     ///
@@ -417,7 +417,7 @@ impl RTree {
         scratch: &mut KnnScratch,
     ) -> Result<SearchStats> {
         debug_assert_eq!(raws.len(), self.reps.len());
-        crate::batched::knn_single(self, q, k, scheme, raws, scratch)
+        crate::batched::knn_search(self, q, k, scheme, raws, None, scratch)
     }
 
     /// Structural statistics (Figs. 15–16).

@@ -78,7 +78,8 @@
 //! wherever the underlying scheme/rule bounds are unconditional. The
 //! same `δ` also widens the strict-invariants `Dist_LB ≤ exact` audit.
 //! Node hull volumes are recomputed over the dequantized reps at write
-//! time so the stored tree is self-consistent.
+//! time so the stored tree is self-consistent; a volume the loader would
+//! refuse (not finite, negative) refuses the write, exact or quantized.
 //!
 //! The slack belongs to the representations, not to the file format: an
 //! engine loaded from a quantized snapshot holds `Ĉ~`, and an exact
@@ -102,7 +103,7 @@ use sapla_store::{
 
 use crate::arena::{RawArena, RepArena, RepRef, RepStore};
 use crate::batched::BatchTree;
-use crate::dbch::{DbchTree, Hull, NodeDistRule};
+use crate::dbch::{check_hull_volume, DbchTree, Hull, NodeDistRule};
 use crate::engine::{Engine, EngineConfig, Shard, ShardIndex, TreeKind};
 use crate::envelope::{EnvelopeFold, SegmentSums};
 use crate::rect::HyperRect;
@@ -462,20 +463,25 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
                 let nodes = tree.topology().nodes();
                 let mut volumes = Vec::with_capacity(nodes.len());
                 for h in nodes.iter().map(|n| n.bound) {
-                    volumes.push(if q.dequantized.len() == 0 {
+                    let volume = if q.dequantized.len() == 0 {
                         h.volume
                     } else {
                         engine.scheme.pair_dist(
                             RepRef::Linear(q.dequantized.view(h.u)),
                             RepRef::Linear(q.dequantized.view(h.l)),
                         )?
-                    });
+                    };
+                    check_hull_volume(volume)?;
+                    volumes.push(volume);
                 }
                 push_topology(&mut w, s, tree.topology(), |slot, h| {
                     [h.u as u64, h.l as u64, volumes[slot].to_bits()]
                 })?
             }
             (ShardIndex::Dbch(tree), None) => {
+                for n in tree.topology().nodes() {
+                    check_hull_volume(n.bound.volume)?;
+                }
                 push_exact_reps(&mut w, s, reps)?;
                 if tree.lb_slack > 0.0 {
                     w.push_f64s(K_LINEAGE_SLACK, s, [tree.lb_slack])?;
@@ -1002,6 +1008,40 @@ mod tests {
                 same_answers(&got, &knn, &format!("{kind:?}: knn"));
                 let got: Vec<_> = queries.iter().map(|q| loaded.range(q, 4.0).unwrap()).collect();
                 same_answers(&got, &range, &format!("{kind:?}: range"));
+            }
+        }
+    }
+
+    /// A DBCH hull over ±1e300 samples can overflow its volume to `+∞`.
+    /// Such an engine builds and answers, but the write refuses it with
+    /// the loader's own error — no image, no file — instead of producing
+    /// one that [`DbchTree::adopt`] would refuse.
+    #[test]
+    fn a_hull_volume_the_loader_refuses_is_refused_at_write() {
+        let mut raws = dataset(20, 64);
+        for i in [5, 11] {
+            let huge = (0..64).map(|t| if t % 2 == 0 { 1e300 } else { -1e300 });
+            raws[i] = TimeSeries::new(huge.collect()).unwrap();
+        }
+        let want = Error::CorruptIndex {
+            reason: "snapshot hull volume is not a finite non-negative value",
+        };
+        for shards in [1usize, 2] {
+            let engine = engine_with(shards, TreeKind::Dbch, &raws);
+            let queries = engine.prepare(&raws[..3], 1).unwrap();
+            assert!(engine.knn(&queries, 3, 1).is_ok(), "{shards} shards");
+            // A step coarse enough that the ±1e300 coefficients fit the
+            // quantized range, so the dequantized hulls overflow instead.
+            for quantize in [None, Some(1e295)] {
+                let what = format!("{shards} shards, quantize {quantize:?}");
+                let file = TempPath::new("sapla-hull-volume", ".snap");
+                assert_eq!(engine.snapshot_image(quantize).unwrap_err(), want, "{what}");
+                assert_eq!(
+                    engine.write_snapshot_file(file.path(), quantize).unwrap_err(),
+                    want,
+                    "{what}"
+                );
+                assert!(!file.path().exists(), "{what}");
             }
         }
     }

@@ -133,6 +133,7 @@ simd-off:
 bench-smoke-lifecycle:
     cargo test --offline --locked --manifest-path benchmark/Cargo.toml
     cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- run --workload short-wide --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
+    cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- run --workload sharded-batch --seed 1 | tail -n 1 | grep '"correct": true, .*"failed": 0,'
 
 # The full pre-merge gate.
 ci: tier1 lint audit audit-model-serve obs serve-smoke metrics persist simd-off bench-smoke-lifecycle

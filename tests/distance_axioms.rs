@@ -5,7 +5,7 @@
 use sapla_baselines::{all_reducers, Reducer, SaplaReducer};
 use sapla_core::Representation;
 use sapla_data::{catalogue, Protocol};
-use sapla_distance::{dist_ae, dist_lb, dist_par, dtw, euclidean, lb_keogh, rep_distance};
+use sapla_distance::{dist_ae, dist_lb, dist_par, euclidean, rep_distance};
 
 fn protocol() -> Protocol {
     Protocol { series_len: 96, series_per_dataset: 6, queries_per_dataset: 2 }
@@ -76,21 +76,6 @@ fn tightness_ordering_on_average() {
     assert!(par_sum < ae_sum, "AE should exceed PAR on average");
     assert!(par_sum < exact_sum * 1.05, "PAR tracks the exact distance");
     assert!((0.9..1.25).contains(&(ae_sum / exact_sum)), "AE tracks the exact distance");
-}
-
-#[test]
-fn dtw_is_bounded_by_euclidean_and_above_lb_keogh() {
-    let ds = catalogue()[3].load(&protocol());
-    let q = &ds.queries[0];
-    for s in &ds.series {
-        let euc = euclidean(q, s).unwrap();
-        for band in [2usize, 6, 12] {
-            let warped = dtw(q, s, band).unwrap();
-            assert!(warped <= euc + 1e-9, "DTW can only shrink Euclid");
-            let lb = lb_keogh(q, s, band).unwrap();
-            assert!(lb <= warped + 1e-9, "LB_Keogh must lower-bound DTW");
-        }
-    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! End-to-end pins for the SIMD dispatch and query-major batching:
-//! whatever SIMD level is forced and however queries are blocked, every
+//! End-to-end pins for the SIMD dispatch and the engine's chunked
+//! scatter: whatever SIMD level is forced, and with queries spread over
+//! two full chunks of [`DEFAULT_QUERY_BLOCK`] and a ragged one, every
 //! search path — DBCH-tree, R-tree, one-shard and sharded engine — must
 //! return bit-for-bit the scalar query-at-a-time answers.
 //!
@@ -53,7 +54,7 @@ fn every_simd_level_and_block_size_matches_scalar_query_at_a_time() {
         Engine::build(cfg, Box::new(SaplaReducer::new()), raws.clone(), 2).unwrap()
     };
     let (single, sharded) = (engine(1), engine(3));
-    // The engine blocks queries by DEFAULT_QUERY_BLOCK: two full blocks
+    // The engine chunks queries by DEFAULT_QUERY_BLOCK: two full chunks
     // and a ragged one.
     let queries = prepare_queries(&raws[..2 * DEFAULT_QUERY_BLOCK + 3], &reducer, 12, 2).unwrap();
 
@@ -75,8 +76,8 @@ fn every_simd_level_and_block_size_matches_scalar_query_at_a_time() {
         let rtree_got: Vec<SearchStats> =
             queries.iter().map(|q| rtree.knn(q, 5, scheme.as_ref(), &raws).unwrap()).collect();
         assert_bitwise_eq(&rtree_got, &rtree_ref, name);
-        // Query-major blocks through the engine's scatter path: one
-        // shard is the sequential DBCH loop, three add the merge.
+        // Query chunks through the engine's scatter path: one shard is
+        // the sequential DBCH loop, three add the merge.
         for threads in [1usize, 2, 4, 7] {
             let (got, _) = single.knn(&queries, 5, threads).unwrap();
             assert_bitwise_eq(&got, &dbch_ref, &format!("{name} one shard x{threads}"));

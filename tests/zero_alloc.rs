@@ -1,12 +1,15 @@
-//! Steady-state allocation accounting for the SAPLA reduce kernel.
+//! Steady-state allocation accounting for the SAPLA reduce kernel, the
+//! `Dist_PAR` kernels and the k-NN driver.
 //!
 //! This binary installs a counting global allocator and asserts that
 //! `Sapla::reduce_into` with a warmed [`SaplaScratch`] performs **zero**
 //! heap allocations — the contract the heap-driven refinement kernel and
-//! the scratch workspace exist to provide. Kept as its own integration
-//! test binary, and counted **per thread**: the tests of this binary run
-//! on parallel threads next to the harness's own, so a process-wide
-//! counter charges each test with its neighbours' allocations.
+//! the scratch workspace exist to provide — and that a k-NN search with
+//! a warmed scratch allocates only the answer it returns. Kept as its own
+//! integration test binary, and counted **per thread**: the tests of this
+//! binary run on parallel threads next to the harness's own, so a
+//! process-wide counter charges each test with its neighbours'
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -169,6 +172,57 @@ fn warmed_planned_dist_par_allocates_nothing() {
         0,
         "steady-state Dist_PAR performed {} heap allocations",
         after - before
+    );
+}
+
+/// The k-NN driver's contract: with a warmed [`sapla_index::KnnScratch`]
+/// a DBCH-tree search allocates only the answer it returns — the
+/// `retrieved` and `distances` vectors of its `SearchStats`, two
+/// allocations per query. The result heap, node queue and hull memo are
+/// grown to their high-water marks by the warm-up passes and reused.
+#[test]
+fn warmed_knn_allocates_only_its_answer() {
+    use sapla_baselines::{Reducer, SaplaReducer};
+    use sapla_index::{scheme_for, DbchTree, KnnScratch, Query};
+
+    let raws: Vec<TimeSeries> = (0..80)
+        .map(|i| {
+            let v: Vec<f64> = (0..96)
+                .map(|t| ((t + i * 7) as f64 * 0.13).sin() * (1.0 + (i % 4) as f64 * 0.3))
+                .collect();
+            TimeSeries::new(v).unwrap()
+        })
+        .collect();
+    let reducer = SaplaReducer::new();
+    let scheme = scheme_for("SAPLA").unwrap();
+    let reps: Vec<_> = raws.iter().map(|s| reducer.reduce(s, 12).unwrap()).collect();
+    let tree = DbchTree::build(scheme.as_ref(), reps, 2, 5).unwrap();
+    let queries: Vec<Query> =
+        raws.iter().step_by(9).map(|s| Query::new(s, &reducer, 12).unwrap()).collect();
+    let mut scratch = KnnScratch::new();
+    // Allocations of each query's search, in query order.
+    let mut run = || -> Vec<u64> {
+        queries
+            .iter()
+            .map(|q| {
+                let before = alloc_calls();
+                let stats =
+                    tree.knn_with_scratch(q, 5, scheme.as_ref(), &raws, &mut scratch).unwrap();
+                let calls = alloc_calls() - before;
+                assert_eq!(stats.retrieved.len(), 5);
+                calls
+            })
+            .collect()
+    };
+
+    // Two warm-up passes, as for the reduce kernel above.
+    run();
+    run();
+    let calls = run();
+
+    assert!(
+        calls.iter().all(|&c| c == 2),
+        "a warmed k-NN search must allocate exactly its two output vectors, got {calls:?}"
     );
 }
 
