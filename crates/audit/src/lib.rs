@@ -14,14 +14,13 @@
 //!    *or* any stale allowlist entry, and CI runs it as a blocking
 //!    gate (`just audit`).
 //!
-//! 2. **Interleaving explorer** (in `sapla-parallel`'s `model` module,
-//!    behind its `audit-model` feature; exercised by this crate's
+//! 2. **Interleaving explorer** ([`model`]; exercised by this crate's
 //!    `tests/model.rs` and `tests/model_serve.rs`): a deterministic
-//!    scheduler that enumerates interleavings — of the work-stealing
-//!    deque protocol and, via `model::Mutex`/`model::Condvar` shims
-//!    with spurious-wakeup injection and deadlock detection, of the
-//!    serve admission queue — with bounded preemptions. Any failing
-//!    schedule prints a replayable schedule ID.
+//!    scheduler that enumerates interleavings of protocols written over
+//!    its model-aware `AtomicCell`, `Mutex` and `Condvar` — the serve
+//!    admission queue, with spurious-wakeup injection and deadlock
+//!    detection — with bounded preemptions. Any failing schedule prints
+//!    a replayable schedule ID.
 //!
 //! See DESIGN.md, "Static analysis & model checking".
 
@@ -30,6 +29,7 @@ pub mod block;
 pub mod lexer;
 pub mod lints;
 pub mod lock_order;
+pub mod model;
 pub mod walk;
 
 use std::fmt::Write as _;

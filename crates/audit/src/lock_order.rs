@@ -1,5 +1,6 @@
 //! `lock-order` — a static lock-acquisition analysis over the
-//! concurrency crates (`crates/serve`, `crates/parallel`).
+//! concurrency crates (`crates/serve`, `crates/parallel`) and the model
+//! checker's lock shims (`crates/audit/src/model.rs`).
 //!
 //! Three rules, built on [`crate::block`]'s brace tree and a
 //! guard-scope approximation:
@@ -31,7 +32,7 @@ use crate::lexer::{lex, Tok, TokKind};
 use crate::lints::Finding;
 
 /// Path prefixes the lock-order analysis covers.
-const SCOPE: &[&str] = &["crates/serve/", "crates/parallel/"];
+const SCOPE: &[&str] = &["crates/serve/", "crates/parallel/", "crates/audit/src/model.rs"];
 
 /// One static lock acquisition site.
 #[derive(Debug, Clone)]

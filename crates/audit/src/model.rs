@@ -1,13 +1,13 @@
-//! A controlled scheduler for deterministic interleaving exploration
-//! (compiled only under the `audit-model` feature).
+//! A controlled scheduler for deterministic interleaving exploration.
 //!
-//! The parallel engine's entire synchronisation protocol runs on
-//! [`crate::cell::AtomicCell`]. Under `audit-model` every cell operation
-//! calls [`yield_point`], which parks the calling thread until a
-//! coordinator grants it one step. Because at most one virtual thread
-//! runs between grants, an execution is fully determined by the sequence
-//! of grant decisions — a **schedule** — and the coordinator can replay,
-//! randomise, or exhaustively enumerate schedules:
+//! A model harness re-expresses a concurrent protocol over the
+//! model-aware primitives of this module: [`AtomicCell`], [`Mutex`] and
+//! [`Condvar`]. Every [`AtomicCell`] operation calls `yield_point`,
+//! which parks the calling thread until a coordinator grants it one
+//! step. Because at most one virtual thread runs between grants, an
+//! execution is fully determined by the sequence of grant decisions — a
+//! **schedule** — and the coordinator can replay, randomise, or
+//! exhaustively enumerate schedules:
 //!
 //! * [`run_schedule`] executes one schedule (a replay prefix + a policy
 //!   for the suffix) and returns the full decision trace.
@@ -16,9 +16,8 @@
 //!   guarantee: every behaviour reachable with ≤ `preemption_bound`
 //!   forced context switches is visited exactly once.
 //!
-//! Threads not registered with a controller (i.e. everything outside a
-//! model run, even in a build with the feature enabled) pass through
-//! [`yield_point`] with a single thread-local read.
+//! Threads not registered with a controller (everything outside a model
+//! run) pass through `yield_point` with a single thread-local read.
 //!
 //! ## Blocking primitives
 //!
@@ -198,10 +197,10 @@ fn lock(inner: &Inner) -> StdMutexGuard<'_, State> {
     inner.state.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The instrumentation hook called by every [`crate::cell::AtomicCell`]
+/// The instrumentation hook called by every [`AtomicCell`]
 /// operation. A no-op unless the calling thread is registered with a
 /// model run, in which case it parks until the coordinator grants a step.
-pub fn yield_point() {
+fn yield_point() {
     let reg = REGISTRATION.with(|r| r.borrow().clone());
     let Some((tid, inner)) = reg else { return };
     let mut st = lock(&inner);
@@ -216,6 +215,48 @@ pub fn yield_point() {
     if !st.free_run {
         st.current = None;
         st.status[tid] = Status::Running;
+    }
+}
+
+/// A `u64` cell with atomic access whose every operation is a
+/// scheduling point of a model run.
+///
+/// Outside a model run it behaves exactly like an
+/// [`std::sync::atomic::AtomicU64`]. `compare_exchange_weak` never fails
+/// spuriously, so a schedule fully determines the execution and replays
+/// deterministically.
+#[derive(Debug)]
+pub struct AtomicCell(AtomicU64);
+
+impl AtomicCell {
+    /// A new cell holding `value`.
+    pub const fn new(value: u64) -> AtomicCell {
+        AtomicCell(AtomicU64::new(value))
+    }
+
+    /// Atomic load.
+    pub fn load(&self, order: Ordering) -> u64 {
+        yield_point();
+        self.0.load(order)
+    }
+
+    /// Atomic store.
+    pub fn store(&self, value: u64, order: Ordering) {
+        yield_point();
+        self.0.store(value, order);
+    }
+
+    /// Atomic compare-exchange with the weak signature; it is strong
+    /// here, so a failure always means the current value differs.
+    pub fn compare_exchange_weak(
+        &self,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        yield_point();
+        self.0.compare_exchange(current, new, success, failure)
     }
 }
 
@@ -238,7 +279,7 @@ impl Xorshift {
 /// rest follow `policy`. Returns the complete decision trace.
 ///
 /// Every thread runs real code on a real OS thread; the coordinator
-/// (this thread) serialises them at [`yield_point`]s, so the trace fully
+/// (this thread) serialises them at `yield_point`s, so the trace fully
 /// determines the execution. A body that panics has its payload resumed
 /// on the caller after the schedule id is printed to stderr.
 ///
@@ -820,5 +861,25 @@ impl Condvar {
         let Some((_tid, inner)) = reg else { return 0 };
         let st = lock(&inner);
         st.status.iter().filter(|&&s| s == Status::BlockedCondvar(self.id)).count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn behaves_like_an_atomic_u64() {
+        let c = AtomicCell::new(7);
+        assert_eq!(c.load(Ordering::Acquire), 7);
+        c.store(9, Ordering::Release);
+        assert_eq!(c.load(Ordering::Acquire), 9);
+        assert_eq!(c.compare_exchange_weak(9, 11, Ordering::AcqRel, Ordering::Acquire), Ok(9));
+        assert_eq!(c.load(Ordering::Acquire), 11);
+        assert_eq!(
+            c.compare_exchange_weak(5, 1, Ordering::AcqRel, Ordering::Acquire),
+            Err(11),
+            "a CAS from a stale value must fail with the current one"
+        );
     }
 }

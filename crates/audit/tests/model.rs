@@ -1,46 +1,63 @@
-//! Interleaving exploration of the work-stealing deque protocol.
+//! The interleaving explorer itself, on the smallest protocol that can
+//! lose an update: a shared claim counter over `0..n`.
 //!
-//! These tests drive `sapla_parallel::model` (compiled via this crate's
-//! dev-dependency on `sapla-parallel` with the `audit-model` feature):
-//! every `AtomicCell` operation becomes a yield point, a coordinator
-//! serialises the virtual threads, and the DFS in `explore` enumerates
-//! all schedules up to a preemption bound. Each enumerated schedule runs
-//! the *production* `RangeDeque` code and asserts the protocol
-//! invariants:
+//! Each virtual thread claims indices until the counter passes `n`. The
+//! correct claim is a load plus a compare-exchange retry loop; the
+//! seeded bug replaces the compare-exchange with a blind store. Every
+//! counter operation is an [`AtomicCell`] step, so the explorer decides
+//! where each thread is preempted, and every run asserts:
 //!
-//! * **No lost or duplicated index**: every index of the initial range
-//!   is claimed exactly once across all workers.
-//! * **No double claim**: the same index never leaves two successful
-//!   `pop_front`s (covered by the exactly-once count).
-//! * **Termination**: every schedule completes without hitting the step
-//!   budget.
+//! * **Exactly once**: every index is claimed by exactly one thread —
+//!   none lost, none handed out twice.
+//! * **Termination**: every schedule completes within the step budget.
 //!
 //! A failing schedule panics with its replayable schedule ID; feed that
-//! ID to [`replay`] / `parse_schedule_id` to re-run it deterministically.
+//! ID to `parse_schedule_id` and [`run_schedule`] to re-run it
+//! deterministically.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sapla_parallel::model::{explore, parse_schedule_id, run_schedule, Policy, RunTrace};
-use sapla_parallel::RangeDeque;
+use sapla_audit::model::{explore, parse_schedule_id, run_schedule, AtomicCell, Policy, RunTrace};
 
-/// Generous step budget: the largest harness below takes ~120 steps.
+/// Generous step budget: the largest harness below takes ~200 steps.
 const MAX_STEPS: usize = 2000;
 
-/// Claim every index of `deque` (owner side) into `claims`.
-fn drain_pop(deque: &RangeDeque, block: usize, claims: &[AtomicUsize]) {
-    while let Some(r) = deque.pop_front(block) {
-        for i in r {
-            claims[i].fetch_add(1, Ordering::Relaxed);
-        }
-    }
+/// The next unclaimed index of `0..n`.
+struct ClaimCounter {
+    next: AtomicCell,
+    n: u64,
 }
 
-/// Thief side: repeatedly steal from `victim`, republish into `own`,
-/// and drain the stolen range.
-fn drain_steal(victim: &RangeDeque, own: &RangeDeque, block: usize, claims: &[AtomicUsize]) {
-    while let Some(stolen) = victim.steal_half() {
-        own.install(&stolen);
-        drain_pop(own, block, claims);
+impl ClaimCounter {
+    fn new(n: usize) -> ClaimCounter {
+        ClaimCounter { next: AtomicCell::new(0), n: n as u64 }
+    }
+
+    /// The correct claim: retry the compare-exchange until it lands.
+    fn claim(&self) -> Option<usize> {
+        let mut cur = self.next.load(Ordering::Acquire);
+        loop {
+            if cur >= self.n {
+                return None;
+            }
+            match self.next.compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return Some(cur as usize),
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    /// The seeded lost-update bug: another thread's claim between the
+    /// load and the blind store is overwritten, so the same index is
+    /// handed out twice.
+    fn claim_blind(&self) -> Option<usize> {
+        let cur = self.next.load(Ordering::Acquire);
+        if cur >= self.n {
+            return None;
+        }
+        self.next.store(cur + 1, Ordering::Release);
+        Some(cur as usize)
     }
 }
 
@@ -57,55 +74,19 @@ fn assert_claims(claims: &[AtomicUsize], trace: &RunTrace) {
     }
 }
 
-/// One controlled execution of the 2-thread owner-pop vs. steal race
-/// over `0..n`, asserting all invariants.
-fn owner_vs_thief(n: usize, block: usize, replay: &[usize], policy: Policy) -> RunTrace {
-    let owner = RangeDeque::new(0, n);
-    let thief = RangeDeque::new(0, 0);
+/// One controlled execution of `threads` threads draining a counter over
+/// `0..n` with `claim` (or `claim_blind`), asserting every invariant.
+fn claim_race(threads: usize, n: usize, blind: bool, replay: &[usize], policy: Policy) -> RunTrace {
+    let counter = ClaimCounter::new(n);
     let claims: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let trace = run_schedule(2, replay, policy, MAX_STEPS, |tid| match tid {
-        0 => drain_pop(&owner, block, &claims),
-        _ => drain_steal(&owner, &thief, block, &claims),
+    let trace = run_schedule(threads, replay, policy, MAX_STEPS, |_| {
+        while let Some(i) = if blind { counter.claim_blind() } else { counter.claim() } {
+            claims[i].fetch_add(1, Ordering::Relaxed);
+        }
     });
     assert!(!trace.exceeded_budget, "schedule {} hit the step budget", trace.schedule_id());
     assert_claims(&claims, &trace);
     trace
-}
-
-/// The tentpole coverage test: exhaustively enumerate ≥ 10k distinct
-/// schedules of the owner-pop vs. steal race and check every one.
-#[test]
-fn dfs_explores_over_10k_owner_vs_thief_schedules() {
-    // n = 6, preemption bound 5 ⇒ 16,646 distinct schedules (~3 s).
-    let out = explore(5, 200_000, |replay| owner_vs_thief(6, 1, replay, Policy::Continue));
-    assert!(
-        out.schedules >= 10_000,
-        "expected ≥ 10k distinct schedules, explored {}",
-        out.schedules
-    );
-    assert!(!out.capped, "enumeration must run to completion, not hit the cap");
-}
-
-/// Three virtual threads — one owner, two thieves both raiding it — at a
-/// lower preemption bound (the schedule space grows much faster with a
-/// third thread).
-#[test]
-fn dfs_three_threads_owner_and_two_thieves() {
-    let out = explore(2, 200_000, |replay| {
-        let n = 5;
-        let owner = RangeDeque::new(0, n);
-        let thieves = [RangeDeque::new(0, 0), RangeDeque::new(0, 0)];
-        let claims: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let trace = run_schedule(3, replay, Policy::Continue, MAX_STEPS, |tid| match tid {
-            0 => drain_pop(&owner, 1, &claims),
-            t => drain_steal(&owner, &thieves[t - 1], 1, &claims),
-        });
-        assert!(!trace.exceeded_budget, "schedule {} hit the step budget", trace.schedule_id());
-        assert_claims(&claims, &trace);
-        trace
-    });
-    assert!(out.schedules >= 1_000, "explored only {} schedules", out.schedules);
-    assert!(!out.capped);
 }
 
 /// A schedule ID names its execution: replaying it reproduces the exact
@@ -113,14 +94,14 @@ fn dfs_three_threads_owner_and_two_thieves() {
 #[test]
 fn schedule_ids_replay_deterministically() {
     // Produce a non-trivial schedule with the seeded random policy.
-    let first = owner_vs_thief(6, 1, &[], Policy::Random(0xA0D17));
+    let first = claim_race(2, 6, false, &[], Policy::Random(0xA0D17));
     let id = first.schedule_id();
     let replay = parse_schedule_id(&id);
     assert_eq!(replay.len(), first.choices.len());
 
     // Full replay: identical trace, twice.
     for _ in 0..2 {
-        let again = owner_vs_thief(6, 1, &replay, Policy::Continue);
+        let again = claim_race(2, 6, false, &replay, Policy::Continue);
         assert!(!again.replay_diverged, "own schedule must replay cleanly");
         assert_eq!(again.schedule_id(), id);
         assert_eq!(again.choices, first.choices);
@@ -129,7 +110,7 @@ fn schedule_ids_replay_deterministically() {
     // Prefix replay: the execution starts exactly as named, then the
     // deterministic Continue policy finishes it.
     let prefix = &replay[..replay.len() / 2];
-    let cont = owner_vs_thief(6, 1, prefix, Policy::Continue);
+    let cont = claim_race(2, 6, false, prefix, Policy::Continue);
     assert!(!cont.replay_diverged);
     assert!(cont
         .schedule_id()
@@ -147,47 +128,21 @@ fn randomized_long_run_mode() {
     let seed: u64 =
         std::env::var("SAPLA_AUDIT_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0x5AB1A);
     for i in 0..runs {
-        owner_vs_thief(32, 3, &[], Policy::Random(seed.wrapping_add(i)));
+        claim_race(3, 32, false, &[], Policy::Random(seed.wrapping_add(i)));
     }
 }
 
-/// The checker must be able to *find* a real race, not just bless the
-/// correct protocol: a deliberately broken deque that updates `start`
-/// non-atomically (load, then blind store — the classic lost-update bug)
-/// must produce a duplicated claim within the explored schedules.
+/// The checker must bless the correct protocol and *find* a real race:
+/// every schedule of the compare-exchange counter up to the preemption
+/// bound claims each index once, and some schedule of the blind-store
+/// counter claims one twice.
 #[test]
 fn explorer_catches_a_seeded_lost_update_bug() {
-    use sapla_parallel::AtomicCell;
-
-    /// `RangeDeque` with the CAS replaced by a blind store.
-    struct BrokenDeque(AtomicCell);
-    impl BrokenDeque {
-        fn pop_front(&self) -> Option<usize> {
-            let word = self.0.load(Ordering::Acquire);
-            let (s, e) = (word >> 32, word & 0xFFFF_FFFF);
-            if s >= e {
-                return None;
-            }
-            // BUG: another thread's claim between the load and this
-            // store is overwritten, handing out the same index twice.
-            self.0.store(((s + 1) << 32) | e, Ordering::Release);
-            Some(s as usize)
-        }
-    }
+    let clean = explore(2, 50_000, |replay| claim_race(2, 4, false, replay, Policy::Continue));
+    assert!(!clean.capped, "the correct counter must be explored to completion");
 
     let caught = std::panic::catch_unwind(|| {
-        explore(2, 50_000, |replay| {
-            let n = 4;
-            let deque = BrokenDeque(AtomicCell::new(n as u64));
-            let claims: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let trace = run_schedule(2, replay, Policy::Continue, MAX_STEPS, |_| {
-                while let Some(i) = deque.pop_front() {
-                    claims[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert_claims(&claims, &trace);
-            trace
-        })
+        explore(2, 50_000, |replay| claim_race(2, 4, true, replay, Policy::Continue))
     });
     assert!(caught.is_err(), "the seeded lost-update bug must be caught by some schedule");
 }

@@ -6,12 +6,11 @@
 //! share of what is pending (`batch_loop`), and shutdown raises the
 //! flag and wakes every executor (`raise_shutdown_flag`).
 //! [`QueueModel`] re-expresses that protocol over the model-aware
-//! primitives in `sapla_parallel::model` — a [`Mutex`]/[`Condvar`] pair
+//! primitives in `sapla_audit::model` — a [`Mutex`]/[`Condvar`] pair
 //! whose lock, wait, and notify operations are scheduling steps (which
-//! sleeping executor a `notify_one` wakes is one too), plus the
-//! already-instrumented [`AtomicCell`] for the shutdown flag — so the
-//! CHESS-style explorer can enumerate every interleaving up to a
-//! preemption bound and check:
+//! sleeping executor a `notify_one` wakes is one too), plus the model's
+//! [`AtomicCell`] for the shutdown flag — so the CHESS-style explorer
+//! can enumerate every interleaving up to a preemption bound and check:
 //!
 //! * **Accepted ⇒ answered exactly once**: a job admitted under the
 //!   queue lock is answered by some executor even when shutdown races
@@ -39,8 +38,9 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use sapla_parallel::model::{explore, run_schedule_spurious, Condvar, Mutex, Policy, RunTrace};
-use sapla_parallel::AtomicCell;
+use sapla_audit::model::{
+    explore, run_schedule_spurious, AtomicCell, Condvar, Mutex, Policy, RunTrace,
+};
 
 /// Generous step budget: the largest harness below takes ~80 steps.
 const MAX_STEPS: usize = 2000;

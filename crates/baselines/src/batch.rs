@@ -2,10 +2,10 @@
 //! the paper's protocol (117 datasets × 100 series).
 //!
 //! Reduction of independent series is embarrassingly parallel; the
-//! parallel variant runs on the `sapla-parallel` work-stealing engine,
-//! so skewed workloads (APLA's `O(N n²)` reductions mixed with cheap
-//! PAA ones) rebalance across workers instead of serialising behind a
-//! fixed stripe. With APLA's cost this is the difference between
+//! parallel variant runs on the `sapla-parallel` engine, whose workers
+//! claim small blocks from one shared counter, so skewed workloads
+//! (APLA's `O(N n²)` reductions mixed with cheap PAA ones) spread across
+//! workers instead of serialising behind a fixed stripe. With APLA's cost this is the difference between
 //! minutes and hours on the full protocol.
 //!
 //! The parallel path is a drop-in for the sequential one: output order

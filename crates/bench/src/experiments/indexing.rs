@@ -98,7 +98,7 @@ pub fn run_indexing_with_rule(
             let scheme = scheme_for(reducer.name()).unwrap();
             // Ingest = reduction + tree build (the paper's ingest
             // experiment covers the whole pipeline; reduction dominates
-            // and runs on the work-stealing pool at `cfg.threads`).
+            // and runs on the parallel pool at `cfg.threads`).
             let (reps, red_time) = time_it(|| {
                 reduce_batch_parallel(reducer.as_ref(), &ds.series, m, cfg.threads)
                     .expect("valid budget")

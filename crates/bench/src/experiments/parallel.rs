@@ -1,5 +1,5 @@
 //! Thread-sweep experiment for the parallel engine: `Engine::build`
-//! (work-stealing batch reduction + sequential DBCH build) and
+//! (parallel batch reduction + sequential DBCH build) and
 //! multi-query `Engine::knn` wall time as a function of worker count, on
 //! the catalogue profile.
 //!

@@ -152,7 +152,6 @@ fn profile_prints_pipeline_counters() {
         "index.knn.nodes_visited",
         "index.knn.entries_pruned",
         "parallel.tasks",
-        "parallel.steal.attempts",
     ] {
         assert!(out.contains(key), "missing {key} in profile:\n{out}");
     }

@@ -16,7 +16,7 @@
 //! Entries are partitioned round-robin over `shards` independent trees:
 //! global id `g` lives in shard `g % shards` at local id `g / shards`.
 //! A kNN scatter-gathers: every `(query chunk, shard)` pair runs top-`k`
-//! independently (fanned over the work-stealing engine; a task answers
+//! independently (fanned over the parallel engine; a task answers
 //! its chunk's queries one after another with the best-first driver of
 //! [`crate::batched`] and its worker's warm scratch), and per-query
 //! results merge by `(distance, global id)` — a strict total order, so

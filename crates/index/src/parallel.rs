@@ -1,6 +1,6 @@
 //! The two pieces of the parallel batch path that callers share with
 //! [`crate::Engine`]: [`prepare_queries`] (query reduction fanned out
-//! over the work-stealing engine, one warm [`ReduceScratch`] per worker)
+//! over the parallel engine, one warm [`ReduceScratch`] per worker)
 //! and [`BatchStats`] (the batch-wide counters [`crate::Engine::knn`]
 //! returns beside the per-query results).
 //!

@@ -79,6 +79,31 @@ impl Query {
 /// projection subspace — endpoints are preserved exactly, so `Q`
 /// projects onto the *same* subspace). Exact trees pass `0.0` and keep
 /// the original unconditional contract.
+///
+/// The comparison allows for rounding in two parts. `1e-6 · (1 + exact)`
+/// covers the errors relative to the distances themselves: evaluating
+/// Eq. 12 from the line deltas (a positive definite form with condition
+/// ≈ 2l², so a relative error of order `l²·ε`) and the square roots.
+/// `16 · n^2.5 · ε · A`, with `A = Σ|q_t|` over the `n` query samples
+/// and `u = ε / 2`, covers the query's prefix sums, which cancel badly
+/// when a window follows a huge sample. To first order in `u`:
+/// 1. `Σ q_t` and `Σ t·q_t` are running sums of `n` terms whose partial
+///    sums stay within `A` and `n·A`, so each entry is off by at most
+///    `n·u·A` and `2n²·u·A` (the second counts the rounded products).
+/// 2. A window reads two entries of each. Its `Σ c` is then off by at most
+///    `3n·u·A`, its local `Σ u·c` (which subtracts `start · Σ c`) by
+///    `10n²·u·A`, and its centred moment `m` by `13n²·u·A`.
+/// 3. The fitted line is the window's orthogonal projection, with norm²
+///    `(Σ c)²/l + 12·m²/(l(l² − 1))`. So it moves by at most
+///    `3n·u·A + √2 · 13n²·u·A ≤ 22n²·u·A` in the window's L2 norm.
+/// 4. `Dist_LB` is an L2 norm over at most `n` windows, so by the
+///    triangle inequality it moves by at most `√n · 22n²·u·A`, which is
+///    `11 · n^2.5 · ε · A`. The factor 16 leaves room for the relative
+///    roundings of the fit's own divisions, which are of order `u·A`.
+///
+/// On ordinary data the second part is negligible (`n = 64`, `A ≈ 100`:
+/// ≈ 1e-8). For a query with a 1e300 sample it is above 1e287, so the
+/// audit then checks nothing beyond the arithmetic's own precision.
 #[cfg(feature = "strict-invariants")]
 pub(crate) fn assert_lb_le_exact(q: &Query, rep: RepRef<'_>, exact: f64, slack: f64) -> Result<()> {
     let lb = match rep {
@@ -86,10 +111,15 @@ pub(crate) fn assert_lb_le_exact(q: &Query, rep: RepRef<'_>, exact: f64, slack: 
         RepRef::Stored(Representation::Linear(linear)) => sapla_distance::dist_lb(&q.sums, linear)?,
         RepRef::Stored(_) => return Ok(()),
     };
+    let samples = q.raw.values();
+    // audit: cast_ok — a series length is far below 2^53.
+    let n = samples.len() as f64;
+    let magnitude: f64 = samples.iter().map(|v| v.abs()).sum();
+    let rounding = 16.0 * n * n * n.sqrt() * f64::EPSILON * magnitude;
     assert!(
-        lb <= exact + slack + 1e-6 * (1.0 + exact),
+        lb <= exact + slack + 1e-6 * (1.0 + exact) + rounding,
         "strict-invariants: Dist_LB = {lb} exceeds the exact Euclidean distance {exact} \
-         (+ quantization slack {slack}); the lower-bound contract is broken"
+         (+ quantization slack {slack}, rounding {rounding}); the lower-bound contract is broken"
     );
     Ok(())
 }
@@ -616,6 +646,29 @@ mod tests {
         )
         .unwrap()
         .znormalized()
+    }
+
+    /// A query and a candidate that both lie in the span of the
+    /// candidate's window lines, so `Dist_LB` equals the exact distance:
+    /// the audit accepts that, and rejects it when `Dist_LB` overshoots
+    /// the exact distance by 1%.
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    fn lb_audit_trips_on_a_one_percent_overshoot() {
+        let reducer = sapla_baselines::SaplaReducer::new();
+        let rep = reducer.reduce(&series(1), 12).unwrap();
+        // The candidate is its own representation's reconstruction, and
+        // the query is that shifted by a constant: both are piecewise
+        // linear on the representation's windows.
+        let candidate = rep.as_linear().unwrap().reconstruct();
+        let shifted = candidate.values().iter().map(|v| v + 0.5).collect();
+        let q = Query::new(&TimeSeries::new(shifted).unwrap(), &reducer, 12).unwrap();
+        let exact = q.raw.euclidean(&candidate).unwrap();
+        assert_lb_le_exact(&q, RepRef::Stored(&rep), exact, 0.0).unwrap();
+        let overshoot = std::panic::catch_unwind(|| {
+            assert_lb_le_exact(&q, RepRef::Stored(&rep), exact / 1.01, 0.0)
+        });
+        assert!(overshoot.is_err(), "a Dist_LB 1% above the exact distance passed the audit");
     }
 
     #[test]

@@ -47,13 +47,6 @@ fn database(count: usize, len: usize, huge: bool, params: &[(f64, f64, f64)]) ->
     out
 }
 
-/// ±1e300 samples in the generated databases. Not under
-/// strict-invariants: that layer asserts every `Dist_S²` term of the
-/// `Dist_LB` audit finite, and such samples overflow it to `+∞` — a
-/// limitation of the audit, reported on ROADMAP; the stock build covers
-/// them.
-const HUGE_SAMPLES: bool = !cfg!(feature = "strict-invariants");
-
 fn db_strategy() -> impl Strategy<Value = Vec<TimeSeries>> {
     (
         6usize..30,
@@ -62,7 +55,7 @@ fn db_strategy() -> impl Strategy<Value = Vec<TimeSeries>> {
         proptest::collection::vec((-3.0f64..3.0, -0.2f64..0.2, 0.0f64..std::f64::consts::TAU), 12),
     )
         .prop_map(|(count, len, huge, params)| {
-            database(count, [5, 7, 48, 64][len], huge == 0 && HUGE_SAMPLES, &params)
+            database(count, [5, 7, 48, 64][len], huge == 0, &params)
         })
 }
 

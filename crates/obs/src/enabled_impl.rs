@@ -446,7 +446,7 @@ macro_rules! lane_counter {
     }};
 }
 
-/// Record a high-water mark: `gauge_max!("parallel.queue.hwm", depth)`.
+/// Record a high-water mark: `gauge_max!("serve.queue.depth.hwm", depth)`.
 #[macro_export]
 macro_rules! gauge_max {
     ($name:literal, $v:expr) => {{

@@ -21,7 +21,7 @@
 //!
 //! Counter *totals* are exact in every configuration (atomic adds never
 //! lose updates). Single-threaded runs are therefore bit-reproducible.
-//! Under the work-stealing engine, per-worker lanes attribute work to the
+//! Under the parallel engine, per-worker lanes attribute work to the
 //! worker that performed it, but the interleaving is scheduling-dependent:
 //! two runs may split the same total differently across lanes, and relaxed
 //! ordering means a snapshot taken concurrently with workers is a

@@ -1,13 +1,13 @@
 //! # sapla-parallel
 //!
-//! A small work-stealing parallel engine for the workspace's two hot
-//! paths (batch ingest and multi-query k-NN), built on scoped threads
-//! from `std` — no external dependencies.
+//! A small parallel engine for the workspace's two hot paths (batch
+//! ingest and multi-query k-NN), built on scoped threads from `std` — no
+//! external dependencies.
 //!
 //! ## Guarantees
 //!
-//! - **Deterministic output order**: [`par_try_map`] writes each result
-//!   into the slot of its input index, so the output `Vec` is
+//! - **Deterministic output order**: [`par_try_map`] places each result
+//!   at its input index, so the output `Vec` is
 //!   bit-for-bit identical to the sequential map regardless of thread
 //!   count or scheduling.
 //! - **First-error-by-input-order**: on failure the returned error is
@@ -21,36 +21,26 @@
 //!   and the panic resumes on the calling thread — observable with
 //!   `std::panic::catch_unwind` exactly like a sequential panic. When a
 //!   panic and an `Err` race, the one at the smaller input index wins,
-//!   again matching sequential semantics.
+//!   again matching sequential semantics. A panicking per-worker `init`
+//!   stops the pool and resumes on the caller ahead of every item
+//!   result, as it does on the sequential path.
 //!
 //! ## Scheduling
 //!
-//! Each worker owns a [`RangeDeque`]: a contiguous range of input
-//! indices packed into one atomic word (an [`AtomicCell`], a transparent
-//! `AtomicU64` in normal builds). Owners pop small blocks from the
-//! front; idle workers steal the back half of the largest remaining
-//! deque. This is classic split-range work stealing: contention is one
-//! CAS per block, and imbalanced workloads (e.g. APLA's `O(N n²)`
-//! reductions mixed with cheap PAA ones) rebalance automatically.
-//!
-//! Under the `audit-model` feature the cell routes through a controlled
-//! scheduler ([`model`]) and `sapla-audit` exhaustively enumerates
-//! owner-pop vs. steal interleavings of this exact protocol, asserting
-//! that no index is lost, duplicated, or claimed twice on any schedule.
-
-pub mod cell;
-pub mod deque;
-#[cfg(feature = "audit-model")]
-pub mod model;
+//! One shared claim counter hands out contiguous blocks of
+//! `(n / (threads · 8)).max(1)` input indices in input order: each
+//! worker `fetch_add`s the next block start until the counter passes the
+//! input or the earliest recorded failure. An idle worker therefore
+//! always takes the next unclaimed block, so one long item holds back
+//! only its own block (e.g. APLA's `O(N n²)` reductions mixed with cheap
+//! PAA ones). Each worker returns its `(index, result)` pairs through
+//! its join handle and the caller places them by index — no shared
+//! result slots and no `unsafe`.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-pub use cell::AtomicCell;
-pub use deque::RangeDeque;
 
 /// Hardware parallelism, used when callers pass `threads = 0`.
 pub fn max_threads() -> usize {
@@ -62,42 +52,6 @@ pub fn max_threads() -> usize {
 pub fn effective_threads(requested: usize, items: usize) -> usize {
     let t = if requested == 0 { max_threads() } else { requested };
     t.clamp(1, items.max(1))
-}
-
-/// Write-once result slots shared across the scope. Each input index is
-/// claimed by exactly one worker (the deques partition the index space),
-/// so unsynchronised writes to distinct slots are race-free; the scope
-/// join publishes them to the caller.
-struct Slots<'a, T> {
-    cells: &'a [UnsafeCell<Option<T>>],
-}
-
-// SAFETY: sharing `Slots` across worker threads is sound because the
-// claim protocol guarantees disjoint-index writes: the initial deques
-// partition `0..n`, `RangeDeque::pop_front`/`steal_half` CAS the whole
-// range word so a claim and a steal can never both take the same index,
-// and `install` only republishes a range a steal already removed from
-// its victim. Every index is therefore claimed by exactly one worker,
-// each `UnsafeCell` is written by at most one thread (checked by the
-// `debug_assert!` in [`Slots::write`]), and the caller only reads the
-// cells after the scope joins, which synchronises-with every worker.
-// `T: Send` is required because values written on a worker thread are
-// handed to the calling thread. (This partitioning is what the
-// `sapla-audit` interleaving explorer checks across every schedule of
-// the owner-pop vs. steal race.)
-unsafe impl<T: Send> Sync for Slots<'_, T> {}
-
-impl<T> Slots<'_, T> {
-    fn write(&self, index: usize, value: T) {
-        // SAFETY: `index` was claimed from a deque exactly once (see the
-        // `Sync` justification above), so no other thread holds a
-        // reference to this cell and the write cannot race.
-        unsafe {
-            let cell = &mut *self.cells[index].get();
-            debug_assert!(cell.is_none(), "slot {index} written twice: claim protocol violated");
-            *cell = Some(value);
-        }
-    }
 }
 
 /// Shared failure state: the earliest failing input index (error or
@@ -132,6 +86,11 @@ impl Failures {
     }
 }
 
+/// What one worker hands back through its join handle: the results it
+/// produced, in ascending input order, or the payload of its panicking
+/// `init`.
+type WorkerOutput<U, E> = Result<Vec<(usize, Result<U, E>)>, Box<dyn Any + Send>>;
+
 /// Parallel fallible map with per-worker state.
 ///
 /// Maps `f` over `items` on up to `threads` workers (`0` = hardware
@@ -160,96 +119,82 @@ where
     let n = items.len();
     let threads = effective_threads(threads, n);
     if threads <= 1 {
-        // Register the engine counters even on the sequential fast path so
-        // single-core profiles still show the rows (at their true zeros).
+        // Register the engine counter even on the sequential fast path so
+        // single-core profiles still show the row.
         sapla_obs::lane_counter!("parallel.tasks", 0, n as u64);
-        sapla_obs::lane_counter!("parallel.steal.attempts", 0, 0);
-        sapla_obs::lane_counter!("parallel.steal.ok", 0, 0);
         let mut scratch = init();
         return items.iter().enumerate().map(|(i, t)| f(&mut scratch, i, t)).collect();
     }
-    assert!(n < u32::MAX as usize, "par_try_map_init supports < 2^32 items");
 
-    let cells: Vec<UnsafeCell<Option<Result<U, E>>>> =
-        (0..n).map(|_| UnsafeCell::new(None)).collect();
-    let slots = Slots { cells: &cells };
     let failures = Failures::new();
-    // Initial even partition; stealing rebalances from here.
-    let deques: Vec<RangeDeque> =
-        (0..threads).map(|w| RangeDeque::new(w * n / threads, (w + 1) * n / threads)).collect();
-    // Small claim blocks: cheap enough to amortise the CAS, small enough
-    // to keep stealing effective on skewed workloads.
+    let next = AtomicUsize::new(0);
+    // Small claim blocks: cheap enough to amortise the shared `fetch_add`,
+    // small enough that a slow item delays only the few behind it.
     let block = (n / (threads * 8)).max(1);
-    // Register the steal rows up front so a profile always shows them,
-    // even when a run finishes without a single steal attempt.
-    sapla_obs::lane_counter!("parallel.steal.attempts", 0, 0);
-    sapla_obs::lane_counter!("parallel.steal.ok", 0, 0);
 
-    std::thread::scope(|scope| {
-        let worker = |wid: usize| {
+    let outputs: Vec<WorkerOutput<U, E>> = std::thread::scope(|scope| {
+        let worker = |wid: usize| -> WorkerOutput<U, E> {
             let _obs_worker = sapla_obs::worker::enter(wid);
-            sapla_obs::gauge_max!("parallel.queue.hwm", deques[wid].remaining() as u64);
-            let mut scratch = init();
-            let me = &deques[wid];
+            // After a panicking `init` no worker claims past index 0; the
+            // caller resumes the panic ahead of every item result.
+            let mut scratch =
+                catch_unwind(AssertUnwindSafe(&init)).inspect_err(|_| failures.record_error(0))?;
+            let mut done = Vec::new();
             loop {
-                while let Some(range) = me.pop_front(block) {
-                    sapla_obs::lane_counter!("parallel.tasks", wid, range.len() as u64);
-                    for i in range {
-                        if failures.skip(i) {
-                            continue;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, &items[i]))) {
-                            Ok(Ok(value)) => slots.write(i, Ok(value)),
-                            Ok(Err(err)) => {
-                                failures.record_error(i);
-                                slots.write(i, Err(err));
-                            }
-                            Err(payload) => failures.record_panic(i, payload),
-                        }
-                    }
+                // Relaxed: the counter publishes no data. Read-modify-writes
+                // of one atomic are totally ordered, so every claim gets its
+                // own block, and results reach the caller through the joins.
+                let start = next.fetch_add(block, Ordering::Relaxed);
+                if start >= n || failures.skip(start) {
+                    return Ok(done);
                 }
-                // Own deque is dry: steal the back half of the fullest
-                // victim. A failed race retries; an empty scan exits
-                // (any in-flight stolen range is the thief's problem).
-                let victim = (0..deques.len())
-                    .filter(|&v| v != wid)
-                    .max_by_key(|&v| deques[v].remaining())
-                    .filter(|&v| deques[v].remaining() > 0);
-                match victim {
-                    Some(v) => {
-                        sapla_obs::lane_counter!("parallel.steal.attempts", wid, 1);
-                        if let Some(range) = deques[v].steal_half() {
-                            sapla_obs::lane_counter!("parallel.steal.ok", wid, 1);
-                            me.install(&range);
-                            sapla_obs::gauge_max!("parallel.queue.hwm", me.remaining() as u64);
-                        }
+                let end = start.saturating_add(block).min(n);
+                sapla_obs::lane_counter!("parallel.tasks", wid, (end - start) as u64);
+                for (i, item) in (start..end).zip(&items[start..end]) {
+                    // Indices ascend and the bound only falls, so the
+                    // rest of the block is skipped too.
+                    if failures.skip(i) {
+                        break;
                     }
-                    None => break,
+                    match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, item))) {
+                        Ok(result) => {
+                            if result.is_err() {
+                                failures.record_error(i);
+                            }
+                            done.push((i, result));
+                        }
+                        Err(payload) => failures.record_panic(i, payload),
+                    }
                 }
             }
         };
         // The calling thread doubles as worker 0.
         let handles: Vec<_> = (1..threads).map(|wid| scope.spawn(move || worker(wid))).collect();
-        worker(0);
-        // Scoped threads cannot outlive the scope; collecting the joins
-        // here keeps panics funnelled through `failures`, not `join`.
-        for h in handles {
-            // Worker closures catch their own unwinds, so join only
-            // fails if the runtime itself misbehaves.
-            let _ = h.join();
-        }
+        let mut outputs = vec![worker(0)];
+        // Worker closures catch their own unwinds, so a join only fails
+        // if the runtime itself misbehaves; that panic is passed on.
+        outputs.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))));
+        outputs
     });
 
+    let mut slots: Vec<Option<Result<U, E>>> = std::iter::repeat_with(|| None).take(n).collect();
+    for output in outputs {
+        // A panicking `init` outranks every item result, as it does on
+        // the sequential path, where no item runs at all.
+        for (i, result) in output.unwrap_or_else(|payload| resume_unwind(payload)) {
+            slots[i] = Some(result);
+        }
+    }
     let mut out = Vec::with_capacity(n);
     let panic = failures.panic.lock().unwrap_or_else(|p| p.into_inner()).take();
-    for (i, cell) in cells.into_iter().enumerate() {
-        match cell.into_inner() {
+    for (i, slot) in slots.into_iter().enumerate() {
+        match slot {
             Some(Ok(value)) => out.push(value),
             Some(Err(err)) => {
                 // An earlier panic outranks this error in input order.
                 if let Some((pi, payload)) = panic {
                     if pi < i {
-                        std::panic::resume_unwind(payload);
+                        resume_unwind(payload);
                     }
                 }
                 return Err(err);
@@ -258,7 +203,7 @@ where
             None => {
                 if let Some((pi, payload)) = panic {
                     if pi == i {
-                        std::panic::resume_unwind(payload);
+                        resume_unwind(payload);
                     }
                 }
                 unreachable!("slot {i} empty without a recorded failure");
@@ -266,7 +211,7 @@ where
         }
     }
     if let Some((_, payload)) = panic {
-        std::panic::resume_unwind(payload);
+        resume_unwind(payload);
     }
     Ok(out)
 }
@@ -302,7 +247,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn matches_sequential_for_every_thread_count() {
@@ -432,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_skewed_work() {
+    fn skewed_work_keeps_input_order() {
         // One pathological item at the front; with static striping the
         // first worker would serialise everything behind it.
         let items: Vec<u64> = (0..64).collect();
@@ -443,6 +389,54 @@ mod tests {
             x + 1
         });
         assert_eq!(out, (1..=64).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_long_item_holds_back_no_other_item() {
+        // Item 0 waits until every other item has finished. Whichever
+        // worker runs it, the other workers must be able to claim all 30.
+        let finished = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..31).collect();
+        let seen = par_map(&items, 4, |i, _| {
+            if i > 0 {
+                finished.fetch_add(1, Ordering::AcqRel);
+                return 0;
+            }
+            let deadline = Instant::now() + Duration::from_secs(3);
+            while finished.load(Ordering::Acquire) < 30 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            finished.load(Ordering::Acquire)
+        });
+        assert_eq!(seen[0], 30, "items still queued behind the long one after 3 s");
+    }
+
+    #[test]
+    fn a_panicking_init_resumes_on_the_caller() {
+        // Run on a thread of its own so a hung pool fails the test at the
+        // timeout instead of hanging the suite.
+        let (tx, rx) = mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let inits = AtomicUsize::new(0);
+            let items: Vec<usize> = (0..100).collect();
+            let outcome = std::panic::catch_unwind(|| {
+                par_try_map_init(
+                    &items,
+                    2,
+                    || {
+                        if inits.fetch_add(1, Ordering::Relaxed) == 1 {
+                            panic!("init panic");
+                        }
+                    },
+                    |(), _, &x| if x == 0 { Err("item error") } else { Ok(x) },
+                )
+            });
+            let _ = tx.send(outcome.map_err(|p| p.downcast_ref::<&str>().map(|m| m.to_string())));
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(10)).expect("the pool hung");
+        caller.join().unwrap();
+        // The init panic outranks the index-0 error.
+        assert_eq!(outcome, Err(Some("init panic".to_string())));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!                   ⌈pending / E⌉ jobs (FIFO), groups them by k, makes
 //!                   one Engine::knn call per group (the engine fans
 //!                   (query, shard) pairs over `threads` workers of its
-//!                   work-stealing pool) and splits the replies
+//!                   parallel pool) and splits the replies
 //! ```
 //!
 //! One queue, `E` executors: as many as fit the hardware when every

@@ -32,11 +32,15 @@ audit-model-serve:
 # uninstrumented state must too (the CLI is excluded from the second run:
 # its default build turns `obs` on for the whole graph), and the CLI
 # profile surface must emit valid JSON (checked by a Rust test, no jq).
+# The parallel engine's suite also runs pinned to one CPU: its watchdog
+# tests must make progress when every worker shares one core.
 obs:
     cargo test -q -p sapla-obs --features obs
     cargo test -q -p sapla-core --features obs
     cargo test -q -p sapla-distance --features obs
     cargo test -q -p sapla-parallel --features obs
+    cargo test -q -p sapla-parallel --no-run
+    taskset -c 0 cargo test -q -p sapla-parallel
     cargo test -q -p sapla-baselines --features obs
     cargo test -q -p sapla-index --features obs
     cargo test -q -p sapla-obs -p sapla-core -p sapla-distance -p sapla-parallel -p sapla-baselines -p sapla-index -p sapla-integration
