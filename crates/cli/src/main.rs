@@ -3,7 +3,7 @@
 //! ```text
 //! sapla reduce <file|-> [files...] [--method SAPLA] [--coeffs 12] [--threads 0]
 //! sapla knn <dataset> [--k 4] [--method SAPLA] [--tree dbch|rtree] [--threads 0]
-//! sapla build-index <dataset> --index-file PATH [--quantize EPS]    persist a snapshot
+//! sapla build-index <dataset> --index-file PATH          persist a snapshot
 //! sapla catalogue                                        list the 117 synthetic datasets
 //! sapla demo                                             the paper's Fig. 1 walkthrough
 //! ```
@@ -82,7 +82,7 @@ fn main() -> ExitCode {
                  reduce <file|-> [files...] [--method NAME] [--coeffs M] [--threads T]\n\
                  knn <dataset>    [--k K] [--method NAME] [--tree dbch|rtree] [--coeffs M] [--shards S] [--threads T] [--index-file PATH]\n\
                  serve <dataset>  [--addr HOST:PORT] [--method NAME] [--tree dbch|rtree] [--coeffs M] [--shards S] [--threads T] [--slow-ms N] [--index-file PATH]\n\
-                 build-index <dataset> --index-file PATH [--method NAME] [--tree dbch|rtree] [--coeffs M] [--shards S] [--threads T] [--quantize EPS]\n\
+                 build-index <dataset> --index-file PATH [--method NAME] [--tree dbch|rtree] [--coeffs M] [--shards S] [--threads T]\n\
                  stats            [--addr HOST:PORT] [--metrics | --metrics-json]\n\
                  mine <discord|motif|segment|forecast|cluster> <dataset> [--k K] [--coeffs M] [--horizon H] [--changes C]\n\
                  catalogue\n\
@@ -253,18 +253,6 @@ fn load_dataset(name: &str) -> Result<Dataset, String> {
     Ok(spec.load(&Protocol::quick()))
 }
 
-/// `--quantize EPS`: write ε-quantized leaves into the snapshot. The
-/// engine validates the step (finite, positive, DBCH-only).
-fn quantize_flag(args: &[String]) -> Result<Option<f64>, String> {
-    if args.iter().any(|a| a == "--quantize") {
-        let step: f64 =
-            flag(args, "--quantize", "0").parse().map_err(|_| "bad --quantize".to_string())?;
-        Ok(Some(step))
-    } else {
-        Ok(None)
-    }
-}
-
 /// Shared by `knn` and `serve`: load the dataset and build the engine
 /// the flags describe. Returns the dataset alongside the engine (the
 /// engine clones the series it indexes).
@@ -309,17 +297,8 @@ fn engine_via_index_file(
         Ok((ds, engine, Some(path)))
     } else {
         let (ds, engine) = engine_from_flags(name, args)?;
-        let quantize = quantize_flag(args)?;
-        let bytes = engine.write_snapshot_file(&path, quantize).map_err(|e| e.to_string())?;
+        let bytes = engine.write_snapshot_file(&path, None).map_err(|e| e.to_string())?;
         println!("wrote index snapshot {} ({bytes} bytes)", path.display());
-        // A quantized snapshot serves from perturbed leaf reps; reload
-        // from the file just written so this first (cold) invocation
-        // answers exactly like every later start that loads the file.
-        let engine = if quantize.is_some() {
-            Engine::from_snapshot_file(&path).map_err(|e| e.to_string())?
-        } else {
-            engine
-        };
         Ok((ds, engine, Some(path)))
     }
 }
@@ -332,12 +311,10 @@ fn cmd_build_index(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("build-index: missing dataset name (see `sapla catalogue`)")?;
     let path = take_path(args)
         .ok_or("build-index: missing --index-file PATH (where to write the snapshot)")?;
-    let quantize = quantize_flag(args)?;
     let (ds, engine) = engine_from_flags(name, &args[1..])?;
     let started = std::time::Instant::now();
-    let bytes = engine
-        .write_snapshot_file(std::path::Path::new(&path), quantize)
-        .map_err(|e| e.to_string())?;
+    let bytes =
+        engine.write_snapshot_file(std::path::Path::new(&path), None).map_err(|e| e.to_string())?;
     println!(
         "indexed {}: {} series, method {} / {}, {} shard(s)",
         ds.name,
@@ -346,11 +323,7 @@ fn cmd_build_index(args: &[String]) -> Result<(), String> {
         engine.config().tree.name(),
         engine.shard_count()
     );
-    println!(
-        "wrote {path}: {bytes} bytes{} in {:.1} ms",
-        if quantize.is_some() { " (quantized leaves)" } else { "" },
-        started.elapsed().as_secs_f64() * 1e3
-    );
+    println!("wrote {path}: {bytes} bytes in {:.1} ms", started.elapsed().as_secs_f64() * 1e3);
     Ok(())
 }
 

@@ -13,10 +13,9 @@
 //! sequence — `(((lf·(lf−1))·(2lf−1))/6·Δa)·Δa + ((lf·(lf−1))·Δa)·Δb +
 //! (lf·Δb)·Δb`, summed `(t1 + t2) + t3` — with correctly rounded IEEE-754
 //! ops and no FMA, so every lane equals the scalar term bitwise. The
-//! final `max(0.0)` guard is applied *scalar*, per lane, after
-//! extraction: `_mm_max_pd`/`vmaxq_f64` have different NaN/signed-zero
-//! semantics than `f64::max`, and the guard is exactly where a signed
-//! zero can appear.
+//! final guard is applied *scalar*, per lane, after extraction: it
+//! zeroes a rounding-negative lane and rescales a NaN one (terms
+//! overflowing to `+∞` and `−∞`), which no packed max can express.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 #[cfg(test)]
@@ -67,13 +66,13 @@ pub(crate) fn dist_s_sq_terms_x4(
     }
 }
 
-/// The scalar `max(0.0)` guard applied to every lane after extraction —
-/// shared by all vector paths so the guard semantics cannot diverge from
-/// [`dist_s_sq_terms`].
+/// The scalar guard applied to every lane after extraction — the one
+/// [`crate::dist_s::dist_s_sq_terms`] applies, so its semantics cannot
+/// diverge.
 #[inline]
-fn guard4(out: &mut [f64; 4]) {
-    for v in out.iter_mut() {
-        *v = v.max(0.0);
+fn guard4(da: &[f64; 4], db: &[f64; 4], lf: &[f64; 4], out: &mut [f64; 4]) {
+    for k in 0..4 {
+        out[k] = crate::dist_s::guard_term(out[k], da[k], db[k], lf[k]);
     }
 }
 
@@ -114,7 +113,7 @@ mod x86 {
                 _mm_storeu_pd(out.as_mut_ptr().add(half), s);
             }
         }
-        super::guard4(out);
+        super::guard4(da, db, lf, out);
     }
 
     /// One 4-lane pass over the Eq. 12 term body (see module docs).
@@ -145,7 +144,7 @@ mod x86 {
             let s = _mm256_add_pd(_mm256_add_pd(t1, t2), t3);
             _mm256_storeu_pd(out.as_mut_ptr(), s);
         }
-        super::guard4(out);
+        super::guard4(da, db, lf, out);
     }
 }
 
@@ -183,7 +182,7 @@ mod arm {
                 vst1q_f64(out.as_mut_ptr().add(half), s);
             }
         }
-        super::guard4(out);
+        super::guard4(da, db, lf, out);
     }
 }
 
@@ -208,6 +207,28 @@ mod tests {
                 let mut got = [0.0f64; 4];
                 dist_s_sq_terms_x4(level, &da, &db, &lf, &mut got);
                 assert_eq!(want.map(f64::to_bits), got.map(f64::to_bits), "level {}", level.name());
+            }
+        }
+    }
+
+    /// Lanes whose terms overflow to `+∞` and `−∞` are NaN before the
+    /// guard. At every level they come back as the scalar term's rescaled
+    /// value: `+∞` where the true value is beyond `f64::MAX` (the first
+    /// two), the finite 6.44e307 where it is not (the third).
+    #[test]
+    fn overflowing_lanes_are_rescaled_at_every_level() {
+        let da = [2e300, 1e200, 3e149, 0.5];
+        let db = [-2e300, -2e200, -3e149 * 1023.5, 1.0];
+        let lf = [5.0, 5.0, 2048.0, 4.0];
+        let want = 6.442449408000012e307;
+        for level in supported_levels() {
+            let mut got = [0.0f64; 4];
+            dist_s_sq_terms_x4(level, &da, &db, &lf, &mut got);
+            let what = format!("level {}", level.name());
+            assert_eq!(got[..2], [f64::INFINITY; 2], "{what}");
+            assert!((got[2] - want).abs() <= 1e-12 * want, "{what}: {} vs {want}", got[2]);
+            for k in 0..4 {
+                assert_eq!(got[k].to_bits(), dist_s_sq_terms(da[k], db[k], lf[k]).to_bits());
             }
         }
     }

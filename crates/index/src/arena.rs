@@ -109,11 +109,9 @@ impl RepArena {
 
     /// Take over coefficient arrays as a snapshot stores them —
     /// `counts[id]` segments per entry, `slopes` / `intercepts`
-    /// segment-concatenated, and one endpoint `word` per segment: the
-    /// endpoint itself, or with `delta_coded` its distance from the
-    /// entry's previous endpoint (the entry's first word is always the
-    /// endpoint itself) — after the one pass that does for the whole
-    /// arena what `PiecewiseLinear::new` does per series.
+    /// segment-concatenated, and one inclusive right endpoint per segment —
+    /// after the one pass that does for the whole arena what
+    /// `PiecewiseLinear::new` does per series.
     ///
     /// # Errors
     ///
@@ -125,7 +123,6 @@ impl RepArena {
         slopes: Vec<f64>,
         intercepts: Vec<f64>,
         mut words: impl ExactSizeIterator<Item = u64>,
-        delta_coded: bool,
     ) -> Result<RepArena> {
         fn corrupt(reason: &'static str) -> Error {
             Error::CorruptIndex { reason }
@@ -155,13 +152,7 @@ impl RepArena {
         let mut endpoints = Vec::with_capacity(slopes.len());
         for span in offsets.windows(2) {
             let mut prev: Option<u64> = None;
-            for word in words.by_ref().take(span[1] - span[0]) {
-                let r = match prev {
-                    Some(prev) if delta_coded => prev
-                        .checked_add(word)
-                        .ok_or_else(|| corrupt("snapshot segment endpoint overflows"))?,
-                    _ => word,
-                };
+            for r in words.by_ref().take(span[1] - span[0]) {
                 if prev.is_some_and(|prev| r <= prev) {
                     return Err(corrupt("snapshot representation has malformed segment endpoints"));
                 }
@@ -606,75 +597,50 @@ mod tests {
             assert!(holds(&appended, &reps), "{} after appends", reducer.name());
 
             // A linear store written to snapshot arrays and adopted back
-            // — endpoints as they are, or delta-coded — has the views of
-            // the one flattened from the reps.
+            // has the views of the one flattened from the reps.
             let RepStore::Linear(arena) = &built else {
                 assert!(reps.iter().all(|rep| rep.as_linear().is_none()), "{}", reducer.name());
                 continue;
             };
             let counts: Vec<u64> = arena.counts().collect();
-            let absolute: Vec<u64> = arena.endpoints().iter().map(|&r| r as u64).collect();
-            let deltas: Vec<u64> = (0..arena.len())
-                .flat_map(|id| {
-                    let view = arena.view(id);
-                    (0..view.count()).map(move |i| {
-                        if i == 0 {
-                            view.r(0)
-                        } else {
-                            view.r(i) - view.r(i - 1)
-                        }
-                    })
-                })
-                .map(|d| d as u64)
-                .collect();
-            for (words, delta_coded) in [(absolute, false), (deltas, true)] {
-                let adopted = RepArena::adopt(
-                    &counts,
-                    arena.slopes().to_vec(),
-                    arena.intercepts().to_vec(),
-                    words.into_iter(),
-                    delta_coded,
-                )
-                .unwrap();
-                assert!(holds(&RepStore::Linear(adopted), &reps), "{}", reducer.name());
-            }
+            let adopted = RepArena::adopt(
+                &counts,
+                arena.slopes().to_vec(),
+                arena.intercepts().to_vec(),
+                arena.endpoints().iter().map(|&r| r as u64),
+            )
+            .unwrap();
+            assert!(holds(&RepStore::Linear(adopted), &reps), "{}", reducer.name());
         }
     }
 
     #[test]
     fn adoption_refuses_what_piecewise_linear_new_refuses() {
-        let adopt = |counts: &[u64], coeffs: usize, words: &[u64], delta_coded: bool| {
+        let adopt = |counts: &[u64], coeffs: usize, words: &[u64]| {
             let (slopes, intercepts) = (vec![0.5; coeffs], vec![1.0; coeffs]);
-            RepArena::adopt(counts, slopes, intercepts, words.iter().copied(), delta_coded)
+            RepArena::adopt(counts, slopes, intercepts, words.iter().copied())
                 .map(|arena| arena.len())
         };
-        assert_eq!(adopt(&[2, 1], 3, &[3, 7, 7], false), Ok(2));
-        assert_eq!(adopt(&[2, 1], 3, &[3, 4, 7], true), Ok(2));
-        assert_eq!(adopt(&[], 0, &[], false), Ok(0));
-        let refused = |counts: &[u64], coeffs: usize, words: &[u64], delta_coded: bool| {
+        assert_eq!(adopt(&[2, 1], 3, &[3, 7, 7]), Ok(2));
+        assert_eq!(adopt(&[], 0, &[]), Ok(0));
+        let refused = |counts: &[u64], coeffs: usize, words: &[u64]| {
             assert!(
-                matches!(
-                    adopt(counts, coeffs, words, delta_coded),
-                    Err(Error::CorruptIndex { .. })
-                ),
+                matches!(adopt(counts, coeffs, words), Err(Error::CorruptIndex { .. })),
                 "{counts:?} over {coeffs} coefficients, endpoints {words:?}"
             );
         };
         // Spans that do not sum to the arrays, in either direction.
-        refused(&[2, 2], 3, &[3, 7, 7], false);
-        refused(&[2], 3, &[3, 7, 7], false);
-        refused(&[u64::MAX, 2], 3, &[3, 7, 7], false);
-        refused(&[], 1, &[3], false);
+        refused(&[2, 2], 3, &[3, 7, 7]);
+        refused(&[2], 3, &[3, 7, 7]);
+        refused(&[u64::MAX, 2], 3, &[3, 7, 7]);
+        refused(&[], 1, &[3]);
         // An endpoint array of another length than the coefficients.
-        refused(&[2, 1], 3, &[3, 7], false);
+        refused(&[2, 1], 3, &[3, 7]);
         // A representation without a segment.
-        refused(&[3, 0], 3, &[3, 5, 7], false);
+        refused(&[3, 0], 3, &[3, 5, 7]);
         // Endpoints that do not increase inside one representation.
-        refused(&[2, 1], 3, &[7, 7, 7], false);
-        refused(&[3], 3, &[3, 7, 5], false);
-        refused(&[2, 1], 3, &[3, 0, 7], true);
-        // A delta chain past `u64`.
-        refused(&[2], 2, &[u64::MAX, 1], true);
+        refused(&[2, 1], 3, &[7, 7, 7]);
+        refused(&[3], 3, &[3, 7, 5]);
     }
 
     #[test]

@@ -73,14 +73,6 @@ pub(crate) trait BatchTree {
     /// Per-level fanout accounting hook (the DBCH-tree's lane counter;
     /// the R-tree reports nothing).
     fn count_fanout(&self, _depth: usize, _children: usize) {}
-    /// Additive slack every pruning comparison over this tree's stored
-    /// representations must allow (non-zero only for trees loaded from
-    /// quantized snapshot leaves, where the stored `Ĉ~` is perturbed
-    /// from the least-squares `Ĉ` by at most this much in the windowed
-    /// metric, so a bound over it can overshoot by as much).
-    fn lb_slack(&self) -> f64 {
-        0.0
-    }
 }
 
 /// The leaf filter for one entry: does its representation distance stay
@@ -119,26 +111,17 @@ fn eval_leaf_entries<R: RawSource + ?Sized>(
     results: &mut KnnHeap,
     memo: &HullMemo,
     tally: &mut SearchTally,
-    lb_slack: f64,
 ) -> Result<()> {
     tally.consider(entries.len());
     for &e in entries {
         let threshold = results.threshold();
-        // Quantized-lineage trees store reps perturbed by up to
-        // `lb_slack` in the windowed metric, so their Dist_LB can
-        // overshoot the true distance by that much. Widening the filter
-        // cutoff restores soundness: a candidate is pruned only when
-        // even `lb - lb_slack` (a true lower bound) exceeds the
-        // threshold. Exact-lineage trees have slack 0 and `t + 0.0` is
-        // bitwise `t`, so their decisions are untouched.
-        let prune_at = threshold + lb_slack;
         // While the result heap is not yet full the threshold is ∞ and
         // no filter can prune, so the representation distance is
         // skipped outright — the keep-decision is identical (`d ≤ ∞`).
         // Strict-invariants builds still evaluate it to keep the
         // lb ≤ exact audit on every candidate.
         let skip_filter = threshold.is_infinite() && !cfg!(feature = "strict-invariants");
-        if skip_filter || rep_within(q, scheme, reps, e, prune_at, memo)? {
+        if skip_filter || rep_within(q, scheme, reps, e, threshold, memo)? {
             tally.measure();
             // Early-abandoning refinement: an abandoned candidate has
             // exact > threshold *strictly* (the safe_sq_bound slack
@@ -150,7 +133,7 @@ fn eval_leaf_entries<R: RawSource + ?Sized>(
                 Some(exact) => {
                     #[cfg(feature = "strict-invariants")]
                     {
-                        crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact, lb_slack)?;
+                        crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact)?;
                         if let Some((envelopes, means)) = envelope {
                             envelopes.assert_sound(leaf, means, exact);
                         }
@@ -186,10 +169,6 @@ pub(crate) fn knn_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     scratch.means = envelopes.and_then(|env| env.query(q.raw.values()));
     let KnnScratch { results, nodes, hull, means } = scratch;
     let envelope = envelopes.zip(means.as_ref());
-    // Node bounds over quantized-lineage reps can overshoot the true
-    // distance by up to this much; every pruning comparison below is
-    // widened by it (bitwise no-op for exact trees, slack 0.0).
-    let slack = tree.lb_slack();
     let (topology, reps) = (tree.topology(), tree.reps());
     let mut tally = SearchTally::default();
     if reps.len() > 0 {
@@ -198,7 +177,7 @@ pub(crate) fn knn_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
         nodes.push(Reverse((OrdF64::new(d), root, 0)));
     }
     while let Some(Reverse((d, nid, depth))) = nodes.pop() {
-        if d.get() > results.threshold() + slack {
+        if d.get() > results.threshold() {
             // Best-first order: the popped node *and* everything still
             // queued behind it are beyond the threshold.
             tally.prune_nodes(1 + nodes.len());
@@ -215,7 +194,7 @@ pub(crate) fn knn_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                         continue;
                     }
                     let node_d = tree.node_bound(q, scheme, c, hull)?;
-                    if node_d <= threshold + slack {
+                    if node_d <= threshold {
                         nodes.push(Reverse((OrdF64::new(node_d), c, depth + 1)));
                     } else {
                         tally.prune_node();
@@ -232,7 +211,6 @@ pub(crate) fn knn_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                 results,
                 hull,
                 &mut tally,
-                slack,
             )?,
         }
     }
@@ -263,19 +241,13 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
     let envelope = envelopes.zip(means.as_ref());
     let topology = tree.topology();
     let reps = tree.reps();
-    let slack = tree.lb_slack();
-    // Quantized-lineage bounds can overshoot the true distance by up to
-    // `slack`; widening the pruning cutoff keeps the search sound (exact
-    // hits are still gated on `exact <= epsilon` below). Exact trees
-    // have slack 0.0 — bitwise no-op.
-    let prune_at = epsilon + slack;
     let mut stack = if reps.len() == 0 { Vec::new() } else { vec![topology.root()] };
     while let Some(nid) = stack.pop() {
         if envelope.is_some_and(|(env, m)| env.prunes(nid, m, epsilon)) {
             tally.prune_node_by_envelope();
             continue;
         }
-        if tree.node_bound(q, scheme, nid, &mut memo)? > prune_at {
+        if tree.node_bound(q, scheme, nid, &mut memo)? > epsilon {
             tally.prune_node();
             continue;
         }
@@ -285,7 +257,7 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
             NodeView::Leaf(entries) => {
                 tally.consider(entries.len());
                 for &e in entries {
-                    if !rep_within(q, scheme, reps, e, prune_at, &memo)? {
+                    if !rep_within(q, scheme, reps, e, epsilon, &memo)? {
                         tally.prune();
                         continue;
                     }
@@ -298,7 +270,7 @@ pub(crate) fn range_search<T: BatchTree + ?Sized, R: RawSource + ?Sized>(
                     {
                         #[cfg(feature = "strict-invariants")]
                         {
-                            crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact, slack)?;
+                            crate::scheme::assert_lb_le_exact(q, reps.rep(e), exact)?;
                             if let Some((envelopes, means)) = envelope {
                                 envelopes.assert_sound(nid, means, exact);
                             }

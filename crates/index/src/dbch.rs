@@ -16,7 +16,7 @@
 //! R-tree's, and it lives once, in [`crate::topology`]: a [`DbchTree`] is
 //! a `Topology<Hull>` (nodes, ids, walks, condense-after-remove,
 //! structural validation, snapshot adoption) plus the tree's
-//! [`RepStore`], its rule and its slack.
+//! [`RepStore`] and its rule.
 
 use sapla_core::{Error, Representation, Result, TimeSeries};
 
@@ -83,11 +83,6 @@ pub struct DbchTree {
     /// entry stays behind as an unreferenced hole, so ids are stable.
     reps: RepStore,
     rule: NodeDistRule,
-    /// Additive `Dist_LB` slack for the strict-invariants audit: `0.0`
-    /// for built trees, the maximum per-record quantization perturbation
-    /// (in the windowed metric) for trees loaded from quantized
-    /// snapshot leaves. See [`crate::scheme::assert_lb_le_exact`].
-    pub(crate) lb_slack: f64,
 }
 
 /// Hull construction over one tree's nodes and store — the DBCH-tree's
@@ -189,7 +184,6 @@ impl DbchTree {
             topology: Topology::new(min_fill, max_fill, Hull::EMPTY),
             reps: RepStore::from_reps(reps),
             rule,
-            lb_slack: 0.0,
         };
         for id in 0..tree.reps.len() {
             tree.insert_entry(id, scheme)?;
@@ -275,10 +269,8 @@ impl DbchTree {
     /// adoption walk ([`Topology::adopt`]) and `reps` the store's
     /// validation ([`crate::arena::RepArena::adopt`]); what is left to
     /// check is the DBCH-tree's own — hull endpoints inside the store,
-    /// volumes and the slack finite and non-negative. Semantic hull
-    /// tightness is *not* re-derived here — exact-leaf loads can run
-    /// [`Self::validate`] on top, quantized loads intentionally keep the
-    /// written volumes.
+    /// volumes finite and non-negative. Semantic hull tightness is *not*
+    /// re-derived here — a caller can run [`Self::validate`] on top.
     ///
     /// # Errors
     ///
@@ -288,11 +280,7 @@ impl DbchTree {
         topology: Topology<Hull>,
         reps: RepStore,
         rule: NodeDistRule,
-        lb_slack: f64,
     ) -> Result<DbchTree> {
-        if !lb_slack.is_finite() || lb_slack < 0.0 {
-            return Err(corrupt("snapshot lb slack is not a finite non-negative value"));
-        }
         for node in topology.nodes() {
             let h = node.bound;
             if h.u >= reps.len().max(1) || h.l >= reps.len().max(1) {
@@ -300,7 +288,7 @@ impl DbchTree {
             }
             check_hull_volume(h.volume)?;
         }
-        Ok(DbchTree { topology, reps, rule, lb_slack })
+        Ok(DbchTree { topology, reps, rule })
     }
 
     /// Full structural integrity check, for stress tests and post-reload
@@ -579,9 +567,6 @@ impl crate::batched::BatchTree for DbchTree {
     fn count_fanout(&self, depth: usize, children: usize) {
         let (_depth, _children) = (depth, children);
         sapla_obs::lane_counter!("index.knn.fanout", _depth, _children as u64);
-    }
-    fn lb_slack(&self) -> f64 {
-        self.lb_slack
     }
 }
 

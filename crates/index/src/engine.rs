@@ -32,6 +32,7 @@
 //! tuning knob to vary between runs (see DESIGN.md, "Service
 //! architecture").
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use sapla_baselines::{reduce_batch_parallel, Reducer};
@@ -211,13 +212,6 @@ pub struct Engine {
     pub(crate) reducer: Arc<dyn Reducer>,
     pub(crate) shards: Vec<Shard>,
     pub(crate) total: usize,
-    /// Additive `Dist_LB` slack the strict-invariants audit must allow:
-    /// `0.0` for engines built from raw series, the maximum per-record
-    /// quantization perturbation for engines loaded from a quantized
-    /// snapshot (see `crate::snapshot`). An exact re-save of such an
-    /// engine stores it, because the reps stay perturbed relative to the
-    /// raw series whatever format they are written in.
-    pub(crate) lb_slack: f64,
 }
 
 impl std::fmt::Debug for Engine {
@@ -308,7 +302,7 @@ impl Engine {
             };
             shards.push(Shard::new(index, |local| raw_of(local * n_shards + si))?);
         }
-        Ok(Engine { cfg, scheme, reducer, shards, total, lb_slack: 0.0 })
+        Ok(Engine { cfg, scheme, reducer, shards, total })
     }
 
     /// Number of indexed series (over all shards).
@@ -463,36 +457,31 @@ impl Engine {
         out
     }
 
-    /// The additive `Dist_LB` slack carried by this engine's trees —
-    /// `0.0` unless the engine descends from a quantized snapshot (see
-    /// [`Engine::write_snapshot_file`]).
-    #[must_use]
-    pub fn lb_slack(&self) -> f64 {
-        self.lb_slack
-    }
-
     /// Serialize the **whole** engine — raw series, representations
-    /// (exact SoA coefficient arenas, or ε-quantized ones when
-    /// `quantize` is set), and every shard's fully-built tree — into
-    /// the `sapla-store` arena container, in memory.
+    /// (exact SoA coefficient arenas, bit for bit), and every shard's
+    /// fully-built tree — into the `sapla-store` arena container, in
+    /// memory.
     ///
     /// Loading the image with [`Engine::from_snapshot_image`] skips
     /// reduction *and* the O(n log n) tree build: arenas are validated,
     /// reinterpreted, and adopted verbatim.
     ///
+    /// `_retired` can only be `None`. It keeps the two-argument call
+    /// shape that the lifecycle benchmark under `benchmark/` compiles
+    /// against, from when the argument chose a lossy leaf encoding; it
+    /// goes when `benchmark/` next changes.
+    ///
     /// # Errors
     ///
-    /// [`sapla_core::Error::UnsupportedRepresentation`] when `quantize`
-    /// is combined with an R-tree engine, non-linear representations,
-    /// or an engine that already descends from a quantized snapshot
-    /// ([`Engine::lb_slack`] `> 0`: the new slack would bound only the
-    /// second rounding); encoding failures otherwise.
-    pub fn snapshot_image(&self, quantize: Option<f64>) -> Result<Vec<u8>> {
-        crate::snapshot::write_image(self, quantize)
+    /// [`sapla_core::Error::CorruptIndex`] for a hull volume the loader
+    /// would refuse; encoding failures otherwise.
+    pub fn snapshot_image(&self, _retired: Option<Infallible>) -> Result<Vec<u8>> {
+        crate::snapshot::write_image(self)
     }
 
     /// [`Engine::snapshot_image`] + write the image to `path`,
-    /// returning the file size in bytes.
+    /// returning the file size in bytes. `_retired` is as in
+    /// [`Engine::snapshot_image`].
     ///
     /// # Errors
     ///
@@ -501,10 +490,10 @@ impl Engine {
     pub fn write_snapshot_file(
         &self,
         path: &std::path::Path,
-        quantize: Option<f64>,
+        _retired: Option<Infallible>,
     ) -> Result<u64> {
         let _span = sapla_obs::span!("engine.snapshot.write");
-        crate::snapshot::write_file(self, path, quantize)
+        crate::snapshot::write_file(self, path)
     }
 
     /// Reconstruct an engine from a snapshot image produced by
@@ -663,7 +652,6 @@ pub(crate) mod tests {
             assert_eq!(loaded.shard_count(), engine.shard_count());
             assert_eq!(loaded.method(), engine.method());
             assert_eq!(loaded.config(), engine.config());
-            assert_eq!(loaded.lb_slack(), 0.0);
             let (got, _) = loaded.knn(&queries, 4, 2).unwrap();
             // Includes `measured`: the loaded tree replays the exact
             // same traversal, not just the same answers.
@@ -703,37 +691,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn quantized_snapshot_loads_with_slack_and_finds_self() {
-        let raws = dataset(40, 64);
-        let engine = engine_with(1, TreeKind::Dbch, &raws);
-        let exact = engine.snapshot_image(None).unwrap();
-        let image = engine.snapshot_image(Some(1e-3)).unwrap();
-        assert!(image.len() < exact.len(), "{} vs {}", image.len(), exact.len());
-        let loaded = Engine::from_snapshot_image(&image).unwrap();
-        assert!(loaded.lb_slack() > 0.0);
-        let queries = engine.prepare(&raws[..6], 2).unwrap();
-        let (got, _) = loaded.knn(&queries, 3, 2).unwrap();
-        // Refinement distances are exact Euclidean over the raw series
-        // (which the snapshot keeps bitwise), so every query still
-        // finds itself at distance zero.
-        for (qi, s) in got.iter().enumerate() {
-            assert_eq!(s.retrieved[0], qi, "query {qi}");
-            assert_eq!(s.distances[0], 0.0);
-        }
-    }
-
-    #[test]
-    fn quantize_rejects_rtree_and_bad_steps() {
-        let raws = dataset(16, 64);
-        let rt = engine_with(1, TreeKind::Rtree, &raws);
-        assert!(rt.snapshot_image(Some(0.01)).is_err());
-        let db = engine_with(1, TreeKind::Dbch, &raws);
-        assert!(db.snapshot_image(Some(0.0)).is_err());
-        assert!(db.snapshot_image(Some(-1.0)).is_err());
-        assert!(db.snapshot_image(Some(f64::NAN)).is_err());
-    }
-
-    #[test]
     fn snapshot_file_roundtrip_via_disk() {
         let raws = dataset(20, 64);
         let engine = engine_with(2, TreeKind::Dbch, &raws);
@@ -743,33 +700,6 @@ pub(crate) mod tests {
         let loaded = Engine::from_snapshot_file(path.path()).unwrap();
         assert_eq!(loaded.len(), 20);
         assert_eq!(loaded.shard_count(), 2);
-    }
-
-    #[test]
-    fn reload_keeps_quantized_slack() {
-        // An engine descended from a quantized snapshot keeps its slack
-        // through an exact re-save and load: the reps stay perturbed
-        // relative to the raws whatever format they are written in.
-        let raws = dataset(24, 64);
-        for shards in [1usize, 3] {
-            let engine = engine_with(shards, TreeKind::Dbch, &raws);
-            let loaded =
-                Engine::from_snapshot_image(&engine.snapshot_image(Some(0.01)).unwrap()).unwrap();
-            assert!(loaded.lb_slack() > 0.0);
-            let re = Engine::from_snapshot_image(&loaded.snapshot_image(None).unwrap()).unwrap();
-            assert_eq!(re.lb_slack().to_bits(), loaded.lb_slack().to_bits());
-            for (a, b) in re.shards.iter().zip(&loaded.shards) {
-                let (ShardIndex::Dbch(a), ShardIndex::Dbch(b)) = (&a.index, &b.index) else {
-                    panic!("quantized engines are DBCH-backed");
-                };
-                assert_eq!(a.lb_slack.to_bits(), b.lb_slack.to_bits(), "shards = {shards}");
-            }
-            // A second rounding's slack would not bound the first's.
-            assert!(matches!(
-                loaded.snapshot_image(Some(0.01)),
-                Err(Error::UnsupportedRepresentation { .. })
-            ));
-        }
     }
 
     #[test]

@@ -787,8 +787,8 @@ pub(crate) mod tests {
             }
         }
 
-        /// The answers: built engines and engines loaded from exact and
-        /// from quantized images, over both kinds of tree, shard counts
+        /// The answers: built engines and engines loaded from their
+        /// images, over both kinds of tree, shard counts
         /// {1, 2, 3, 7} and thread counts {1, 2, 4}, return `retrieved`
         /// and `distances` bitwise equal to the same shards searched
         /// without envelopes, never refining more.
@@ -798,25 +798,20 @@ pub(crate) mod tests {
                 for shards in [1usize, 2, 3, 7] {
                     let built = engine(&raws, tree, shards);
                     let mut engines = Vec::new();
-                    let images = [(built.snapshot_image(None), "exact image"), (built.snapshot_image(Some(1e-3)), "quantized image")];
-                    for (image, how) in images {
-                        match image {
-                            // Every image an engine writes, it loads.
-                            Ok(image) => engines.push((Engine::from_snapshot_image(&image).unwrap(), how)),
-                            // A DBCH hull over ±1e300 samples can have an
-                            // infinite volume: the write refuses it with
-                            // the loader's error.
-                            Err(e) if e == (sapla_core::Error::CorruptIndex {
-                                reason: "snapshot hull volume is not a finite non-negative value"
-                            }) => prop_assert!(
-                                tree == TreeKind::Dbch
-                                    && raws.iter().any(|s| s.values().iter().any(|v| v.abs() > 1e299)),
-                                "{how}: {e}"
-                            ),
-                            // Quantizing needs a DBCH-tree and coefficients
-                            // an `i32` step count can hold.
-                            Err(e) => prop_assert!(how == "quantized image", "{how}: {e}"),
-                        }
+                    match built.snapshot_image(None) {
+                        // Every image an engine writes, it loads.
+                        Ok(image) => engines.push((Engine::from_snapshot_image(&image).unwrap(), "image")),
+                        // A DBCH hull over ±1e300 samples can have an
+                        // infinite volume: the write refuses it with the
+                        // loader's error.
+                        Err(e) => prop_assert!(
+                            tree == TreeKind::Dbch
+                                && raws.iter().any(|s| s.values().iter().any(|v| v.abs() > 1e299))
+                                && e == sapla_core::Error::CorruptIndex {
+                                    reason: "snapshot hull volume is not a finite non-negative value"
+                                },
+                            "image: {e}"
+                        ),
                     }
                     engines.push((built, "built"));
                     for (engine, how) in &engines {

@@ -72,14 +72,6 @@ impl Query {
 /// bound and require it to hold. `Dist_PAR` is deliberately **not**
 /// checked here: the paper's Theorems 4.2/4.3 make it conditional.
 ///
-/// `slack` widens the bound for quantized snapshot leaves: a stored
-/// representation `Ĉ~` perturbed from the least-squares projection `Ĉ`
-/// by at most `δ` in the windowed metric satisfies
-/// `Dist_LB(Q, Ĉ~) ≤ Dist(Q, C) + δ` (triangle inequality in the
-/// projection subspace — endpoints are preserved exactly, so `Q`
-/// projects onto the *same* subspace). Exact trees pass `0.0` and keep
-/// the original unconditional contract.
-///
 /// The comparison allows for rounding in two parts. `1e-6 · (1 + exact)`
 /// covers the errors relative to the distances themselves: evaluating
 /// Eq. 12 from the line deltas (a positive definite form with condition
@@ -105,7 +97,7 @@ impl Query {
 /// ≈ 1e-8). For a query with a 1e300 sample it is above 1e287, so the
 /// audit then checks nothing beyond the arithmetic's own precision.
 #[cfg(feature = "strict-invariants")]
-pub(crate) fn assert_lb_le_exact(q: &Query, rep: RepRef<'_>, exact: f64, slack: f64) -> Result<()> {
+pub(crate) fn assert_lb_le_exact(q: &Query, rep: RepRef<'_>, exact: f64) -> Result<()> {
     let lb = match rep {
         RepRef::Linear(view) => sapla_distance::dist_lb(&q.sums, view)?,
         RepRef::Stored(Representation::Linear(linear)) => sapla_distance::dist_lb(&q.sums, linear)?,
@@ -117,9 +109,9 @@ pub(crate) fn assert_lb_le_exact(q: &Query, rep: RepRef<'_>, exact: f64, slack: 
     let magnitude: f64 = samples.iter().map(|v| v.abs()).sum();
     let rounding = 16.0 * n * n * n.sqrt() * f64::EPSILON * magnitude;
     assert!(
-        lb <= exact + slack + 1e-6 * (1.0 + exact) + rounding,
+        lb <= exact + 1e-6 * (1.0 + exact) + rounding,
         "strict-invariants: Dist_LB = {lb} exceeds the exact Euclidean distance {exact} \
-         (+ quantization slack {slack}, rounding {rounding}); the lower-bound contract is broken"
+         (+ rounding {rounding}); the lower-bound contract is broken"
     );
     Ok(())
 }
@@ -664,10 +656,9 @@ mod tests {
         let shifted = candidate.values().iter().map(|v| v + 0.5).collect();
         let q = Query::new(&TimeSeries::new(shifted).unwrap(), &reducer, 12).unwrap();
         let exact = q.raw.euclidean(&candidate).unwrap();
-        assert_lb_le_exact(&q, RepRef::Stored(&rep), exact, 0.0).unwrap();
-        let overshoot = std::panic::catch_unwind(|| {
-            assert_lb_le_exact(&q, RepRef::Stored(&rep), exact / 1.01, 0.0)
-        });
+        assert_lb_le_exact(&q, RepRef::Stored(&rep), exact).unwrap();
+        let overshoot =
+            std::panic::catch_unwind(|| assert_lb_le_exact(&q, RepRef::Stored(&rep), exact / 1.01));
         assert!(overshoot.is_err(), "a Dist_LB 1% above the exact distance passed the audit");
     }
 

@@ -42,52 +42,18 @@
 //! | [`K_REP_SPANS`] | `u64` | segment count per representation |
 //! | [`K_REP_SLOPES`] / [`K_REP_INTERCEPTS`] | `f64` | exact SoA coefficients |
 //! | [`K_REP_ENDPOINTS`] | `u64` | exact inclusive right endpoints |
-//! | [`K_QREP_SLOPES`] / [`K_QREP_INTERCEPTS`] | `i32` | ε-quantized coefficients |
-//! | [`K_QREP_ENDPOINT_DELTAS`] | `u32` | delta-coded endpoints (lossless) |
-//! | [`K_QREP_SLACK`] | `f64` | per-representation `Dist_LB` slack `δ` |
 //! | [`K_REP_BLOB`] | bytes | hardened-codec fallback for non-linear reps |
-//! | [`K_LINEAGE_SLACK`] | `f64` | one `δ`: the shard's slack in an exact re-save of a quantized-lineage engine; absent otherwise |
 //! | [`K_TREE_NODES`] | `u64` | node records, one per [`Topology`] slot: `[is leaf, id offset, id count]` + the kind's tail (DBCH `u, l, volume bits`: stride 6; R-tree none: stride 3) |
 //! | [`K_CHILD_IDS`] | `u64` | flat child / entry id arena |
 //! | [`K_SHARD_META`] | `u64` | `[root, node count, rep count]` |
 //! | [`K_RECT_SPANS`] / [`K_RECT_LO`] / [`K_RECT_HI`] | `u64` / `f64` | R-tree rectangles |
 //! | [`K_FEATURE_SPANS`] / [`K_FEATURES`] | `u64` / `f64` | R-tree feature vectors |
 //!
-//! # Quantized leaves stay prunable
-//!
-//! With `quantize = Some(ε)`, slopes and intercepts are stored as
-//! `round(x/ε)` in `i32` and endpoints are delta-coded **exactly**. The
-//! dequantized representation `Ĉ~` shares `C`'s segmentation, so both
-//! reconstruct into the same n-point space and the representation metric
-//! obeys the triangle inequality across them:
-//! `Dist_LB(Q, Ĉ~) ≤ Dist_LB(Q, C) + δ ≤ Dist(Q, C) + δ` where
-//! `δ = √(Σ_j dist_s_sq(a_j, b_j, â_j, b̂_j, L_j))` is computed at write
-//! time from the *actual* rounding deltas (not the ε·√n worst case).
-//! Rounding moves coefficients in either direction, so the quantized
-//! bound can **overshoot** the true distance by up to `δ` — a naive
-//! `lb > threshold` prune over `Ĉ~` would be unsound. The per-shard
-//! maximum `δ` therefore rides along as [`K_QREP_SLACK`] and every
-//! pruning comparison in the loaded tree (node hull bounds and the leaf
-//! representation filter alike) is widened by it: a candidate is
-//! dismissed only when `lb > threshold + δ`, i.e. when even the true
-//! lower bound `lb − δ` rules it out. Since `Dist_LB(Q, Ĉ~) ≤
-//! Dist(Q, C) + δ`, every candidate the quantized tree prunes would
-//! also have been pruned by the exact tree at the same threshold —
-//! quantization never introduces new misses, and refinement reads the
-//! bit-preserved raw series, so answers match the exact tree's
-//! wherever the underlying scheme/rule bounds are unconditional. The
-//! same `δ` also widens the strict-invariants `Dist_LB ≤ exact` audit.
-//! Node hull volumes are recomputed over the dequantized reps at write
-//! time so the stored tree is self-consistent; a volume the loader would
-//! refuse (not finite, negative) refuses the write, exact or quantized.
-//!
-//! The slack belongs to the representations, not to the file format: an
-//! engine loaded from a quantized snapshot holds `Ĉ~`, and an exact
-//! re-save (`quantize = None`) writes `Ĉ~` bit for bit. Such an image
-//! therefore carries each shard's `δ` in [`K_LINEAGE_SLACK`] and the
-//! loader hands it back to the tree, so save → load never narrows a
-//! prune. Quantizing a second time is refused: the `δ` computed then
-//! would bound only the second rounding.
+//! Coefficients are stored as their `f64` bits, so a loaded tree bounds
+//! and prunes exactly as the tree that was saved. Kind numbers in
+//! [`RETIRED_KINDS`] and header flag bit 0 belonged to a retired lossy
+//! image format; an image that uses either is refused, never read as
+//! exact.
 
 use std::ops::Range;
 use std::path::Path;
@@ -96,12 +62,9 @@ use std::sync::Arc;
 use sapla_baselines::{all_reducers, Reducer};
 use sapla_core::codec::{decode_collection, encode_collection};
 use sapla_core::{Error, Result};
-use sapla_distance::SegSource;
-use sapla_store::{
-    put_f64s, put_i32s, put_u32s, put_u64s, view, ArenaWriter, SnapshotBytes, SnapshotView,
-};
+use sapla_store::{put_f64s, put_u32s, put_u64s, view, ArenaWriter, SnapshotBytes, SnapshotView};
 
-use crate::arena::{RawArena, RepArena, RepRef, RepStore};
+use crate::arena::{RawArena, RepArena, RepStore};
 use crate::batched::BatchTree;
 use crate::dbch::{check_hull_volume, DbchTree, Hull, NodeDistRule};
 use crate::engine::{Engine, EngineConfig, Shard, ShardIndex, TreeKind};
@@ -111,7 +74,7 @@ use crate::rtree::RTree;
 use crate::scheme::{scheme_for, Scheme};
 use crate::topology::{Node, Topology};
 
-/// Global engine metadata (method, config, quantization step).
+/// Global engine metadata (method, config).
 pub(crate) const K_META: u32 = 1;
 /// Raw samples, `f64`, series-concatenated in the order of the shard
 /// tree's leaf walk — the shard's `RawArena` buffer verbatim.
@@ -126,19 +89,8 @@ pub(crate) const K_REP_INTERCEPTS: u32 = 21;
 pub(crate) const K_REP_ENDPOINTS: u32 = 22;
 /// Segment count per representation, `u64`.
 pub(crate) const K_REP_SPANS: u32 = 23;
-/// ε-quantized slopes, `i32`.
-pub(crate) const K_QREP_SLOPES: u32 = 24;
-/// ε-quantized intercepts, `i32`.
-pub(crate) const K_QREP_INTERCEPTS: u32 = 25;
-/// Delta-coded endpoints, `u32` (first delta is `r_0` itself).
-pub(crate) const K_QREP_ENDPOINT_DELTAS: u32 = 26;
-/// Per-representation quantization slack `δ`, `f64`.
-pub(crate) const K_QREP_SLACK: u32 = 27;
 /// Hardened-codec blob for non-linear representation collections.
 pub(crate) const K_REP_BLOB: u32 = 28;
-/// The shard's `Dist_LB` slack, one `f64`, in an exact-flag image of an
-/// engine that descends from a quantized snapshot; absent when it is 0.
-pub(crate) const K_LINEAGE_SLACK: u32 = 29;
 /// Tree node records, `u64` (stride 6 for DBCH, 3 for the R-tree).
 pub(crate) const K_TREE_NODES: u32 = 30;
 /// Flat child / leaf-entry id arena, `u64`.
@@ -156,8 +108,13 @@ pub(crate) const K_FEATURES: u32 = 43;
 /// Feature dimensionality per rep, `u64`.
 pub(crate) const K_FEATURE_SPANS: u32 = 44;
 
-/// Container header flag bit 0: leaf coefficients are ε-quantized.
-pub(crate) const FLAG_QUANTIZED: u32 = 1;
+/// Arena kinds of the retired ε-quantized images: their `i32`
+/// coefficients, delta-coded endpoints and `Dist_LB` slacks, and the
+/// slack an exact re-save of such an engine carried. An image holding
+/// any of them is refused; no new kind may reuse these numbers.
+const RETIRED_KINDS: [u32; 5] = [24, 25, 26, 27, 29];
+/// Header flag bit 0, which the retired quantized images set.
+const RETIRED_FLAGS: u32 = 1;
 
 /// Words every node record starts with: kind tag, offset and count of
 /// the node's ids in [`K_CHILD_IDS`].
@@ -169,10 +126,6 @@ const RTREE_NODE_STRIDE: usize = NODE_HEAD;
 
 fn corrupt(reason: &'static str) -> Error {
     Error::CorruptIndex { reason }
-}
-
-fn unsupported(operation: &'static str) -> Error {
-    Error::UnsupportedRepresentation { operation }
 }
 
 fn to_usize(v: u64, what: &'static str) -> Result<usize> {
@@ -191,11 +144,10 @@ struct Meta {
     max_fill: usize,
     shards: usize,
     total: usize,
-    quant_step: f64,
     method: String,
 }
 
-fn encode_meta(engine: &Engine, quant_step: f64) -> Vec<u8> {
+fn encode_meta(engine: &Engine) -> Vec<u8> {
     let cfg = engine.cfg;
     let mut out = Vec::new();
     put_u32s(
@@ -221,7 +173,8 @@ fn encode_meta(engine: &Engine, quant_step: f64) -> Vec<u8> {
             engine.total as u64,
         ],
     );
-    put_f64s(&mut out, [quant_step]);
+    // The retired step field: always 0.0.
+    put_f64s(&mut out, [0.0]);
     let method = engine.reducer.name().as_bytes();
     // audit: cast_ok — reducer names are short static identifiers, far below u32::MAX.
     put_u32s(&mut out, [method.len() as u32]);
@@ -263,10 +216,6 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     fn finish(self) -> Result<()> {
         if self.at != self.data.len() {
             return Err(corrupt("snapshot metadata has trailing bytes"));
@@ -292,91 +241,24 @@ fn parse_meta(data: &[u8]) -> Result<Meta> {
     let max_fill = to_usize(c.u64()?, "snapshot max fill overflows")?;
     let shards = to_usize(c.u64()?, "snapshot shard count overflows")?;
     let total = to_usize(c.u64()?, "snapshot record count overflows")?;
-    let quant_step = c.f64()?;
+    if c.u64()? != 0 {
+        return Err(corrupt("snapshot metadata carries a quantization step"));
+    }
     let method_len = to_usize(u64::from(c.u32()?), "snapshot method name overflows")?;
     let method = String::from_utf8(c.take(method_len)?.to_vec())
         .map_err(|_| corrupt("snapshot method name is not UTF-8"))?;
     c.finish()?;
-    Ok(Meta { tree, rule, m, min_fill, max_fill, shards, total, quant_step, method })
+    Ok(Meta { tree, rule, m, min_fill, max_fill, shards, total, method })
 }
 
 // ---------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------
 
-/// `round(x / step)` as `i32`, rejecting overflow instead of wrapping.
-fn quantize_coeff(x: f64, step: f64) -> Result<i32> {
-    let q = (x / step).round();
-    if !q.is_finite() || q < f64::from(i32::MIN) || q > f64::from(i32::MAX) {
-        return Err(Error::MalformedRepresentation {
-            reason: "coefficient overflows the quantized snapshot range",
-        });
-    }
-    // audit: cast_ok — range-checked against i32::MIN..=i32::MAX just above.
-    Ok(q as i32)
-}
-
-/// Per-shard quantized rep arenas plus the data the tree writer needs.
-struct QuantizedReps {
-    slopes: Vec<u8>,
-    intercepts: Vec<u8>,
-    deltas: Vec<u8>,
-    slack: Vec<u8>,
-    /// Dequantized reps, adopted the way a loader will — hull volumes
-    /// are recomputed over these so the stored tree is self-consistent.
-    dequantized: RepArena,
-}
-
-fn quantize_reps(reps: &RepStore, step: f64) -> Result<QuantizedReps> {
-    let RepStore::Linear(arena) = reps else {
-        return Err(unsupported(
-            "quantized snapshot leaves require piecewise-linear representations",
-        ));
-    };
-    let segments = arena.slopes().len();
-    let (mut slopes, mut intercepts, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
-    let mut slack = Vec::with_capacity(8 * arena.len());
-    let (mut dq_slopes, mut dq_intercepts) =
-        (Vec::with_capacity(segments), Vec::with_capacity(segments));
-    for id in 0..arena.len() {
-        let view = arena.view(id);
-        let mut acc = 0.0f64;
-        // One past the previous endpoint: the segment's first point.
-        let mut start = 0usize;
-        for i in 0..view.count() {
-            let (a, b, r) = (view.a(i), view.b(i), view.r(i));
-            let qa = quantize_coeff(a, step)?;
-            let qb = quantize_coeff(b, step)?;
-            let da = f64::from(qa) * step;
-            let db = f64::from(qb) * step;
-            // The exact perturbation this segment contributes to
-            // ‖recon(C) − recon(Ĉ~)‖²: both lines live on the same
-            // window because endpoints are preserved losslessly.
-            acc += sapla_distance::dist_s_sq(a, b, da, db, r + 1 - start);
-            // First delta is `r_0` itself, later ones `r_i − r_{i−1}`.
-            let delta = if i == 0 { r } else { r + 1 - start };
-            let delta = u32::try_from(delta).map_err(|_| {
-                unsupported("segment endpoint exceeds the quantized snapshot's delta range")
-            })?;
-            put_i32s(&mut slopes, [qa]);
-            put_i32s(&mut intercepts, [qb]);
-            put_u32s(&mut deltas, [delta]);
-            dq_slopes.push(da);
-            dq_intercepts.push(db);
-            start = r + 1;
-        }
-        put_f64s(&mut slack, [acc.sqrt()]);
-    }
-    let counts: Vec<u64> = arena.counts().collect();
-    let endpoints = arena.endpoints().iter().map(|&r| r as u64);
-    let dequantized = RepArena::adopt(&counts, dq_slopes, dq_intercepts, endpoints, false)?;
-    Ok(QuantizedReps { slopes, intercepts, deltas, slack, dequantized })
-}
-
-/// Exact rep arenas: the four SoA arenas (bit-preserving — coefficients
+/// Rep arenas: the four SoA arenas (bit-preserving — coefficients
 /// round-trip as raw `f64` bits) of a linear store, the hardened-codec
 /// blob of any other.
-fn push_exact_reps(w: &mut ArenaWriter, s: u32, reps: &RepStore) -> Result<()> {
+fn push_reps(w: &mut ArenaWriter, s: u32, reps: &RepStore) -> Result<()> {
     match reps {
         RepStore::Stored(reps) => w.push_arena(K_REP_BLOB, s, &encode_collection(reps)?),
         RepStore::Linear(arena) => {
@@ -390,7 +272,7 @@ fn push_exact_reps(w: &mut ArenaWriter, s: u32, reps: &RepStore) -> Result<()> {
 
 /// The one writer of a tree's shape: [`K_TREE_NODES`] gets one record per
 /// arena slot, in slot order — kind tag, offset and count of the node's
-/// ids, then the `TAIL` words `tail(slot, bound)` of the tree's kind —
+/// ids, then the `TAIL` words `tail(bound)` of the tree's kind —
 /// and [`K_CHILD_IDS`] the child / entry ids, node-concatenated, that
 /// those `(offset, count)` pairs index. Returns `[root, node count]` for
 /// the shard's [`K_SHARD_META`], which closes the shard's arenas.
@@ -398,14 +280,14 @@ fn push_topology<B, const TAIL: usize>(
     w: &mut ArenaWriter,
     shard: u32,
     topology: &Topology<B>,
-    mut tail: impl FnMut(usize, &B) -> [u64; TAIL],
+    tail: impl Fn(&B) -> [u64; TAIL],
 ) -> Result<[u64; 2]> {
     let nodes = topology.nodes();
     let mut ids_at = 0u64;
-    let records = nodes.iter().enumerate().flat_map(|(slot, n)| {
+    let records = nodes.iter().flat_map(|n| {
         let head = [u64::from(n.is_leaf()), ids_at, n.ids().len() as u64];
         ids_at += n.ids().len() as u64;
-        head.into_iter().chain(tail(slot, &n.bound))
+        head.into_iter().chain(tail(&n.bound))
     });
     w.push_u64s(K_TREE_NODES, shard, records)?;
     let ids = nodes.iter().flat_map(|n| n.ids().iter().map(|&id| id as u64));
@@ -424,23 +306,9 @@ fn push_rects_and_features(w: &mut ArenaWriter, shard: u32, tree: &RTree) -> Res
     w.push_f64s(K_FEATURES, shard, features.iter().flat_map(|f| f.iter().copied()))
 }
 
-pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<u8>> {
-    if let Some(step) = quantize {
-        if !step.is_finite() || step <= 0.0 {
-            return Err(unsupported("quantization step must be finite and positive"));
-        }
-        if engine.cfg.tree != TreeKind::Dbch {
-            // R-tree rectangles are derived from exact features; serving
-            // them over perturbed reps would break MINDIST containment.
-            return Err(unsupported("quantized snapshot leaves require the DBCH tree"));
-        }
-        if engine.lb_slack > 0.0 {
-            return Err(unsupported("the engine's leaves are already quantized"));
-        }
-    }
-    let flags = if quantize.is_some() { FLAG_QUANTIZED } else { 0 };
-    let mut w = ArenaWriter::new(flags);
-    w.push_arena(K_META, 0, &encode_meta(engine, quantize.unwrap_or(0.0)))?;
+pub(crate) fn write_image(engine: &Engine) -> Result<Vec<u8>> {
+    let mut w = ArenaWriter::new(0);
+    w.push_arena(K_META, 0, &encode_meta(engine))?;
     for (si, shard) in engine.shards.iter().enumerate() {
         let s = u32::try_from(si).map_err(|_| corrupt("too many shards for a snapshot"))?;
         // The raw arena goes out as it lies in memory — leaf-walk order —
@@ -449,50 +317,18 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
         w.push_u64s(K_RAW_LENS, s, std::iter::repeat_n(raws.stride() as u64, raws.len()))?;
         w.push_f64s(K_RAW_DATA, s, raws.samples().iter().copied())?;
         let reps = shard.index.reps();
-        let [root, n_nodes] = match (&shard.index, quantize) {
-            (ShardIndex::Dbch(tree), Some(step)) => {
-                let q = quantize_reps(reps, step)?;
-                w.push_u64s(K_REP_SPANS, s, q.dequantized.counts())?;
-                w.push_arena(K_QREP_SLOPES, s, &q.slopes)?;
-                w.push_arena(K_QREP_INTERCEPTS, s, &q.intercepts)?;
-                w.push_arena(K_QREP_ENDPOINT_DELTAS, s, &q.deltas)?;
-                w.push_arena(K_QREP_SLACK, s, &q.slack)?;
-                // Recompute hull volumes over the dequantized reps the
-                // loader will materialize: the stored tree must be
-                // self-consistent under *its own* leaf coefficients.
-                let nodes = tree.topology().nodes();
-                let mut volumes = Vec::with_capacity(nodes.len());
-                for h in nodes.iter().map(|n| n.bound) {
-                    let volume = if q.dequantized.len() == 0 {
-                        h.volume
-                    } else {
-                        engine.scheme.pair_dist(
-                            RepRef::Linear(q.dequantized.view(h.u)),
-                            RepRef::Linear(q.dequantized.view(h.l)),
-                        )?
-                    };
-                    check_hull_volume(volume)?;
-                    volumes.push(volume);
-                }
-                push_topology(&mut w, s, tree.topology(), |slot, h| {
-                    [h.u as u64, h.l as u64, volumes[slot].to_bits()]
-                })?
-            }
-            (ShardIndex::Dbch(tree), None) => {
+        push_reps(&mut w, s, reps)?;
+        let [root, n_nodes] = match &shard.index {
+            ShardIndex::Dbch(tree) => {
                 for n in tree.topology().nodes() {
                     check_hull_volume(n.bound.volume)?;
                 }
-                push_exact_reps(&mut w, s, reps)?;
-                if tree.lb_slack > 0.0 {
-                    w.push_f64s(K_LINEAGE_SLACK, s, [tree.lb_slack])?;
-                }
-                push_topology(&mut w, s, tree.topology(), |_, h| {
+                push_topology(&mut w, s, tree.topology(), |h| {
                     [h.u as u64, h.l as u64, h.volume.to_bits()]
                 })?
             }
-            (ShardIndex::Rtree(tree), _) => {
-                push_exact_reps(&mut w, s, reps)?;
-                let shape = push_topology(&mut w, s, tree.topology(), |_, _| [])?;
+            ShardIndex::Rtree(tree) => {
+                let shape = push_topology(&mut w, s, tree.topology(), |_| [])?;
                 push_rects_and_features(&mut w, s, tree)?;
                 shape
             }
@@ -502,8 +338,8 @@ pub(crate) fn write_image(engine: &Engine, quantize: Option<f64>) -> Result<Vec<
     Ok(w.finish())
 }
 
-pub(crate) fn write_file(engine: &Engine, path: &Path, quantize: Option<f64>) -> Result<u64> {
-    sapla_store::write_image_file(path, &write_image(engine, quantize)?)
+pub(crate) fn write_file(engine: &Engine, path: &Path) -> Result<u64> {
+    sapla_store::write_image_file(path, &write_image(engine)?)
 }
 
 // ---------------------------------------------------------------------
@@ -524,7 +360,7 @@ fn checked_total(spans: &[u64], have: usize, what: &'static str) -> Result<usize
     Ok(total)
 }
 
-fn load_exact_reps(v: &SnapshotView<'_>, s: u32) -> Result<RepStore> {
+fn load_reps(v: &SnapshotView<'_>, s: u32) -> Result<RepStore> {
     if let Some(blob) = v.arena_opt(K_REP_BLOB, s) {
         return Ok(RepStore::from_reps(decode_collection(blob)?));
     }
@@ -532,61 +368,9 @@ fn load_exact_reps(v: &SnapshotView<'_>, s: u32) -> Result<RepStore> {
     let slopes = view::f64s(v.arena(K_REP_SLOPES, s)?)?;
     let intercepts = view::f64s(v.arena(K_REP_INTERCEPTS, s)?)?;
     let endpoints = view::u64s(v.arena(K_REP_ENDPOINTS, s)?)?;
-    let arena = RepArena::adopt(
-        spans,
-        slopes.to_vec(),
-        intercepts.to_vec(),
-        endpoints.iter().copied(),
-        false,
-    )?;
+    let arena =
+        RepArena::adopt(spans, slopes.to_vec(), intercepts.to_vec(), endpoints.iter().copied())?;
     Ok(RepStore::Linear(arena))
-}
-
-/// Returns the dequantized reps plus the shard's `Dist_LB` slack (the
-/// maximum stored per-rep `δ`).
-fn load_quantized_reps(
-    v: &SnapshotView<'_>,
-    s: u32,
-    n_reps: usize,
-    step: f64,
-) -> Result<(RepStore, f64)> {
-    if !step.is_finite() || step <= 0.0 {
-        return Err(corrupt("quantized snapshot has a non-positive quantization step"));
-    }
-    let spans = view::u64s(v.arena(K_REP_SPANS, s)?)?;
-    let slopes = view::i32s(v.arena(K_QREP_SLOPES, s)?)?;
-    let intercepts = view::i32s(v.arena(K_QREP_INTERCEPTS, s)?)?;
-    let deltas = view::u32s(v.arena(K_QREP_ENDPOINT_DELTAS, s)?)?;
-    let slack = view::f64s(v.arena(K_QREP_SLACK, s)?)?;
-    if slack.len() != n_reps {
-        return Err(corrupt("snapshot slack arena disagrees with the shard record count"));
-    }
-    let mut shard_slack = 0.0f64;
-    for &d in slack {
-        if !d.is_finite() || d < 0.0 {
-            return Err(corrupt("snapshot slack is not a finite non-negative value"));
-        }
-        shard_slack = shard_slack.max(d);
-    }
-    let dequantize = |q: &[i32]| q.iter().map(|&q| f64::from(q) * step).collect();
-    let arena = RepArena::adopt(
-        spans,
-        dequantize(slopes),
-        dequantize(intercepts),
-        deltas.iter().map(|&d| u64::from(d)),
-        true,
-    )?;
-    Ok((RepStore::Linear(arena), shard_slack))
-}
-
-/// The slack an exact-flag image carries for a shard whose reps were
-/// dequantized by an earlier load; `0.0` when the arena is absent.
-fn load_lineage_slack(v: &SnapshotView<'_>, s: u32) -> Result<f64> {
-    let Some(arena) = v.arena_opt(K_LINEAGE_SLACK, s) else { return Ok(0.0) };
-    match view::f64s(arena)? {
-        &[slack] if slack.is_finite() && slack > 0.0 => Ok(slack),
-        _ => Err(corrupt("snapshot lineage slack is not one finite positive value")),
-    }
 }
 
 /// The shard's raw samples as stored — series-concatenated in leaf-walk
@@ -662,7 +446,6 @@ fn load_dbch_tree(
     meta: &Meta,
     [root, n_nodes]: [usize; 2],
     reps: RepStore,
-    lb_slack: f64,
 ) -> Result<DbchTree> {
     let nodes = load_topology(v, s, n_nodes, DBCH_NODE_STRIDE, |tail| {
         Ok(Hull {
@@ -672,7 +455,7 @@ fn load_dbch_tree(
         })
     })?;
     let topology = Topology::adopt(meta.min_fill, meta.max_fill, root, nodes, reps.len())?;
-    DbchTree::adopt(topology, reps, meta.rule, lb_slack)
+    DbchTree::adopt(topology, reps, meta.rule)
 }
 
 fn load_rtree(
@@ -730,14 +513,15 @@ fn load_features(v: &SnapshotView<'_>, s: u32, n_reps: usize) -> Result<Vec<Vec<
 /// is copied out once, in bulk.
 fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<Engine> {
     let _span = sapla_obs::span!("index.adopt");
-    if v.flags() & !FLAG_QUANTIZED != 0 {
+    if v.flags() & !RETIRED_FLAGS != 0 {
         return Err(corrupt("snapshot carries unknown header flags"));
     }
-    let quantized = v.flags() & FLAG_QUANTIZED != 0;
-    let meta = parse_meta(v.arena(K_META, 0)?)?;
-    if quantized && meta.tree != TreeKind::Dbch {
-        return Err(corrupt("quantized snapshot names a non-DBCH tree"));
+    if v.flags() != 0 || v.toc().iter().any(|e| RETIRED_KINDS.contains(&e.kind)) {
+        return Err(Error::UnsupportedRepresentation {
+            operation: "load a quantized snapshot image",
+        });
     }
+    let meta = parse_meta(v.arena(K_META, 0)?)?;
     let scheme: Arc<dyn Scheme> = Arc::from(scheme_for(&meta.method)?);
     let reducer: Arc<dyn Reducer> = Arc::from(
         all_reducers()
@@ -748,7 +532,6 @@ fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<En
     let n_shards = meta.shards.max(1);
     let mut shards: Vec<Shard> = Vec::with_capacity(n_shards);
     let mut seen = 0usize;
-    let mut lb_slack = 0.0f64;
     for si in 0..n_shards {
         let s = u32::try_from(si).map_err(|_| corrupt("snapshot shard count overflows"))?;
         let sm = view::u64s(v.arena(K_SHARD_META, s)?)?;
@@ -766,15 +549,10 @@ fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<En
         }
         seen += n_reps;
         let stored = load_raws(v, s, n_reps)?;
-        let (reps, shard_slack) = if quantized {
-            load_quantized_reps(v, s, n_reps, meta.quant_step)?
-        } else {
-            (load_exact_reps(v, s)?, load_lineage_slack(v, s)?)
-        };
+        let reps = load_reps(v, s)?;
         if reps.len() != n_reps {
             return Err(corrupt("snapshot representations disagree with the shard record count"));
         }
-        lb_slack = lb_slack.max(shard_slack);
         // A rep of another length than the raw series would be adopted
         // and then fail every search that reaches it.
         if reps.length_mismatch(stored.stride).is_some() {
@@ -782,9 +560,7 @@ fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<En
         }
         let shape = [root, n_nodes];
         let index = match meta.tree {
-            TreeKind::Dbch => {
-                ShardIndex::Dbch(load_dbch_tree(v, s, &meta, shape, reps, shard_slack)?)
-            }
+            TreeKind::Dbch => ShardIndex::Dbch(load_dbch_tree(v, s, &meta, shape, reps)?),
             TreeKind::Rtree => ShardIndex::Rtree(load_rtree(v, s, &meta, shape, reps)?),
         };
         // The samples lie in the order of the adopted tree's leaf walk:
@@ -817,7 +593,7 @@ fn adopt(v: &SnapshotView<'_>, retain: Option<&Arc<SnapshotBytes>>) -> Result<En
         shards: meta.shards,
         rule: meta.rule,
     };
-    Ok(Engine { cfg, scheme, reducer, shards, total: meta.total, lb_slack })
+    Ok(Engine { cfg, scheme, reducer, shards, total: meta.total })
 }
 
 /// Validate a container image — the whole-file checksum first — before
@@ -1030,19 +806,14 @@ mod tests {
             let engine = engine_with(shards, TreeKind::Dbch, &raws);
             let queries = engine.prepare(&raws[..3], 1).unwrap();
             assert!(engine.knn(&queries, 3, 1).is_ok(), "{shards} shards");
-            // A step coarse enough that the ±1e300 coefficients fit the
-            // quantized range, so the dequantized hulls overflow instead.
-            for quantize in [None, Some(1e295)] {
-                let what = format!("{shards} shards, quantize {quantize:?}");
-                let file = TempPath::new("sapla-hull-volume", ".snap");
-                assert_eq!(engine.snapshot_image(quantize).unwrap_err(), want, "{what}");
-                assert_eq!(
-                    engine.write_snapshot_file(file.path(), quantize).unwrap_err(),
-                    want,
-                    "{what}"
-                );
-                assert!(!file.path().exists(), "{what}");
-            }
+            let file = TempPath::new("sapla-hull-volume", ".snap");
+            assert_eq!(engine.snapshot_image(None).unwrap_err(), want, "{shards} shards");
+            assert_eq!(
+                engine.write_snapshot_file(file.path(), None).unwrap_err(),
+                want,
+                "{shards} shards"
+            );
+            assert!(!file.path().exists(), "{shards} shards");
         }
     }
 
@@ -1053,19 +824,6 @@ mod tests {
             set_word(im, spans, 11);
             set_word(im, spans + 8, 13);
         });
-    }
-
-    #[test]
-    fn quantized_snapshot_answers_the_same_from_a_file_and_from_an_image() {
-        let raws = dataset(41, 64);
-        for shards in [1usize, 3] {
-            let built = engine_with(shards, TreeKind::Dbch, &raws);
-            let image = built.snapshot_image(Some(1e-3)).unwrap();
-            let [from_image, from_file] = load_both_ways(&image).map(Result::unwrap);
-            assert!(from_file.lb_slack() > 0.0);
-            assert_eq!(from_file.lb_slack().to_bits(), from_image.lb_slack().to_bits());
-            assert_eq!(answers(&from_file, &raws), answers(&from_image, &raws));
-        }
     }
 
     #[test]
@@ -1145,57 +903,46 @@ mod tests {
         reseal(&mut v1);
         assert_eq!(refused(&v1, "version 1"), corrupt("unsupported snapshot version"));
 
-        // An exact re-save of a quantized-lineage engine carries each
-        // shard's slack; anything but one finite positive number there
-        // would silently narrow (or disable) every prune.
-        let quantized = engine_with(2, TreeKind::Dbch, &raws).snapshot_image(Some(1e-2)).unwrap();
-        let resaved = load_image(&quantized).unwrap().snapshot_image(None).unwrap();
-        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
-            let mut image = resaved.clone();
-            let at = arena_at(&image, K_LINEAGE_SLACK, 1).start;
-            image[at..at + 8].copy_from_slice(&bad.to_le_bytes());
-            reseal(&mut image);
-            let err = refused(&image, "lineage slack");
-            assert!(matches!(err, Error::CorruptIndex { .. }), "{bad}: {err}");
+        // META's step field, which only the retired quantized writer set
+        // to anything but 0.0: it lies after two `u32` tags and five
+        // `u64` config words. Negative zero is another bit pattern too.
+        let step = arena_at(&image, K_META, 0).start + 8 + 5 * 8;
+        assert_eq!(word(&image, step), 0);
+        for bad in [(-0.0f64).to_bits(), 1e-3f64.to_bits(), f64::NAN.to_bits(), 1] {
+            let mut stepped = image.clone();
+            set_word(&mut stepped, step, bad);
+            reseal(&mut stepped);
+            assert_eq!(
+                refused(&stepped, "META step"),
+                corrupt("snapshot metadata carries a quantization step"),
+                "{bad:#x}"
+            );
         }
 
-        // What the store's validation pass owns, on an exact image and on
-        // a quantized one (whose endpoints are delta-coded `u32`s). Every
-        // series here has 64 points and, at `m = 12`, four segments.
-        let get = |image: &[u8], from: usize, width: usize| {
-            let mut value = [0u8; 8];
-            value[..width].copy_from_slice(&image[from..from + width]);
-            u64::from_le_bytes(value)
-        };
-        let put = |image: &mut [u8], from: usize, width: usize, value: u64| {
-            image[from..from + width].copy_from_slice(&value.to_le_bytes()[..width]);
-        };
-        for (image, endpoints, width) in
-            [(&image, K_REP_ENDPOINTS, 8), (&quantized, K_QREP_ENDPOINT_DELTAS, 4)]
-        {
-            let spans = arena_at(image, K_REP_SPANS, 0).start;
-            let ends = arena_at(image, endpoints, 0).start;
-            assert_eq!(get(image, spans, 8), 4, "rep 0 has four segments");
-            let corrupt_index =
-                |mutate: &dyn Fn(&mut [u8]), what: &str| corrupt_index(image, what, mutate);
-            // Rep 0 ends at point 99, not 63: adopted, it would fail every
-            // search that reaches it with a `LengthMismatch`.
-            let longer = get(image, ends + 3 * width, width) + 36;
-            corrupt_index(&|image| put(image, ends + 3 * width, width, longer), "rep / raw length");
-            // A representation without a segment, the total unchanged.
-            corrupt_index(
-                &|image| {
-                    put(image, spans, 8, 0);
-                    put(image, spans + 8, 8, 8);
-                },
-                "zero-length span",
-            );
-            // An endpoint that does not exceed the one before it.
-            let stuck = if width == 8 { get(image, ends, width) } else { 0 };
-            corrupt_index(&|image| put(image, ends + width, width, stuck), "stuck endpoint");
-            // Spans that do not sum to the coefficient arenas.
-            corrupt_index(&|image| put(image, spans, 8, 5), "span total");
-        }
+        // What the store's validation pass owns. Every series here has
+        // 64 points and, at `m = 12`, four segments.
+        let spans = arena_at(&image, K_REP_SPANS, 0).start;
+        let ends = arena_at(&image, K_REP_ENDPOINTS, 0).start;
+        assert_eq!(word(&image, spans), 4, "rep 0 has four segments");
+        let corrupt_index =
+            |mutate: &dyn Fn(&mut [u8]), what: &str| corrupt_index(&image, what, mutate);
+        // Rep 0 ends at point 99, not 63: adopted, it would fail every
+        // search that reaches it with a `LengthMismatch`.
+        let longer = word(&image, ends + 3 * 8) + 36;
+        corrupt_index(&|image| set_word(image, ends + 3 * 8, longer), "rep / raw length");
+        // A representation without a segment, the total unchanged.
+        corrupt_index(
+            &|image| {
+                set_word(image, spans, 0);
+                set_word(image, spans + 8, 8);
+            },
+            "zero-length span",
+        );
+        // An endpoint that does not exceed the one before it.
+        let stuck = word(&image, ends);
+        corrupt_index(&|image| set_word(image, ends + 8, stuck), "stuck endpoint");
+        // Spans that do not sum to the coefficient arenas.
+        corrupt_index(&|image| set_word(image, spans, 5), "span total");
 
         // Without the re-seal, the checksum is what refuses them all.
         nan[24] ^= 1;

@@ -10,8 +10,8 @@
 //! re-checks, at every refinement, that the refined entry's leaf
 //! envelope does not exceed its exact distance.
 //!
-//! (The same property against the driver itself without envelopes —
-//! quantized images included — is a unit test of `sapla-index`.)
+//! (The same property against the driver itself without envelopes is a
+//! unit test of `sapla-index`.)
 
 use proptest::prelude::*;
 use sapla_baselines::{Reducer, SaplaReducer};

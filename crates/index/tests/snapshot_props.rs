@@ -1,16 +1,12 @@
 //! Property tests pinning snapshot persistence to the live engine:
-//! exact-leaf snapshots must replay searches **bit-identically**, and
-//! ε-quantized snapshots must stay within the derived perturbation
-//! bound while keeping GEMINI pruning sound (the strict-invariants
-//! builds of CI re-check `Dist_LB ≤ exact + slack` inside every
-//! refinement these searches perform).
+//! snapshots must replay searches **bit-identically** (the
+//! strict-invariants builds of CI re-check `Dist_LB ≤ exact` inside
+//! every refinement these searches perform).
 
 use proptest::prelude::*;
-use sapla_baselines::{Pla, SaplaReducer};
+use sapla_baselines::SaplaReducer;
 use sapla_core::TimeSeries;
-use sapla_index::{
-    linear_scan_knn, linear_scan_range, Engine, EngineConfig, NodeDistRule, SearchStats, TreeKind,
-};
+use sapla_index::{Engine, EngineConfig, SearchStats, TreeKind};
 
 /// Random small database of regime-style series.
 fn db_strategy(n_series: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TimeSeries>> {
@@ -88,86 +84,6 @@ proptest! {
         for (g, w) in got.iter().zip(&want) {
             for (gd, wd) in g.distances.iter().zip(&w.distances) {
                 prop_assert!(gd.to_bits() == wd.to_bits());
-            }
-        }
-    }
-
-    /// ε-quantized snapshots: answers carry **exact** Euclidean
-    /// distances (refinement reads the bit-preserved raws), every
-    /// returned distance is achievable by some database member, the
-    /// carried slack obeys the write-time bound, and under
-    /// strict-invariants every refinement inside these searches
-    /// re-proves `Dist_LB ≤ exact + slack`.
-    #[test]
-    fn quantized_snapshot_stays_epsilon_bounded(
-        raws in db_strategy(6..24),
-        k in 1usize..5,
-        step in 1e-4f64..5e-2,
-    ) {
-        let built = engine(&raws, 1, TreeKind::Dbch);
-        let image = built.snapshot_image(Some(step)).unwrap();
-        let loaded = Engine::from_snapshot_image(&image).unwrap();
-        // δ = √(Σ_j dist_s_sq) with per-coefficient error ≤ ε/2 over
-        // windows summing to n points, so δ ≤ (ε/2)·(1 + u_max)·√n is a
-        // very loose ceiling; the write-time value must sit under it.
-        let n = raws[0].len() as f64;
-        prop_assert!(loaded.lb_slack() >= 0.0);
-        prop_assert!(loaded.lb_slack() <= 0.5 * step * (1.0 + n) * n.sqrt());
-        let queries = loaded.prepare(&raws[..raws.len().min(4)], 2).unwrap();
-        let (got, _) = loaded.knn(&queries, k, 2).unwrap();
-        for (qi, stats) in got.iter().enumerate() {
-            // Distances are exact: re-derivable from the raw series.
-            for (&id, &d) in stats.retrieved.iter().zip(&stats.distances) {
-                let exact = raws[qi].euclidean(&raws[id]).unwrap();
-                prop_assert!((exact - d).abs() < 1e-9);
-            }
-            prop_assert_eq!(stats.retrieved[0], qi, "self is its own 1-NN at distance 0");
-            prop_assert!(stats.distances[0] == 0.0);
-        }
-    }
-
-    /// Quantized snapshots never falsely dismiss a true neighbour: with
-    /// an unconditional pipeline (PLA's `dist_pla` leaf filter, which is
-    /// a true lower bound for identical segmentations, under the
-    /// Triangle node rule) the quantized-loaded engine's kNN must match
-    /// a brute-force linear scan over the raws rank for rank. Rounding
-    /// can push the stored bound *above* the true distance by up to the
-    /// carried slack, so this holds only because every pruning
-    /// comparison is widened by `lb_slack` — the false-dismissal
-    /// regression this test pins.
-    #[test]
-    fn quantized_snapshot_matches_linear_scan_ground_truth(
-        raws in db_strategy(8..24),
-        k in 1usize..5,
-        step in 1e-3f64..2e-1,
-    ) {
-        let cfg = EngineConfig { rule: NodeDistRule::Triangle, ..EngineConfig::default() };
-        let built =
-            Engine::build(cfg, Box::new(sapla_baselines::Pla::new()), raws.to_vec(), 2).unwrap();
-        let image = built.snapshot_image(Some(step)).unwrap();
-        let loaded = Engine::from_snapshot_image(&image).unwrap();
-        let queries = loaded.prepare(&raws[..raws.len().min(4)], 2).unwrap();
-        let (got, _) = loaded.knn(&queries, k, 2).unwrap();
-        for (qi, stats) in got.iter().enumerate() {
-            // Brute-force ground truth, ordered like the engine merge
-            // ((distance, id) total order).
-            let mut truth: Vec<(f64, usize)> = raws
-                .iter()
-                .enumerate()
-                .map(|(id, s)| (raws[qi].euclidean(s).unwrap(), id))
-                .collect();
-            truth.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            prop_assert_eq!(stats.retrieved.len(), k.min(raws.len()));
-            for (rank, (&id, &d)) in stats.retrieved.iter().zip(&stats.distances).enumerate() {
-                // Distance spectrum matches exactly per rank; ids may
-                // permute only within ties.
-                prop_assert!(
-                    (d - truth[rank].0).abs() < 1e-9,
-                    "query {} rank {}: engine {} vs ground truth {} (step {})",
-                    qi, rank, d, truth[rank].0, step
-                );
-                let exact = raws[qi].euclidean(&raws[id]).unwrap();
-                prop_assert!((exact - d).abs() < 1e-9);
             }
         }
     }
@@ -251,47 +167,6 @@ proptest! {
             let again =
                 Engine::from_snapshot_image(&loaded.snapshot_image(None).unwrap()).unwrap();
             assert_bit_identical(&answers(&again, &raws, k, eps), &want, name);
-        }
-    }
-
-    /// PLA's `dist_pla` leaf filter under the Triangle node rule is an
-    /// unconditional pipeline, so the quantized-loaded engine must match
-    /// a brute-force scan rank for rank — which holds only while every
-    /// pruning comparison, kNN and range alike, is widened by the slack.
-    /// An exact re-save of the loaded engine writes the dequantized reps,
-    /// so the engine loaded from *that* needs the same slack; quantizing
-    /// a second time is refused.
-    #[test]
-    fn quantized_engines_keep_the_slack_through_every_constructor(
-        raws in db_strategy(9..40),
-        k in 1usize..6,
-        eps in 2.0f64..7.0,
-        step in 1e-3f64..2e-1,
-    ) {
-        for shards in [1usize, 3] {
-            let cfg = EngineConfig { shards, rule: NodeDistRule::Triangle, ..EngineConfig::default() };
-            let built = Engine::build(cfg, Box::new(Pla::new()), raws.clone(), 2).unwrap();
-            let loaded =
-                Engine::from_snapshot_image(&built.snapshot_image(Some(step)).unwrap()).unwrap();
-            prop_assert!(loaded.lb_slack() > 0.0);
-            let resaved =
-                Engine::from_snapshot_image(&loaded.snapshot_image(None).unwrap()).unwrap();
-            prop_assert_eq!(resaved.lb_slack().to_bits(), loaded.lb_slack().to_bits());
-            prop_assert!(loaded.snapshot_image(Some(step)).is_err());
-            for engine in [&loaded, &resaved] {
-                let queries = engine.prepare(&raws[..raws.len().min(5)], 2).unwrap();
-                let (found, _) = engine.knn(&queries, k, 2).unwrap();
-                for (qi, (q, got)) in queries.iter().zip(&found).enumerate() {
-                    let truth = linear_scan_knn(&raws[qi], &raws, k).unwrap();
-                    prop_assert_eq!(got.distances.len(), truth.distances.len());
-                    for (g, t) in got.distances.iter().zip(&truth.distances) {
-                        prop_assert!(g.to_bits() == t.to_bits(), "kNN, shards = {}", shards);
-                    }
-                    let hits = engine.range(q, eps).unwrap();
-                    let truth = linear_scan_range(&raws[qi], &raws, eps).unwrap();
-                    prop_assert_eq!(&hits.retrieved, &truth.retrieved, "range, shards = {}", shards);
-                }
-            }
         }
     }
 }

@@ -158,7 +158,8 @@ pub struct ArenaWriter {
 
 impl ArenaWriter {
     /// Start a snapshot with the given header `flags` (consumer-defined
-    /// bits; `sapla-index` uses bit 0 for quantized leaves).
+    /// bits; `sapla-index` writes none and refuses bit 0, which its
+    /// retired lossy image format set).
     #[must_use]
     pub fn new(flags: u32) -> Self {
         Self { buf: vec![0u8; HEADER_LEN], toc: Vec::new(), flags }
@@ -533,13 +534,6 @@ pub fn put_u64s(out: &mut Vec<u8>, vals: impl IntoIterator<Item = u64>) {
 
 /// Append `vals` to `out` as little-endian `u32` bytes.
 pub fn put_u32s(out: &mut Vec<u8>, vals: impl IntoIterator<Item = u32>) {
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Append `vals` to `out` as little-endian `i32` bytes.
-pub fn put_i32s(out: &mut Vec<u8>, vals: impl IntoIterator<Item = i32>) {
     for v in vals {
         out.extend_from_slice(&v.to_le_bytes());
     }

@@ -13,7 +13,7 @@ use sapla_core::{Error, Result};
 
 /// Shared implementation: `T` must be a plain-old-data numeric type
 /// (every bit pattern valid) — enforced by keeping this private and
-/// only instantiating it for `f64`/`u64`/`u32`/`i32` below.
+/// only instantiating it for `f64`/`u64` below.
 #[inline]
 fn typed<T: Copy>(bytes: &[u8]) -> Result<&[T]> {
     if bytes.is_empty() {
@@ -58,24 +58,6 @@ pub fn u64s(bytes: &[u8]) -> Result<&[u64]> {
     typed::<u64>(bytes)
 }
 
-/// View an arena as `u32`s.
-///
-/// # Errors
-///
-/// [`Error::CorruptIndex`] on length or alignment violations.
-pub fn u32s(bytes: &[u8]) -> Result<&[u32]> {
-    typed::<u32>(bytes)
-}
-
-/// View an arena as `i32`s.
-///
-/// # Errors
-///
-/// [`Error::CorruptIndex`] on length or alignment violations.
-pub fn i32s(bytes: &[u8]) -> Result<&[i32]> {
-    typed::<i32>(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,12 +70,6 @@ mod tests {
         let mut buf = Vec::new();
         crate::put_u64s(&mut buf, [0, 1, u64::MAX]);
         assert_eq!(u64s(&buf).unwrap(), &[0, 1, u64::MAX]);
-        let mut buf = Vec::new();
-        crate::put_u32s(&mut buf, [7, u32::MAX]);
-        assert_eq!(u32s(&buf).unwrap(), &[7, u32::MAX]);
-        let mut buf = Vec::new();
-        crate::put_i32s(&mut buf, [-3, i32::MAX]);
-        assert_eq!(i32s(&buf).unwrap(), &[-3, i32::MAX]);
     }
 
     #[test]
@@ -101,14 +77,12 @@ mod tests {
         let buf = [0u8; 12];
         assert!(f64s(&buf).is_err());
         assert!(u64s(&buf[..7]).is_err());
-        assert!(u32s(&buf[..6]).is_err());
-        assert!(i32s(&buf[..5]).is_err());
     }
 
     #[test]
     fn misaligned_base_is_an_error_not_a_panic() {
         // An 8-byte aligned backing buffer shifted by one byte can never
-        // satisfy an 8- or 4-byte alignment check.
+        // satisfy an 8-byte alignment check.
         let backing = [0u64; 4];
         let base = backing.as_ptr().cast::<u8>();
         // SAFETY: `backing` holds 32 bytes; the [1..25) window (24 bytes)
@@ -118,8 +92,6 @@ mod tests {
             let shifted: &[u8] = std::slice::from_raw_parts(base.add(1), 24);
             assert!(f64s(shifted).is_err());
             assert!(u64s(shifted).is_err());
-            assert!(u32s(shifted).is_err());
-            assert!(i32s(shifted).is_err());
         }
     }
 

@@ -76,8 +76,8 @@ metrics:
 # refusal, atomic write, then the fuzz tests (truncation / bit-flip /
 # misalignment — every failure an Err, never a panic). The engine
 # snapshot tests (`--lib snapshot`: more shards than series, re-sealed
-# NaN / version 1 / rep-vs-raw-length / empty-span / stuck-endpoint /
-# span-total images, exact and quantized, and — over both kinds of
+# NaN / version 1 / META-step / rep-vs-raw-length / empty-span /
+# stuck-endpoint / span-total images, and — over both kinds of
 # tree — every leg of the one adoption walk (root / child / entry id
 # out of range, shared child, detached slot, childless internal node,
 # repeated entry, unknown kind tag, record count), bad hulls, inverted
@@ -88,14 +88,15 @@ metrics:
 # export → adopt the identity, the structural refusals; `--lib arena`:
 # the representation store — every reducer's reps returned bitwise
 # whether built, appended or adopted from snapshot arrays, the adoption
-# pass's refusals — and owned vs borrowed raw arenas) and the
-# bit-identity / load-save fixpoint / quantization-bound property
-# tests, stock and under strict-invariants (which re-proves
-# `Dist_LB ≤ exact + slack` inside every refinement the snapshot-loaded
-# trees perform). The node envelopes (`--lib envelope`, `--test
-# envelope_props`): every node's envelope bounds every member, and built,
-# exact- and quantized-loaded engines answer as their shards do without
-# envelopes, over both trees, shards {1, 2, 3, 7} and threads {1, 2, 4};
+# pass's refusals — and owned vs borrowed raw arenas), the bit-identity
+# / load-save fixpoint property tests, and `--test retired_images`
+# (images of the retired quantized format refused by both loaders),
+# stock and under strict-invariants (which re-proves `Dist_LB ≤ exact`
+# inside every refinement the snapshot-loaded trees perform). The node
+# envelopes (`--lib envelope`, `--test envelope_props`): every node's
+# envelope bounds every member, and built and loaded engines answer as
+# their shards do without envelopes, over both trees, shards
+# {1, 2, 3, 7} and threads {1, 2, 4};
 # stock and strict (which re-checks the leaf envelope against every
 # refinement). The instrumented load (phase spans,
 # `raw_bytes_copied` 0 from a file). The daemon's reload tests (reloads
@@ -111,12 +112,14 @@ persist:
     cargo test -q -p sapla-index --lib topology
     cargo test -q -p sapla-index --lib arena
     cargo test -q -p sapla-index --test snapshot_props
+    cargo test -q -p sapla-index --test retired_images
     cargo test -q -p sapla-index --lib envelope
     cargo test -q -p sapla-index --test envelope_props
     cargo test -q -p sapla-index --features strict-invariants --lib snapshot
     cargo test -q -p sapla-index --features strict-invariants --lib topology
     cargo test -q -p sapla-index --features strict-invariants --lib arena
     cargo test -q -p sapla-index --features strict-invariants --test snapshot_props
+    cargo test -q -p sapla-index --features strict-invariants --test retired_images
     cargo test -q -p sapla-index --features strict-invariants --lib envelope
     cargo test -q -p sapla-index --features strict-invariants --test envelope_props
     cargo test -q -p sapla-index --features obs --test obs_counters
